@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from . import bessel
@@ -135,7 +136,7 @@ class _ShiftedSystem:
     def solve(self, f):
         """z with (i lam - A) z = f, f stacked as (f_y ; f_psi)."""
         fy, fp = f[: self.n], f[self.n :]
-        rhs = fy.astype(np.complex128).copy()
+        rhs = np.array(fy, dtype=np.complex128)
         rhs[self.b] -= self.fold * np.dot(self.weta, fp / self.denom)
         zy = self._fwd.solve(rhs)
         zp = (fp + self.eta * zy[self.b]) / self.denom
@@ -145,7 +146,7 @@ class _ShiftedSystem:
         """z with (i lam - A)^H z = f."""
         fy, fp = f[: self.n], f[self.n :]
         t = fp / np.conj(self.denom)
-        rhs = fy.astype(np.complex128).copy()
+        rhs = np.array(fy, dtype=np.complex128)
         rhs[self.b] += np.dot(self.eta, t)
         zy = self._adj.solve(rhs)
         zp = (fp - (self.fold * self.weta) * zy[self.b]) / np.conj(self.denom)
@@ -247,36 +248,40 @@ def _lanczos_top_value(matvec, v0, tol, max_steps, force=False):
     Full reorthogonalization; stops when the top Ritz value is stable to
     `tol` relative over two consecutive Krylov dimensions.  Returns None on
     stagnation unless `force`, then returns the best value reached.
-    """
-    import scipy.linalg as sla
 
+    Each step costs one matvec, two gemv (the reorthogonalization against
+    the column-major basis, Q^H w and w - Q c, on views without copies) and
+    one dstebz bisection for the top Ritz value alone.
+    """
     dim = v0.size
     max_steps = min(max_steps, dim)
-    q = np.zeros((max_steps + 1, dim), dtype=np.complex128)
-    q[0] = v0
-    alphas = []
-    betas = []
+    q = np.zeros((dim, max_steps + 1), dtype=np.complex128, order="F")
+    q[:, 0] = v0
+    alphas = np.empty(max_steps)
+    betas = np.empty(max_steps)
     theta_prev = None
     hits = 0
     theta = None
     for k in range(max_steps):
-        w = matvec(q[k])
-        a = float(np.real(np.vdot(q[k], w)))
-        alphas.append(a)
-        w = w - a * q[k] - (betas[-1] * q[k - 1] if betas else 0.0)
+        w = matvec(q[:, k])
+        a = float(np.real(np.vdot(q[:, k], w)))
+        alphas[k] = a
+        w = w - a * q[:, k] - (betas[k - 1] * q[:, k - 1] if k else 0.0)
         # full reorthogonalization keeps the basis usable past convergence
-        coeff = q[: k + 1].conj() @ w
-        w = w - q[: k + 1].T @ coeff
+        basis = q[:, : k + 1]
+        coeff = _blas.zgemv(1.0, basis, w, trans=2)
+        w = _blas.zgemv(-1.0, basis, coeff, beta=1.0, y=w, overwrite_y=True)
         b = float(np.linalg.norm(w))
         if k == 0:
-            theta = alphas[0]
+            theta = a
         else:
-            theta = float(
-                sla.eigh_tridiagonal(
-                    np.asarray(alphas), np.asarray(betas),
-                    select="i", select_range=(k, k),
-                )[0][-1]
+            # range 2 = by index; LAPACK indices are 1-based
+            m, ritz, _, _, info = _lapack.dstebz(
+                alphas[: k + 1], betas[:k], 2, 0.0, 0.0, k + 1, k + 1, 0.0, "E"
             )
+            if info != 0 or m != 1:
+                raise np.linalg.LinAlgError(f"dstebz failed with info={info}, m={m}")
+            theta = float(ritz[0])
         if theta_prev is not None and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-300):
             hits += 1
             if hits >= 2:
@@ -286,8 +291,8 @@ def _lanczos_top_value(matvec, v0, tol, max_steps, force=False):
         theta_prev = theta
         if b <= 1e-14 * max(abs(a), 1.0):
             return theta  # invariant subspace exhausted
-        betas.append(b)
-        q[k + 1] = w / b
+        betas[k] = b
+        np.divide(w, b, out=q[:, k + 1])
     return theta if force else None
 
 

@@ -9,6 +9,7 @@ from fracdamp.model import PowerLawKappa, ProblemSpec, Variant
 from fracdamp.resolvent import (
     DiagonalOperator,
     ScanRegime,
+    _lanczos_top_value,
     _stable_window_fit,
     forcing_integral,
     resolvent_norm,
@@ -57,6 +58,67 @@ class TestStubOperators:
         with pytest.raises(SpectralCollisionError) as exc:
             resolvent_norm(stub, 2.0)
         assert exc.value.nearest_eigenvalue == pytest.approx(2.0j)
+
+
+class _CountingDiagonal(DiagonalOperator):
+    """DiagonalOperator whose shifted systems count their solves."""
+
+    def __init__(self, diag):
+        super().__init__(diag)
+        self.solves = 0
+
+    def shifted_system(self, lam):
+        inner = super().shifted_system(lam)
+        outer = self
+
+        class _Counted:
+            weights = inner.weights
+
+            def solve(self, f):
+                outer.solves += 1
+                return inner.solve(f)
+
+            def solve_adjoint(self, f):
+                outer.solves += 1
+                return inner.solve_adjoint(f)
+
+        return _Counted()
+
+
+class TestLanczos:
+    def test_top_value_and_step_count_are_pinned(self):
+        rng = np.random.default_rng(20261017)
+        n = 60
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = b @ b.conj().T / n
+        calls = 0
+
+        def matvec(v):
+            nonlocal calls
+            calls += 1
+            return m @ v
+
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+        theta = _lanczos_top_value(matvec, v0, 1e-8, 200)
+        assert theta == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-8)
+        # step count of the reference iteration (row-major basis, Ritz values
+        # from eigh_tridiagonal): a change of kernels must not move it
+        assert calls == 18
+
+    def test_stagnation_restarts_then_forces(self):
+        # well-separated moduli: three Krylov steps never stabilise the top
+        # Ritz value, so the first run and the restart both stagnate and
+        # the forced rerun from the first vector answers
+        diag = -np.geomspace(0.05, 50.0, 12) - 1j * np.linspace(-1.0, 1.0, 12)
+        stub = _CountingDiagonal(diag)
+        lam = 0.3
+        norm = resolvent_norm(stub, lam, max_iter=3)
+        exact = (1.0 / np.abs(1j * lam - diag)).max()
+        assert np.isfinite(norm) and norm > 0.0
+        assert norm <= exact * (1.0 + 1e-12)
+        # 3 runs x 3 steps, each step one solve and one adjoint solve
+        assert stub.solves == 3 * 3 * 2
 
 
 class TestAssembledNorms:
