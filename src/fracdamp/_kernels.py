@@ -1,16 +1,21 @@
 """Hot numerical kernels with optional JIT compilation.
 
 Three inner loops dominate runtime: the implicit-midpoint time march, the
-forced relaxation-mode march, and the singular-kernel convolution.  Each has
-a numba ``@njit`` implementation and a plain numpy/LAPACK implementation.
-The environment variable ``FRACDAMP_KERNELS`` selects the path:
+forced relaxation-mode march, and the singular-kernel convolution.
+
+The convolution ``frac_conv`` has one implementation, a real FFT product
+through ``numpy.fft``.  The two marches each have a numba ``@njit``
+implementation and a plain numpy/LAPACK implementation; the numpy time march
+uses the Cayley form of the midpoint map, one tridiagonal solve and no
+operator apply per step.  The environment variable ``FRACDAMP_KERNELS``
+selects the march path:
 
 * ``auto`` (default) - numba when importable, numpy otherwise;
 * ``numba``          - require the compiled path, fail if numba is missing;
 * ``numpy``          - force the plain path.
 
-Both paths compute the same recurrences; results agree to roundoff.  See
-``benchmarks/bench_kernels.py`` for a timing comparison.
+Both march paths compute the same one-step map; results agree to roundoff.
+See ``benchmarks/bench_kernels.py`` for timings.
 """
 
 from __future__ import annotations
@@ -48,15 +53,19 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 
-def frac_conv_numpy(w_avg: np.ndarray, lag_weights: np.ndarray) -> np.ndarray:
+def frac_conv(w_avg: np.ndarray, lag_weights: np.ndarray) -> np.ndarray:
     """Causal convolution out[n] = sum_{j<n} w_avg[j] * lag_weights[n-1-j].
 
-    Returns an array one longer than ``w_avg`` (out[0] = 0).
+    Returns an array one longer than ``w_avg`` (out[0] = 0).  One real FFT
+    product of length the smallest power of two >= 2n-1, so no circular
+    wrap-around reaches the n entries kept.
     """
     n = w_avg.size
     out = np.zeros(n + 1)
     if n:
-        out[1:] = np.convolve(w_avg, lag_weights)[:n]
+        nfft = 1 << (2 * n - 2).bit_length()
+        spec = np.fft.rfft(w_avg, nfft) * np.fft.rfft(lag_weights[:n], nfft)
+        out[1:] = np.fft.irfft(spec, nfft)[:n]
     return out
 
 
@@ -83,20 +92,25 @@ def midpoint_march_numpy(
     l_sub, l_diag, l_sup, h, b_idx, zeta, w, eta, xi2,
     y0, psi0, dt, n_steps, sample_steps,
 ):
-    """Implicit-midpoint march of the coupled (y, psi) system.
+    """Implicit-midpoint march of the coupled (y, psi) system in Cayley form.
 
-    The psi block is eliminated exactly (it is diagonal), leaving one complex
-    tridiagonal solve per step with a single modified diagonal entry at the
-    damped boundary cell.  Samples are taken at the step indices listed in
-    ``sample_steps`` (which must start at 0 and end at n_steps).
+    With c = dt/2 the midpoint map is (I - cA)^{-1}(I + cA) = 2(I - cA)^{-1} - I,
+    so a step is u' = 2v - u where (I - cA) v = u, and A is never applied.
+    The psi block of that solve is eliminated exactly (it is diagonal),
+    leaving one complex tridiagonal solve per step with a single modified
+    diagonal entry at the damped boundary cell.  Its right-hand side is y
+    with one boundary correction from psi; the matrix is factored halved (an
+    exact scaling), so the solve returns 2v and y' = 2v - y is one
+    subtraction; psi' follows from the boundary value of 2v alone.  Samples
+    are taken at the step indices listed in ``sample_steps`` (sorted, starting
+    at 0 and ending at n_steps).
     """
-    n = y0.size
     c = 0.5 * dt
-    dl = -1j * c * l_sub
-    du = -1j * c * l_sup
-    d = 1.0 - 1j * c * l_diag
+    dl = -0.5j * c * l_sub
+    du = -0.5j * c * l_sup
+    d = 0.5 - 0.5j * c * l_diag
     inv = 1.0 / (1.0 + c * xi2)
-    gmod = (c * c * zeta / h[b_idx]) * np.dot(w * eta * eta, inv)
+    gmod = (0.5 * c * c * zeta / h[b_idx]) * np.dot(w * eta * eta, inv)
     d = d.astype(np.complex128)
     d[b_idx] += gmod
     dlf, df, duf, du2, ipiv, info = _lapack.zgttrf(dl.astype(np.complex128), d, du.astype(np.complex128))
@@ -104,8 +118,11 @@ def midpoint_march_numpy(
         raise np.linalg.LinAlgError(f"zgttrf failed with info={info}")
 
     weta = w * eta
-    fold = (c * zeta / h[b_idx])
-    pc1 = 1.0 - c * xi2
+    # psi's share of the boundary right-hand side, and the weights of 2v[b]
+    # in psi'; complex, so that the per-step dot and product do not cast
+    q_bound = ((c * zeta / h[b_idx]) * weta * inv).astype(np.complex128)
+    a_psi = 2.0 * inv - 1.0
+    g_psi = (c * eta * inv).astype(np.complex128)
 
     n_samp = sample_steps.size
     e_out = np.zeros(n_samp)
@@ -120,27 +137,24 @@ def midpoint_march_numpy(
         d_out[k] = -zeta * np.dot(w * xi2, np.abs(psi) ** 2)
         s_out[k] = np.dot(weta, psi)
 
-    k = 0
-    if sample_steps[0] == 0:
-        _record(0)
-        k = 1
-    for step in range(1, n_steps + 1):
-        s_bound = np.dot(weta, psi)
-        ly = l_diag * y
-        if n > 1:
-            ly[:-1] += l_sup * y[1:]
-            ly[1:] += l_sub * y[:-1]
-        ry = y + 1j * c * ly
-        ry[b_idx] -= fold * s_bound
-        rpsi = pc1 * psi + (c * y[b_idx]) * eta
-        ry[b_idx] -= fold * np.dot(weta, rpsi * inv)
-        y, info = _lapack.zgttrs(dlf, df, duf, du2, ipiv, ry)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zgttrs failed with info={info}")
-        psi = (rpsi + (c * y[b_idx]) * eta) * inv
-        if k < n_samp and step == sample_steps[k]:
+    zgttrs = _lapack.zgttrs
+    done = 0
+    # march interval by interval between samples; the last stop ends the run
+    for k, stop in enumerate(sample_steps.tolist() + [n_steps]):
+        for _ in range(stop - done):
+            v = y.copy()
+            v[b_idx] -= np.dot(q_bound, psi)
+            v, info = zgttrs(dlf, df, duf, du2, ipiv, v, overwrite_b=1)  # 2v
+            if info != 0:
+                raise np.linalg.LinAlgError(f"zgttrs failed with info={info}")
+            vb = v[b_idx]
+            v -= y
+            y = v
+            psi *= a_psi
+            psi += g_psi * vb
+        done = stop
+        if k < n_samp:
             _record(k)
-            k += 1
     return e_out, d_out, s_out, y, psi
 
 
@@ -149,17 +163,6 @@ def midpoint_march_numpy(
 # ---------------------------------------------------------------------------
 
 if JIT_ENABLED:
-
-    @njit(cache=True)
-    def _frac_conv_jit(w_avg, lag_weights):
-        n = w_avg.size
-        out = np.zeros(n + 1)
-        for m in range(1, n + 1):
-            acc = 0.0
-            for j in range(m):
-                acc += w_avg[j] * lag_weights[m - 1 - j]
-            out[m] = acc
-        return out
 
     @njit(cache=True)
     def _psi_march_jit(xi2, eta, weta, zeta, s_avg, dt):
@@ -286,12 +289,6 @@ if JIT_ENABLED:
                 k += 1
         return e_out, d_out, s_out, y, psi
 
-    def frac_conv_numba(w_avg, lag_weights):
-        return _frac_conv_jit(
-            np.ascontiguousarray(w_avg, dtype=np.float64),
-            np.ascontiguousarray(lag_weights, dtype=np.float64),
-        )
-
     def psi_march_numba(xi2, eta, weta, zeta, s_avg, dt):
         return _psi_march_jit(
             np.ascontiguousarray(xi2, dtype=np.float64),
@@ -326,10 +323,8 @@ if JIT_ENABLED:
 
 # Selected aliases used by the rest of the package.
 if JIT_ENABLED:
-    frac_conv = frac_conv_numba
     psi_march = psi_march_numba
     midpoint_march = midpoint_march_numba
 else:
-    frac_conv = frac_conv_numpy
     psi_march = psi_march_numpy
     midpoint_march = midpoint_march_numpy

@@ -56,7 +56,8 @@ def _content_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict, outputs, error=None) -> None:
+def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
+                    diagnostics=None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -68,6 +69,8 @@ def _write_manifest(out: Path, command: str, config: dict, outputs, error=None) 
     }
     if error is not None:
         manifest["error"] = error
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -182,7 +185,15 @@ def _cmd_simulate(args, parser) -> int:
     with open(out / "fit.json", "w") as fh:
         json.dump(fit_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"])
+    # the midpoint rule is contractive, so the largest sampled energy change
+    # (relative to E[0], absolute when E[0] = 0) should be roundoff or below
+    rise = float(np.max(np.diff(trace.E)))
+    diagnostics = {
+        "march_steps": int(round(trace.t[-1] / dt)),
+        "max_energy_rise": rise / trace.E[0] if trace.E[0] > 0.0 else rise,
+    }
+    _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"],
+                    diagnostics=diagnostics)
     return 0
 
 

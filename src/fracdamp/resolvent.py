@@ -202,8 +202,10 @@ def resolvent_norm(
 
     Lanczos iteration on the inverse normal operator with relative value
     tolerance `tol` and step cap `max_iter`; on stagnation the iteration
-    restarts once from a fresh random vector.  Raises SpectralCollisionError
-    when the shift is numerically an eigenvalue.
+    restarts once from a fresh random vector, and if that stagnates too the
+    larger of the two final Ritz values (both lower bounds) is returned.
+    Raises SpectralCollisionError when the shift is numerically an
+    eigenvalue.
     """
     sys_ = _shifted_system(op, lam)
     sw = np.sqrt(sys_.weights)
@@ -228,26 +230,25 @@ def resolvent_norm(
     # values, the Krylov value does not.
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
-    theta = _lanczos_top_value(_normal_inverse_matvec, v0, tol, max_iter)
-    if theta is None:
+    theta, converged = _lanczos_top_value(_normal_inverse_matvec, v0, tol, max_iter)
+    if not converged:
         # stagnation: restart once from a fresh vector, keep the best value
         v1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v1 /= np.linalg.norm(v1)
-        t2 = _lanczos_top_value(_normal_inverse_matvec, v1, tol, max_iter)
-        theta = t2 if t2 is not None else _lanczos_top_value(
-            _normal_inverse_matvec, v0, tol, max_iter, force=True
-        )
-    if theta is None or not np.isfinite(theta) or theta <= 0.0:
+        t2, converged = _lanczos_top_value(_normal_inverse_matvec, v1, tol, max_iter)
+        theta = t2 if converged else max(theta, t2)
+    if not np.isfinite(theta) or theta <= 0.0:
         raise SpectralCollisionError(lam, 1j * lam, "non-finite resolvent estimate")
     return math.sqrt(theta)
 
 
-def _lanczos_top_value(matvec, v0, tol, max_steps, force=False):
+def _lanczos_top_value(matvec, v0, tol, max_steps):
     """Largest eigenvalue of a Hermitian PSD operator by Lanczos.
 
     Full reorthogonalization; stops when the top Ritz value is stable to
-    `tol` relative over two consecutive Krylov dimensions.  Returns None on
-    stagnation unless `force`, then returns the best value reached.
+    `tol` relative over two consecutive Krylov dimensions.  Returns the last
+    top Ritz value (a lower bound, 0.0 if no step ran) and whether it
+    converged; False means the run stagnated at `max_steps`.
 
     Each step costs one matvec, two gemv (the reorthogonalization against
     the column-major basis, Q^H w and w - Q c, on views without copies) and
@@ -261,7 +262,7 @@ def _lanczos_top_value(matvec, v0, tol, max_steps, force=False):
     betas = np.empty(max_steps)
     theta_prev = None
     hits = 0
-    theta = None
+    theta = 0.0
     for k in range(max_steps):
         w = matvec(q[:, k])
         a = float(np.real(np.vdot(q[:, k], w)))
@@ -285,15 +286,15 @@ def _lanczos_top_value(matvec, v0, tol, max_steps, force=False):
         if theta_prev is not None and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-300):
             hits += 1
             if hits >= 2:
-                return theta
+                return theta, True
         else:
             hits = 0
         theta_prev = theta
         if b <= 1e-14 * max(abs(a), 1.0):
-            return theta  # invariant subspace exhausted
+            return theta, True  # invariant subspace exhausted
         betas[k] = b
         np.divide(w, b, out=q[:, k + 1])
-    return theta if force else None
+    return theta, False
 
 
 def smallest_singular_value(op, lam: float = 0.0) -> float:

@@ -47,6 +47,9 @@ class TestSimulate:
         assert set(fit) >= {"window", "exponent", "intercept", "r_squared"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["spec"]["variant"] == "P"
+        diag = manifest["diagnostics"]
+        assert diag["march_steps"] == 200
+        assert diag["max_energy_rise"] <= 1e-12
 
     def test_zero_preset_trace_is_zero(self, tmp_path):
         out = tmp_path / "zero"

@@ -100,7 +100,8 @@ class TestLanczos:
 
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v0 /= np.linalg.norm(v0)
-        theta = _lanczos_top_value(matvec, v0, 1e-8, 200)
+        theta, converged = _lanczos_top_value(matvec, v0, 1e-8, 200)
+        assert converged
         assert theta == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-8)
         # step count of the reference iteration (row-major basis, Ritz values
         # from eigh_tridiagonal): a change of kernels must not move it
@@ -108,8 +109,8 @@ class TestLanczos:
 
     def test_stagnation_restarts_then_forces(self):
         # well-separated moduli: three Krylov steps never stabilise the top
-        # Ritz value, so the first run and the restart both stagnate and
-        # the forced rerun from the first vector answers
+        # Ritz value, so the first run and the restart both stagnate and the
+        # larger of their two final values answers, with no third run
         diag = -np.geomspace(0.05, 50.0, 12) - 1j * np.linspace(-1.0, 1.0, 12)
         stub = _CountingDiagonal(diag)
         lam = 0.3
@@ -117,8 +118,8 @@ class TestLanczos:
         exact = (1.0 / np.abs(1j * lam - diag)).max()
         assert np.isfinite(norm) and norm > 0.0
         assert norm <= exact * (1.0 + 1e-12)
-        # 3 runs x 3 steps, each step one solve and one adjoint solve
-        assert stub.solves == 3 * 3 * 2
+        # 2 runs x 3 steps, each step one solve and one adjoint solve
+        assert stub.solves == 2 * 3 * 2
 
 
 class TestAssembledNorms:
