@@ -52,7 +52,6 @@ from .operator import (
     export_operator,
 )
 from .resolvent import (
-    DiagonalOperator,
     ExponentPrediction,
     ResolventScan,
     ScanRegime,

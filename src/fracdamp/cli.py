@@ -26,7 +26,6 @@ from .evolution import fit_decay_exponent, prepare_initial_state, simulate
 from .model import PowerLawKappa, ProblemSpec, Variant
 from .operator import assemble_operator, build_x_grid, default_grading
 from .resolvent import (
-    DiagonalOperator,
     forcing_integral,
     scan_resolvent,
     ScanRegime,
@@ -126,9 +125,8 @@ def _grid_config(args, spec, grade) -> dict:
     }
 
 
-def _add_problem_flags(p, include_grids=True, allow_stub=False):
-    choices = ["P", "Pprime"] + (["stub"] if allow_stub else [])
-    p.add_argument("--problem", choices=choices, default=None)
+def _add_problem_flags(p):
+    p.add_argument("--problem", choices=["P", "Pprime"], default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--kappa", default=None, metavar="FILE",
                    help="JSON file with tabulated coefficient {x: [...], values: [...]}")
@@ -137,13 +135,12 @@ def _add_problem_flags(p, include_grids=True, allow_stub=False):
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--config", default=None, metavar="FILE",
                    help="problem JSON; explicit flags override its entries")
-    if include_grids:
-        p.add_argument("--nx", type=int, default=400)
-        p.add_argument("--grade", type=float, default=None,
-                       help="mesh grading exponent (default: 2 for strong degeneracy, else 1)")
-        p.add_argument("--nxi", type=int, default=200)
-        p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
-        p.add_argument("--xi-max", dest="xi_max", type=float, default=1e4)
+    p.add_argument("--nx", type=int, default=400)
+    p.add_argument("--grade", type=float, default=None,
+                   help="mesh grading exponent (default: 2 for strong degeneracy, else 1)")
+    p.add_argument("--nxi", type=int, default=200)
+    p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
+    p.add_argument("--xi-max", dest="xi_max", type=float, default=1e4)
 
 
 def _cmd_simulate(args, parser) -> int:
@@ -186,11 +183,11 @@ def _cmd_simulate(args, parser) -> int:
         json.dump(fit_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     # the midpoint rule is contractive, so the largest sampled energy change
-    # (relative to E[0], absolute when E[0] = 0) should be roundoff or below
-    rise = float(np.max(np.diff(trace.E)))
+    # relative to E[0] (prepared states have unit energy) should be roundoff
+    # or below
     diagnostics = {
         "march_steps": int(round(trace.t[-1] / dt)),
-        "max_energy_rise": rise / trace.E[0] if trace.E[0] > 0.0 else rise,
+        "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
     }
     _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"],
                     diagnostics=diagnostics)
@@ -202,20 +199,13 @@ def _cmd_scan(args, parser) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)
     regime = ScanRegime.NEAR_ZERO if args.regime == "low" else ScanRegime.HIGH_FREQUENCY
-    if args.problem == "stub":
-        config = {"spec": "stub", "points": args.points,
-                  "lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
-                  "regime": args.regime, "nx": args.nx}
-        op = DiagonalOperator(-np.ones(args.nx))
-        prediction = None
-    else:
-        spec = _problem_from_args(args, parser)
-        xg, xig, grade = _grids_from_args(args, spec)
-        config = _grid_config(args, spec, grade)
-        config.update({"points": args.points, "lambda_min": args.lambda_min,
-                       "lambda_max": args.lambda_max, "regime": args.regime})
-        op = assemble_operator(spec, xg, xig)
-        prediction = theoretical_exponents(spec)
+    spec = _problem_from_args(args, parser)
+    xg, xig, grade = _grids_from_args(args, spec)
+    config = _grid_config(args, spec, grade)
+    config.update({"points": args.points, "lambda_min": args.lambda_min,
+                   "lambda_max": args.lambda_max, "regime": args.regime})
+    op = assemble_operator(spec, xg, xig)
+    prediction = theoretical_exponents(spec)
     try:
         scan = scan_resolvent(op, lams, regime)
     except NumericalError as exc:
@@ -228,9 +218,9 @@ def _cmd_scan(args, parser) -> int:
         "exponent": scan.fit.exponent,
         "r_squared": scan.fit.r_squared,
         "window": [float(scan.lam[scan.fit.window[0]]), float(scan.lam[scan.fit.window[1]])],
-        "theta_theoretical": None if prediction is None else prediction.theta,
-        "upsilon_theoretical": None if prediction is None else prediction.upsilon,
-        "decay_exponent_predicted": None if prediction is None else prediction.decay_exponent,
+        "theta_theoretical": prediction.theta,
+        "upsilon_theoretical": prediction.upsilon,
+        "decay_exponent_predicted": prediction.decay_exponent,
     }
     with open(out / "fit.json", "w") as fh:
         json.dump(fit_doc, fh, indent=2, sort_keys=True)
@@ -272,15 +262,11 @@ def _cmd_oracle_compare(args, parser) -> int:
         variant=Variant.P, kappa=PowerLawKappa(args.alpha), beta=args.beta, rho=args.rho
     )
     xig = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)
-    f_psi = (
-        np.zeros(xig.xi.size)
-        if args.data == "zero"
-        else xig.eta * np.exp(-xig.xi**2)
-    )
+    f_psi = xig.eta * np.exp(-xig.xi**2)
     grade = args.grade if args.grade is not None else 2.0
     config = {"spec": spec.to_json(), "lambda": args.lam, "nx_list": nx_list,
               "grade": grade, "nxi": args.nxi, "xi_min": args.xi_min,
-              "xi_max": args.xi_max, "data": args.data}
+              "xi_max": args.xi_max}
     rows = []
     errors = []
     try:
@@ -328,14 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p)
     p.add_argument("--t-final", dest="t_final", type=float, required=True)
     p.add_argument("--dt", type=float, default=None, help="default t_final/20000")
-    p.add_argument("--y0", choices=["smooth-bump", "lowest-mode", "zero"],
-                   default="smooth-bump")
+    p.add_argument("--y0", choices=["smooth-bump", "lowest-mode"], default="smooth-bump")
     p.add_argument("--fit-window", dest="fit_window", default=None, metavar="LO:HI")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("scan", help="resolvent-norm scan + power-law fit")
-    _add_problem_flags(p, allow_stub=True)  # stub: diagonal test operator
+    _add_problem_flags(p)
     p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1e-4)
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=1e-1)
     p.add_argument("--points", type=int, default=25)
@@ -365,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nxi", type=int, default=800)
     p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
     p.add_argument("--xi-max", dest="xi_max", type=float, default=1e6)
-    p.add_argument("--data", choices=["default", "zero"], default="default")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle_compare)
     return parser

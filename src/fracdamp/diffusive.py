@@ -171,7 +171,8 @@ def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0
 
     Each mode obeys psi_k' = -xi_k^2 psi_k + eta_k s(t) from psi_k(0)=0 and is
     advanced with the exponential integrator, the signal held at its per-step
-    mean.  Returns (psi_history, flux) where flux(t) = zeta sum w_k eta_k psi_k(t).
+    mean.  Returns (psi_final, flux): the modes at the last sample and, at
+    every sample, flux(t) = zeta sum w_k eta_k psi_k(t).
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got dt={dt}")

@@ -21,13 +21,13 @@ from . import _kernels
 from .errors import FitDataError, NumericalError, ParameterError, ShapeError
 from .model import StateVector, energy
 from .operator import SystemOperator
+from .resolvent import _fit_line, smallest_singular_value
 
 
 class InitialPreset(str, enum.Enum):
     SMOOTH_BUMP = "smooth-bump"
     LOWEST_MODE = "lowest-mode"
     CUSTOM = "custom"
-    ZERO = "zero"  # test hook
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,6 @@ def project_out_near_kernel(op: SystemOperator, state: StateVector, tol: float =
     is nothing to remove.  Otherwise an oblique spectral projector is built
     from the left/right eigenvectors of the weighted similarity matrix.
     """
-    from .resolvent import smallest_singular_value  # local import, avoids a cycle
-
     if smallest_singular_value(op) >= tol:
         return state
     vals, vl, vr, sel = _near_kernel_pairs(op, tol)
@@ -196,8 +194,6 @@ def prepare_initial_state(
     """
     preset = InitialPreset(preset)
     x = op.xgrid.x
-    if preset is InitialPreset.ZERO:
-        return StateVector(y=np.zeros_like(x, dtype=complex), psi=np.zeros(op.xigrid.xi.size, dtype=complex))
     if preset is InitialPreset.LOWEST_MODE:
         state = _lowest_mode(op, project_tol)
     else:
@@ -229,12 +225,6 @@ def fit_decay_exponent(trace: EnergyTrace, window: Tuple[float, float]) -> Decay
     e = trace.E[mask]
     if np.any(e <= 0.0):
         raise FitDataError("energy hits zero or negative values inside the fit window")
-    lt = np.log(trace.t[mask])
-    le = np.log(e)
-    slope, intercept = np.polyfit(lt, le, 1)
-    pred = slope * lt + intercept
-    ss_res = float(np.sum((le - pred) ** 2))
-    ss_tot = float(np.sum((le - le.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(window=(float(lo), float(hi)), exponent=float(-slope),
-                    intercept=float(intercept), r_squared=float(r2))
+    slope, intercept, r2 = _fit_line(np.log(trace.t[mask]), np.log(e))
+    return DecayFit(window=(float(lo), float(hi)), exponent=-slope,
+                    intercept=intercept, r_squared=r2)

@@ -153,37 +153,9 @@ class _ShiftedSystem:
         return np.concatenate((zy, zp))
 
 
-class DiagonalOperator:
-    """Diagonal stub with known closed-form resolvent norms (test harness)."""
-
-    def __init__(self, diag, weights=None):
-        self.diag = np.asarray(diag, dtype=np.complex128)
-        w = np.ones(self.diag.size) if weights is None else np.asarray(weights, float)
-        if np.any(w <= 0):
-            raise ParameterError("stub weights must be positive")
-        self.weights = w
-        self.zeta = 1.0
-
-    def shifted_system(self, lam: float):
-        return _DiagonalShifted(self, lam)
-
-
-class _DiagonalShifted:
-    def __init__(self, op: DiagonalOperator, lam: float):
-        self.denom = 1j * lam - op.diag
-        if np.any(np.abs(self.denom) < 1e-300):
-            k = int(np.argmin(np.abs(self.denom)))
-            raise SpectralCollisionError(lam, complex(op.diag[k]))
-        self.weights = op.weights
-
-    def solve(self, f):
-        return f / self.denom
-
-    def solve_adjoint(self, f):
-        return f / np.conj(self.denom)
-
-
 def _shifted_system(op, lam: float):
+    # any object with a shifted_system(lam) method (solve, solve_adjoint and
+    # weights) can stand in for an assembled operator
     if isinstance(op, SystemOperator):
         return _ShiftedSystem(op, lam)
     if hasattr(op, "shifted_system"):
@@ -326,13 +298,9 @@ def forcing_integral(op: SystemOperator, lam: float, f_psi) -> complex:
     )
 
 
-def resolvent_norm_dense(op, lam: float) -> float:
+def resolvent_norm_dense(op: SystemOperator, lam: float) -> float:
     """Dense full-SVD oracle for small instances."""
-    if isinstance(op, SystemOperator):
-        a = op.weighted_dense()
-    else:
-        sw = np.sqrt(np.asarray(op.weights, float))
-        a = np.diag(op.diag.astype(np.complex128)) * (sw[:, None] / sw[None, :])
+    a = op.weighted_dense()
     m = 1j * lam * np.eye(a.shape[0]) - a
     s = np.linalg.svd(m, compute_uv=False)
     return float(1.0 / s[-1])
@@ -341,6 +309,22 @@ def resolvent_norm_dense(op, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # scans and fits
 # ---------------------------------------------------------------------------
+
+
+def _fit_line(x, y):
+    """Least-squares line y ~ slope*x + intercept: (slope, intercept, R^2).
+
+    R^2 is 1 when y is constant: the flat line fits it exactly, whatever
+    roundoff polyfit leaves in the residual.  Equal values are tested as
+    such, because the rounded mean can leave ss_tot a few ulps above 0.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    flat = ss_tot == 0.0 or bool(np.all(y == y[0]))
+    r2 = 1.0 if flat else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), float(r2)
 
 
 def _stable_window_fit(logx, logy, min_points: int = 8, slope_band: float = 0.10):
@@ -370,13 +354,8 @@ def _stable_window_fit(logx, logy, min_points: int = 8, slope_band: float = 0.10
             "fewer than 8 usable points: no sub-window with stable local slope"
         )
     i0, i1 = best[1]
-    xs, ys = logx[i0 : i1 + 1], logy[i0 : i1 + 1]
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    return i0, i1, float(slope), float(r2)
+    slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
+    return i0, i1, slope, r2
 
 
 def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> ResolventScan:
@@ -487,14 +466,7 @@ def verify_determinant_scaling(
             vals[k] = dtp1 - 1j * rho * il_pow * tp1
         else:
             raise ParameterError(f"unknown determinant mode {mode!r}")
-    lx = np.log(np.abs(mu_grid))
-    ly = np.log(np.abs(vals))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2 = _fit_line(np.log(np.abs(mu_grid)), np.log(np.abs(vals)))
     return DeterminantFit(
-        exponent=float(slope), intercept=float(intercept), r_squared=float(r2),
-        mu=mu_grid, values=vals,
+        exponent=slope, intercept=intercept, r_squared=r2, mu=mu_grid, values=vals,
     )

@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -19,7 +18,8 @@ class TestVerifyKernel:
         assert lines[0] == "tau,quadrature,exact,rel_error"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "verify-kernel"
-        assert "input_hash" in manifest and "kernel_backend" in manifest
+        assert "input_hash" in manifest
+        assert manifest["kernel_backend"] == "numpy"
 
     def test_beta_09_passes(self, tmp_path):
         assert run_cli("verify-kernel", "--beta", 0.9, "--out", tmp_path / "b9") == 0
@@ -50,17 +50,6 @@ class TestSimulate:
         diag = manifest["diagnostics"]
         assert diag["march_steps"] == 200
         assert diag["max_energy_rise"] <= 1e-12
-
-    def test_zero_preset_trace_is_zero(self, tmp_path):
-        out = tmp_path / "zero"
-        code = run_cli(
-            "simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
-            "--nx", 32, "--nxi", 24, "--t-final", 1.0, "--dt", 0.01,
-            "--y0", "zero", "--out", out,
-        )
-        assert code == 0
-        rows = (out / "trace.csv").read_text().splitlines()[1:]
-        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
     def test_invalid_variant_alpha_combination(self, tmp_path):
         code = run_cli(
@@ -98,23 +87,6 @@ class TestSimulate:
 
 
 class TestScan:
-    def test_stub_closed_form(self, tmp_path):
-        out = tmp_path / "stub"
-        code = run_cli(
-            "scan", "--problem", "stub", "--nx", 12, "--points", 10,
-            "--lambda-min", 1e-3, "--lambda-max", 1e-1, "--out", out,
-        )
-        assert code == 0
-        rows = (out / "scan.csv").read_text().splitlines()[1:]
-        for row in rows:
-            lam, norm = (float(v) for v in row.split(","))
-            assert norm == pytest.approx(1.0 / math.sqrt(1.0 + lam**2), rel=1e-7)
-        fit = json.loads((out / "fit.json").read_text())
-        assert set(fit) == {
-            "regime", "exponent", "r_squared", "window",
-            "theta_theoretical", "upsilon_theoretical", "decay_exponent_predicted",
-        }
-
     def test_variant_p_scan_small(self, tmp_path):
         out = tmp_path / "scanp"
         code = run_cli(
@@ -123,6 +95,10 @@ class TestScan:
         )
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
+        assert set(fit) == {
+            "regime", "exponent", "r_squared", "window",
+            "theta_theoretical", "upsilon_theoretical", "decay_exponent_predicted",
+        }
         assert fit["theta_theoretical"] == 1.0
         assert fit["decay_exponent_predicted"] == 2.0
         assert fit["exponent"] == pytest.approx(-1.0, abs=0.15)
@@ -148,12 +124,6 @@ class TestScan:
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
         assert fit["regime"] == "high_frequency"
-
-    def test_stub_rejected_outside_scan(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("simulate", "--problem", "stub", "--beta", 0.5,
-                    "--t-final", 1.0, "--out", tmp_path / "x")
-        assert exc.value.code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         from fracdamp import cli
@@ -186,16 +156,6 @@ class TestOracleCompare:
         assert rows[0] == "lambda,l2_error,linf_error,nx"
         errs = [float(r.split(",")[1]) for r in rows[1:]]
         assert errs[0] > errs[1] > errs[2]
-
-    def test_zero_data_zero_errors(self, tmp_path):
-        out = tmp_path / "oc0"
-        code = run_cli(
-            "oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3,
-            "--nx-list", "50,100", "--nxi", 64, "--data", "zero", "--out", out,
-        )
-        assert code == 0
-        rows = (out / "oracle.csv").read_text().splitlines()[1:]
-        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
     def test_bad_nx_list_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

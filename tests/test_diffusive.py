@@ -158,17 +158,17 @@ class TestEvolvePsiForced:
     def test_zero_signal(self):
         grid = build_xi_quadrature(0.5, 64)
         t = np.linspace(0.0, 1.0, 101)
-        psi_hist, flux = evolve_psi_forced(grid, np.zeros_like(t), 0.01)
-        assert np.all(psi_hist == 0.0)
+        psi, flux = evolve_psi_forced(grid, np.zeros_like(t), 0.01)
+        assert np.all(psi == 0.0)
         assert np.all(flux == 0.0)
 
     def test_single_mode_closed_form(self):
         grid = build_xi_quadrature(0.5, 64, 1e-2, 1e2)
         dt, n = 1e-3, 5000
         t = np.linspace(0.0, n * dt, n + 1)
-        psi_hist, _ = evolve_psi_forced(grid, np.ones_like(t), dt)
+        psi, _ = evolve_psi_forced(grid, np.ones_like(t), dt)
         expected = grid.eta * -np.expm1(-grid.xi**2 * t[-1]) / grid.xi**2
-        np.testing.assert_allclose(psi_hist[-1], expected, rtol=1e-10)
+        np.testing.assert_allclose(psi, expected, rtol=1e-10)
 
     def test_unit_signal_flux_matches_closed_form(self):
         beta, rho = 0.5, 1.0

@@ -107,11 +107,6 @@ class TestPrepare:
         assert dpoly(1.0) == 0.0
         assert np.all(state.psi == 0)
 
-    def test_zero_preset(self, small_op):
-        state = prepare_initial_state(small_op, "zero")
-        assert np.all(state.y == 0) and np.all(state.psi == 0)
-        assert energy(state, small_op) == 0.0
-
     def test_projection_idempotent(self, small_op, rng):
         state = random_state(small_op, rng)
         once = project_out_near_kernel(small_op, state, tol=1e-8)
@@ -189,3 +184,9 @@ class TestDecayFit:
         trace = self._trace(lambda t: t**-1.0)
         with pytest.raises(ParameterError):
             fit_decay_exponent(trace, (5.0, 2.0))
+
+    def test_flat_energy(self):
+        # a conserved energy (undamped run): exponent 0, fitted exactly
+        fit = fit_decay_exponent(self._trace(lambda t: np.full(t.size, 0.7)), (1.0, 100.0))
+        assert fit.exponent == pytest.approx(0.0, abs=1e-12)
+        assert fit.r_squared == 1.0

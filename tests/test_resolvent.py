@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_operator
+from conftest import DiagonalOperator, make_operator
 from fracdamp.errors import FitDataError, ParameterError, SpectralCollisionError
 from fracdamp.model import PowerLawKappa, ProblemSpec, Variant
 from fracdamp.resolvent import (
-    DiagonalOperator,
     ScanRegime,
     _lanczos_top_value,
     _stable_window_fit,
@@ -190,6 +189,14 @@ class TestWindowFit:
         with pytest.raises(FitDataError):
             _stable_window_fit(np.log(lam), np.log(1.0 / lam))
 
+    def test_flat_curve_fits_with_unit_r_squared(self):
+        # constant log-norms: ss_tot is exactly 0 and the flat line fits them
+        lam = np.geomspace(1e-3, 1e-1, 10)
+        i0, i1, slope, r2 = _stable_window_fit(np.log(lam), np.full(10, np.log(0.7)))
+        assert (i0, i1) == (0, 9)
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert r2 == 1.0
+
 
 class TestScans:
     def test_scan_requires_grid(self):
@@ -205,6 +212,14 @@ class TestScans:
         lines = path.read_text().splitlines()
         assert lines[0] == "lambda,norm"
         assert len(lines) == 11
+
+    def test_flat_scan(self):
+        # |1j*lam + 1e9| rounds to 1e9 over the whole grid: every norm is equal
+        stub = DiagonalOperator(np.full(4, -1e9))
+        scan = scan_resolvent(stub, np.geomspace(1e-3, 1e-1, 10))
+        np.testing.assert_allclose(scan.norm, 1e-9, rtol=1e-8)
+        assert scan.fit.exponent == pytest.approx(0.0, abs=1e-6)
+        assert scan.fit.r_squared == 1.0
 
     def test_variant_p_near_zero_slope(self):
         op = make_operator(nx=120, nxi=80, xi_min=1e-4, xi_max=1e4)
