@@ -6,7 +6,8 @@ iteration on the inverse normal operator, each step being two banded solves
 through the Schur complement onto the field block (the relaxation block is
 diagonal, so its elimination adds a single complex impedance entry at the
 damped cell -- the discrete counterpart of the rho*(i*lam)^(beta-1)
-boundary impedance).
+boundary impedance).  Each solve fills one fresh output buffer, and the
+Lanczos iteration overwrites the vector its matvec returns.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ class _TridiagFactor:
         if self._fact[-1] != 0:
             raise np.linalg.LinAlgError(f"zgttrf failed with info={self._fact[-1]}")
 
-    def solve(self, b):
+    def solve_in_place(self, b):
+        """Overwrite b, a contiguous complex128 vector, with the solution."""
         dlf, df, duf, du2, ipiv, _ = self._fact
-        x, info = _lapack.zgttrs(dlf, df, duf, du2, ipiv, b)
+        _, info = _lapack.zgttrs(dlf, df, duf, du2, ipiv, b, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgttrs failed with info={info}")
-        return x
 
 
 class _ShiftedSystem:
@@ -99,7 +100,9 @@ class _ShiftedSystem:
 
     The relaxation rows are eliminated exactly; what remains is the field
     tridiagonal with the boundary impedance zeta/h_b * sum w eta^2/(i lam + xi^2)
-    added at the damped cell.
+    added at the damped cell.  Both solves leave their input unchanged and
+    return a fresh array; the field part is solved in place in its leading
+    n entries.
     """
 
     def __init__(self, op: SystemOperator, lam: float):
@@ -110,14 +113,21 @@ class _ShiftedSystem:
         self.n = op.xgrid.x.size
         self.b = op.boundary_index
         xi2 = op.xigrid.xi**2
-        self.denom = 1j * lam + xi2
-        if np.any(np.abs(self.denom) == 0.0):
-            raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(self.denom))]))
-        weta = op.xigrid.w * op.xigrid.eta
-        self.weta = weta
-        self.eta = op.xigrid.eta
-        self.fold = op.zeta / op.xgrid.h[self.b]
-        g = self.fold * np.dot(weta * op.xigrid.eta, 1.0 / self.denom)
+        denom = 1j * lam + xi2
+        if np.any(np.abs(denom) == 0.0):
+            raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(denom))]))
+        eta = op.xigrid.eta
+        weta = op.xigrid.w * eta
+        fold = op.zeta / op.xgrid.h[self.b]
+        g = fold * np.dot(weta * eta, 1.0 / denom)
+        # per-shift constants of the elimination, so a solve is one zgttrs,
+        # one dot product and three in-place vector operations
+        self._inv_denom = 1.0 / denom
+        self._inv_denom_conj = np.conj(self._inv_denom)
+        self._fold_weta = fold * weta
+        self._couple = self._fold_weta * self._inv_denom
+        self._couple_adj = eta * self._inv_denom_conj
+        self._eta = eta
 
         dl = -1j * op.l_sub
         du = -1j * op.l_sup
@@ -135,22 +145,31 @@ class _ShiftedSystem:
 
     def solve(self, f):
         """z with (i lam - A) z = f, f stacked as (f_y ; f_psi)."""
-        fy, fp = f[: self.n], f[self.n :]
-        rhs = np.array(fy, dtype=np.complex128)
-        rhs[self.b] -= self.fold * np.dot(self.weta, fp / self.denom)
-        zy = self._fwd.solve(rhs)
-        zp = (fp + self.eta * zy[self.b]) / self.denom
-        return np.concatenate((zy, zp))
+        n, b = self.n, self.b
+        fp = f[n:]
+        z = np.empty(f.shape, dtype=np.complex128)
+        zy, zp = z[:n], z[n:]
+        zy[...] = f[:n]
+        zy[b] -= np.dot(self._couple, fp)
+        self._fwd.solve_in_place(zy)
+        np.multiply(self._eta, zy[b], out=zp)
+        zp += fp
+        zp *= self._inv_denom
+        return z
 
     def solve_adjoint(self, f):
         """z with (i lam - A)^H z = f."""
-        fy, fp = f[: self.n], f[self.n :]
-        t = fp / np.conj(self.denom)
-        rhs = np.array(fy, dtype=np.complex128)
-        rhs[self.b] += np.dot(self.eta, t)
-        zy = self._adj.solve(rhs)
-        zp = (fp - (self.fold * self.weta) * zy[self.b]) / np.conj(self.denom)
-        return np.concatenate((zy, zp))
+        n, b = self.n, self.b
+        fp = f[n:]
+        z = np.empty(f.shape, dtype=np.complex128)
+        zy, zp = z[:n], z[n:]
+        zy[...] = f[:n]
+        zy[b] += np.dot(self._couple_adj, fp)
+        self._adj.solve_in_place(zy)
+        np.multiply(self._fold_weta, -zy[b], out=zp)
+        zp += fp
+        zp *= self._inv_denom_conj
+        return z
 
 
 def _shifted_system(op, lam: float):
@@ -178,22 +197,34 @@ def resolvent_norm(
     larger of the two final Ritz values (both lower bounds) is returned.
     Raises SpectralCollisionError when the shift is numerically an
     eigenvalue.
+
+    The iteration overwrites the vector each matvec returns, so the shifted
+    system's solve and solve_adjoint must return a fresh array.
     """
     sys_ = _shifted_system(op, lam)
-    sw = np.sqrt(sys_.weights)
+    # complex copies, so the scalings below multiply without a dtype cast
+    sw = np.sqrt(sys_.weights).astype(np.complex128)
+    inv_w = (1.0 / sys_.weights).astype(np.complex128)
     rng = np.random.default_rng(seed)
     dim = sw.size
 
     def _normal_inverse_matvec(v):
-        v = np.asarray(v, dtype=np.complex128)
-        u = sys_.solve_adjoint(sw * v) / sw  # weighted-adjoint inverse
-        z = sw * sys_.solve(u / sw)          # weighted inverse
-        if not np.all(np.isfinite(z)):
-            raise SpectralCollisionError(lam, 1j * lam, "resolvent blow-up in iteration")
+        # sw * M^{-1} W^{-1} M^{-H} (sw * v): the weighted-adjoint inverse,
+        # then the weighted inverse, scaled in place on the solves' outputs
+        u = sys_.solve_adjoint(sw * v)
+        u *= inv_w
+        z = sys_.solve(u)
+        z *= sw
         return z
 
+    def _blow_up():
+        return SpectralCollisionError(lam, 1j * lam, "resolvent blow-up in iteration")
+
     if dim == 1:
-        return float(np.abs(_normal_inverse_matvec(np.ones(1))[0])) ** 0.5
+        z = _normal_inverse_matvec(np.ones(1))
+        if not np.isfinite(z[0]):
+            raise _blow_up()
+        return float(np.abs(z[0])) ** 0.5
 
     # Lanczos on the Hermitian inverse normal operator, driven by the
     # factorized Schur-complement solves.  The top Ritz VALUE is wanted, not
@@ -202,13 +233,16 @@ def resolvent_norm(
     # values, the Krylov value does not.
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
-    theta, converged = _lanczos_top_value(_normal_inverse_matvec, v0, tol, max_iter)
-    if not converged:
-        # stagnation: restart once from a fresh vector, keep the best value
-        v1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v1 /= np.linalg.norm(v1)
-        t2, converged = _lanczos_top_value(_normal_inverse_matvec, v1, tol, max_iter)
-        theta = t2 if converged else max(theta, t2)
+    try:
+        theta, converged = _lanczos_top_value(_normal_inverse_matvec, v0, tol, max_iter)
+        if not converged:
+            # stagnation: restart once from a fresh vector, keep the best value
+            v1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v1 /= np.linalg.norm(v1)
+            t2, converged = _lanczos_top_value(_normal_inverse_matvec, v1, tol, max_iter)
+            theta = t2 if converged else max(theta, t2)
+    except FloatingPointError as exc:
+        raise _blow_up() from exc
     if not np.isfinite(theta) or theta <= 0.0:
         raise SpectralCollisionError(lam, 1j * lam, "non-finite resolvent estimate")
     return math.sqrt(theta)
@@ -220,15 +254,20 @@ def _lanczos_top_value(matvec, v0, tol, max_steps):
     Full reorthogonalization; stops when the top Ritz value is stable to
     `tol` relative over two consecutive Krylov dimensions.  Returns the last
     top Ritz value (a lower bound, 0.0 if no step ran) and whether it
-    converged; False means the run stagnated at `max_steps`.
+    converged; False means the run stagnated at `max_steps`.  Raises
+    FloatingPointError when a matvec result is not finite, which shows in
+    the diagonal entry alpha_k = Re q_k^H w.
 
-    Each step costs one matvec, two gemv (the reorthogonalization against
-    the column-major basis, Q^H w and w - Q c, on views without copies) and
-    one dstebz bisection for the top Ritz value alone.
+    The iteration owns, and overwrites, the vector each matvec returns.
+    Each step costs one matvec, two axpy (the three-term update), two gemv
+    (the reorthogonalization against the column-major basis, Q^H w and
+    w - Q c, on views without copies), one nrm2 and one dstebz bisection
+    for the top Ritz value alone.
     """
     dim = v0.size
     max_steps = min(max_steps, dim)
-    q = np.zeros((dim, max_steps + 1), dtype=np.complex128, order="F")
+    # every column is written before it is read
+    q = np.empty((dim, max_steps + 1), dtype=np.complex128, order="F")
     q[:, 0] = v0
     alphas = np.empty(max_steps)
     betas = np.empty(max_steps)
@@ -236,15 +275,20 @@ def _lanczos_top_value(matvec, v0, tol, max_steps):
     hits = 0
     theta = 0.0
     for k in range(max_steps):
-        w = matvec(q[:, k])
-        a = float(np.real(np.vdot(q[:, k], w)))
+        qk = q[:, k]
+        w = matvec(qk)
+        a = np.vdot(qk, w).real
+        if not math.isfinite(a):
+            raise FloatingPointError("non-finite matvec result")
         alphas[k] = a
-        w = w - a * q[:, k] - (betas[k - 1] * q[:, k - 1] if k else 0.0)
+        w = _blas.zaxpy(qk, w, a=-a)
+        if k:
+            w = _blas.zaxpy(q[:, k - 1], w, a=-betas[k - 1])
         # full reorthogonalization keeps the basis usable past convergence
         basis = q[:, : k + 1]
         coeff = _blas.zgemv(1.0, basis, w, trans=2)
         w = _blas.zgemv(-1.0, basis, coeff, beta=1.0, y=w, overwrite_y=True)
-        b = float(np.linalg.norm(w))
+        b = _blas.dznrm2(w)
         if k == 0:
             theta = a
         else:
@@ -334,28 +378,30 @@ def _stable_window_fit(logx, logy, min_points: int = 8, slope_band: float = 0.10
     0.1 slope units so that flat curves (norms saturating to a constant)
     still admit a window.  Ties break toward the smallest slope spread, then
     the leftmost window.  Returns (i0, i1, exponent, r_squared) inclusive.
+
+    Lengths are searched longest-first, so the search stops at the first
+    length that admits a window.
     """
     n = logx.size
     if n < min_points:
         raise FitDataError(f"need >= {min_points} scan points, got {n}")
     slopes = np.diff(logy) / np.diff(logx)
-    best = None
-    for i in range(n):
-        for j in range(i + min_points - 1, n):
-            sl = slopes[i:j]
+    for length in range(n, min_points - 1, -1):
+        best = None
+        for i in range(n - length + 1):
+            sl = slopes[i : i + length - 1]
             m = sl.mean()
-            ok = np.max(np.abs(sl - m)) < slope_band * max(abs(m), 0.1)
-            if ok:
-                key = (j - i + 1, -float(np.std(sl)), -i)
-                if best is None or key > best[0]:
-                    best = (key, (i, j))
-    if best is None:
-        raise FitDataError(
-            "fewer than 8 usable points: no sub-window with stable local slope"
-        )
-    i0, i1 = best[1]
-    slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
-    return i0, i1, slope, r2
+            if np.max(np.abs(sl - m)) < slope_band * max(abs(m), 0.1):
+                spread = float(np.std(sl))
+                if best is None or spread < best[0]:
+                    best = (spread, i)
+        if best is not None:
+            i0, i1 = best[1], best[1] + length - 1
+            slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
+            return i0, i1, slope, r2
+    raise FitDataError(
+        "fewer than 8 usable points: no sub-window with stable local slope"
+    )
 
 
 def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> ResolventScan:

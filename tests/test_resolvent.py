@@ -5,9 +5,11 @@ import pytest
 
 from conftest import DiagonalOperator, make_operator
 from fracdamp.errors import FitDataError, ParameterError, SpectralCollisionError
-from fracdamp.model import PowerLawKappa, ProblemSpec, Variant
+from fracdamp.model import PowerLawKappa, ProblemSpec, StateVector, Variant
 from fracdamp.resolvent import (
     ScanRegime,
+    _ShiftedSystem,
+    _fit_line,
     _lanczos_top_value,
     _stable_window_fit,
     forcing_integral,
@@ -60,26 +62,32 @@ class TestStubOperators:
 
 
 class _CountingDiagonal(DiagonalOperator):
-    """DiagonalOperator whose shifted systems count their solves."""
+    """DiagonalOperator whose shifted systems count their solves.
 
-    def __init__(self, diag):
+    The `fail_at`-th solve, if given, returns NaN everywhere.
+    """
+
+    def __init__(self, diag, fail_at=None):
         super().__init__(diag)
         self.solves = 0
+        self.fail_at = fail_at
 
     def shifted_system(self, lam):
         inner = super().shifted_system(lam)
         outer = self
 
+        def counted(solve):
+            def run(f):
+                outer.solves += 1
+                z = solve(f)
+                return np.full_like(z, np.nan) if outer.solves == outer.fail_at else z
+
+            return run
+
         class _Counted:
             weights = inner.weights
-
-            def solve(self, f):
-                outer.solves += 1
-                return inner.solve(f)
-
-            def solve_adjoint(self, f):
-                outer.solves += 1
-                return inner.solve_adjoint(f)
+            solve = staticmethod(counted(inner.solve))
+            solve_adjoint = staticmethod(counted(inner.solve_adjoint))
 
         return _Counted()
 
@@ -119,6 +127,15 @@ class TestLanczos:
         assert norm <= exact * (1.0 + 1e-12)
         # 2 runs x 3 steps, each step one solve and one adjoint solve
         assert stub.solves == 2 * 3 * 2
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_blow_up_in_iteration(self, k):
+        # the k-th solve returns NaN; the iteration sees it in its diagonal
+        # entry after the step's second solve and reports a collision
+        stub = _CountingDiagonal(-np.geomspace(0.05, 50.0, 12), fail_at=k)
+        with pytest.raises(SpectralCollisionError, match="resolvent blow-up in iteration"):
+            resolvent_norm(stub, 0.3)
+        assert stub.solves == 2 * math.ceil(k / 2)
 
 
 class TestAssembledNorms:
@@ -168,7 +185,114 @@ class TestAssembledNorms:
             resolvent_norm(op, 0.1)
 
 
+class TestShiftedSystem:
+    @staticmethod
+    def _dense_shifted(op, lam):
+        # i lam - A, column by column from op.apply on unit vectors
+        n, m = op.xgrid.x.size, op.xigrid.xi.size
+        a = np.empty((n + m, n + m), dtype=np.complex128)
+        for j in range(n + m):
+            e = np.zeros(n + m, dtype=np.complex128)
+            e[j] = 1.0
+            out = op.apply(StateVector(y=e[:n], psi=e[n:]))
+            a[:, j] = np.concatenate((out.y, out.psi))
+        return 1j * lam * np.eye(n + m) - a
+
+    @pytest.mark.parametrize("lam", [3e-2, -3e-2, 5.0, -5.0])
+    def test_residuals_against_dense(self, lam, rng):
+        op = make_operator(nx=40, nxi=24)
+        m = self._dense_shifted(op, lam)
+        sys_ = _ShiftedSystem(op, lam)
+        f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        for solve, mat in ((sys_.solve, m), (sys_.solve_adjoint, m.conj().T)):
+            z = solve(f)
+            assert np.abs(mat @ z - f).max() < 1e-10 * np.abs(z).max()
+
+    def test_solves_keep_input_and_return_fresh_array(self, rng):
+        # the Lanczos update overwrites what a solve returns
+        op = make_operator(nx=40, nxi=24)
+        sys_ = _ShiftedSystem(op, 0.1)
+        f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        kept = f.copy()
+        for solve in (sys_.solve, sys_.solve_adjoint):
+            z1 = solve(f)
+            z2 = solve(f)
+            np.testing.assert_array_equal(f, kept)
+            np.testing.assert_array_equal(z1, z2)
+            assert not np.shares_memory(z1, f)
+            assert not np.shares_memory(z1, z2)
+
+
+def _brute_force_window_fit(logx, logy, min_points=8, slope_band=0.10):
+    """Every sub-window scanned, the best by (length, -spread, -start)."""
+    n = logx.size
+    if n < min_points:
+        raise FitDataError(f"need >= {min_points} scan points, got {n}")
+    slopes = np.diff(logy) / np.diff(logx)
+    best = None
+    for i in range(n):
+        for j in range(i + min_points - 1, n):
+            sl = slopes[i:j]
+            m = sl.mean()
+            ok = np.max(np.abs(sl - m)) < slope_band * max(abs(m), 0.1)
+            if ok:
+                key = (j - i + 1, -float(np.std(sl)), -i)
+                if best is None or key > best[0]:
+                    best = (key, (i, j))
+    if best is None:
+        raise FitDataError("no sub-window with stable local slope")
+    i0, i1 = best[1]
+    slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
+    return i0, i1, slope, r2
+
+
 class TestWindowFit:
+    def _assert_same_as_brute_force(self, logx, logy):
+        try:
+            expected = _brute_force_window_fit(logx, logy)
+        except FitDataError:
+            with pytest.raises(FitDataError):
+                _stable_window_fit(logx, logy)
+            return False
+        assert _stable_window_fit(logx, logy) == expected
+        return True
+
+    def test_noisy_curves_match_brute_force(self):
+        rng = np.random.default_rng(20261018)
+        fitted = 0
+        for _ in range(120):
+            n = int(rng.integers(8, 31))
+            logx = np.log(np.geomspace(1e-4, 1e-1, n))
+            slope = rng.uniform(-2.0, 0.5)
+            noise = rng.choice([0.0, 0.01, 0.03, 0.1])
+            logy = slope * logx + noise * np.cumsum(rng.standard_normal(n))
+            fitted += self._assert_same_as_brute_force(logx, logy)
+        # both outcomes are exercised
+        assert 0 < fitted < 120
+
+    def test_exact_ties_match_brute_force(self):
+        # three identical runs of slopes separated by steep steps: the three
+        # longest windows have bit-identical spreads, and the leftmost wins
+        run = [1.0, 1.0625, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        slopes = np.array(run + [3.0] + run + [3.0] + run)
+        logx = np.arange(slopes.size + 1, dtype=float)
+        logy = np.concatenate(([0.0], np.cumsum(slopes)))
+        assert self._assert_same_as_brute_force(logx, logy)
+        assert _stable_window_fit(logx, logy)[:2] == (0, 8)
+
+    def test_saturated_head_matches_brute_force(self):
+        rng = np.random.default_rng(3)
+        lam = np.geomspace(1e-4, 1e-1, 25)
+        for floor in (1e-4, 2e-4, 1e-3):
+            logy = np.log(1.0 / (lam + floor)) + 1e-3 * rng.standard_normal(25)
+            assert self._assert_same_as_brute_force(np.log(lam), logy)
+
+    def test_no_stable_window_raises(self):
+        # local slopes alternate between 1 and -1: no window of 8 points
+        logx = np.arange(20, dtype=float)
+        logy = np.where(np.arange(20) % 2 == 0, 0.0, 1.0)
+        assert not self._assert_same_as_brute_force(logx, logy)
+
     def test_exact_power_law(self):
         lam = np.geomspace(1e-4, 1e-1, 20)
         norms = 2.7 * lam**-1.5
