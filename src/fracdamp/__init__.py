@@ -7,73 +7,40 @@ and a Bessel-series closed-form oracle for the power-law coefficient case.
 
 __version__ = "0.1.0"
 
-from .diffusive import (
-    KernelCheck,
-    XiGrid,
-    build_xi_quadrature,
-    direct_fractional_integral,
-    evolve_psi_forced,
-    kernel_check,
-    kernel_exact,
-    kernel_value,
-)
-from .evolution import (
-    DecayFit,
-    EnergyTrace,
-    InitialPreset,
-    fit_decay_exponent,
-    prepare_initial_state,
-    project_out_near_kernel,
-    simulate,
-    step_implicit_midpoint,
-)
-from .model import (
-    BoundaryClass,
-    DegeneracyReport,
-    PowerLawKappa,
-    ProblemSpec,
-    StateVector,
-    TabulatedKappa,
-    Variant,
-    classify_kappa,
-    derive_constants,
-    energy,
-    inner_product,
-    tabulate_kappa,
-    weighted_norm,
-)
-from .operator import (
-    SystemOperator,
-    XGrid,
-    apply_operator,
-    assemble_operator,
-    build_x_grid,
-    default_grading,
-    export_operator,
-)
+from .bessel import analytic_resolvent_P
+from .diffusive import build_xi_quadrature, kernel_check
+from .errors import FracdampError, NumericalError
+from .evolution import fit_decay_exponent, prepare_initial_state, simulate
+from .model import PowerLawKappa, ProblemSpec, StateVector, Variant
+from .operator import assemble_operator, build_x_grid, default_grading
 from .resolvent import (
-    ExponentPrediction,
-    ResolventScan,
     ScanRegime,
     forcing_integral,
-    resolvent_norm,
-    resolvent_norm_dense,
     scan_resolvent,
     solve_resolvent,
     theoretical_exponents,
-    verify_determinant_scaling,
-)
-from .bessel import (
-    AnalyticResolvent,
-    BesselParams,
-    analytic_case_Pprime_poweralpha,
-    analytic_resolvent_P,
-    bessel_j,
-    bessel_j_prime,
-    theta_norm_sq,
-    theta_norm_sq_small_r,
-    theta_pm,
-    theta_prime_at_one,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# what the command line uses, plus the state type its functions exchange
+__all__ = [
+    "FracdampError",
+    "NumericalError",
+    "PowerLawKappa",
+    "ProblemSpec",
+    "ScanRegime",
+    "StateVector",
+    "Variant",
+    "analytic_resolvent_P",
+    "assemble_operator",
+    "build_x_grid",
+    "build_xi_quadrature",
+    "default_grading",
+    "fit_decay_exponent",
+    "forcing_integral",
+    "kernel_check",
+    "prepare_initial_state",
+    "scan_resolvent",
+    "simulate",
+    "solve_resolvent",
+    "theoretical_exponents",
+]

@@ -4,7 +4,8 @@ Three inner loops dominate runtime: the implicit-midpoint time march, the
 forced relaxation-mode march, and the singular-kernel convolution.  The time
 march uses the Cayley form of the midpoint map, one tridiagonal solve and no
 operator apply per step; the relaxation march keeps only the current modes;
-the convolution is one real FFT product through ``numpy.fft``.
+the convolution is one real FFT product through ``numpy.fft``.  The
+tridiagonal LU wrapper serves both the march and the resolvent solves.
 """
 
 from __future__ import annotations
@@ -16,6 +17,26 @@ from scipy.linalg import lapack as _lapack
 def backend_name() -> str:
     """Name of the kernel implementation, recorded in every run manifest."""
     return "numpy"
+
+
+class TridiagFactor:
+    """Pivoted LU of a complex tridiagonal via LAPACK gttrf/gttrs."""
+
+    def __init__(self, dl, d, du):
+        *lu, info = _lapack.zgttrf(
+            np.asarray(dl, dtype=np.complex128),
+            np.asarray(d, dtype=np.complex128),
+            np.asarray(du, dtype=np.complex128),
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgttrf failed with info={info}")
+        self._lu = lu
+
+    def solve_in_place(self, b):
+        """Overwrite b, a contiguous complex128 vector, with the solution."""
+        _, info = _lapack.zgttrs(*self._lu, b, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgttrs failed with info={info}")
 
 
 def frac_conv(w_avg: np.ndarray, lag_weights: np.ndarray) -> np.ndarray:
@@ -77,9 +98,7 @@ def midpoint_march(
     gmod = (0.5 * c * c * zeta / h[b_idx]) * np.dot(w * eta * eta, inv)
     d = d.astype(np.complex128)
     d[b_idx] += gmod
-    dlf, df, duf, du2, ipiv, info = _lapack.zgttrf(dl.astype(np.complex128), d, du.astype(np.complex128))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgttrf failed with info={info}")
+    lu = TridiagFactor(dl, d, du)
 
     weta = w * eta
     # psi's share of the boundary right-hand side, and the weights of 2v[b]
@@ -101,16 +120,13 @@ def midpoint_march(
         d_out[k] = -zeta * np.dot(w * xi2, np.abs(psi) ** 2)
         s_out[k] = np.dot(weta, psi)
 
-    zgttrs = _lapack.zgttrs
     done = 0
     # march interval by interval between samples; the last stop ends the run
     for k, stop in enumerate(sample_steps.tolist() + [n_steps]):
         for _ in range(stop - done):
             v = y.copy()
             v[b_idx] -= np.dot(q_bound, psi)
-            v, info = zgttrs(dlf, df, duf, du2, ipiv, v, overwrite_b=1)  # 2v
-            if info != 0:
-                raise np.linalg.LinAlgError(f"zgttrs failed with info={info}")
+            lu.solve_in_place(v)  # 2v
             vb = v[b_idx]
             v -= y
             y = v

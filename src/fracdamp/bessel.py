@@ -30,23 +30,6 @@ def leading_coefficients(nu: float):
     return 2.0 ** (-nu) / _gamma(1.0 + nu), 2.0**nu / _gamma(1.0 - nu)
 
 
-@dataclass(frozen=True)
-class BesselParams:
-    """Evaluation contract for one Bessel order: series cap and prefactors."""
-
-    nu: float
-    series_terms: int = _SERIES_CAP
-    tol: float = _SERIES_TOL
-
-    @property
-    def c_plus(self) -> float:
-        return leading_coefficients(self.nu)[0]
-
-    @property
-    def c_minus(self) -> float:
-        return leading_coefficients(self.nu)[1]
-
-
 def bessel_j(nu: float, z, *, tol: float = _SERIES_TOL, max_terms: int = _SERIES_CAP):
     """First-kind Bessel function by power series, principal branch of (z/2)^nu.
 

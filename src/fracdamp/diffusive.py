@@ -18,6 +18,7 @@ from scipy.special import gammainc, gammaln
 
 from . import _kernels
 from .errors import GridError, ParameterError
+from .model import derive_constants
 
 #: Safety factors defining where the default quadrature reproduces the kernel
 #: to about 1e-4 relative: tau in [_TAU_LO_FACTOR/xi_max^2, _TAU_HI_FACTOR/xi_min^2].
@@ -84,7 +85,7 @@ def kernel_value(grid: XiGrid, tau: float, rho: float, gamma: float = 0.0) -> fl
     """Quadrature value zeta * sum w_k eta_k^2 exp(-(xi_k^2+gamma) tau)."""
     if tau <= 0.0:
         raise ParameterError(f"tau must be positive, got tau={tau}")
-    zeta = rho * math.sin(grid.beta * math.pi) / math.pi
+    zeta, _ = derive_constants(grid.beta, rho)
     val = zeta * np.dot(grid.w * grid.eta**2, np.exp(-grid.xi**2 * tau))
     if gamma:
         val *= math.exp(-gamma * tau)
@@ -179,7 +180,7 @@ def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0
     s = np.asarray(boundary_signal)
     if s.ndim != 1 or s.size < 2:
         raise GridError("boundary_signal must be a 1-d series with >= 2 samples")
-    zeta = rho * math.sin(grid.beta * math.pi) / math.pi
+    zeta, _ = derive_constants(grid.beta, rho)
     s_avg = 0.5 * (s[:-1] + s[1:])
     return _kernels.psi_march(
         grid.xi**2, grid.eta, grid.w * grid.eta, zeta, s_avg, dt

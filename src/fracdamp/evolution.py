@@ -23,11 +23,13 @@ from .model import StateVector, energy
 from .operator import SystemOperator
 from .resolvent import _fit_line, smallest_singular_value
 
+#: Eigenvalues of modulus at or below this are roundoff, not resolved modes.
+_RESOLVED_EIGENVALUE = 1e-8
+
 
 class InitialPreset(str, enum.Enum):
     SMOOTH_BUMP = "smooth-bump"
     LOWEST_MODE = "lowest-mode"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -119,18 +121,17 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _near_kernel_pairs(op: SystemOperator, tol: float):
-    """Eigen-decomposition of the weighted similarity; returns modes with |lam| < tol."""
-    a = op.weighted_dense()
+def _weighted_eig(op: SystemOperator, left: bool = False):
+    """Dense eig of the weighted similarity: (vals, vr), or (vals, vl, vr) with left."""
     try:
-        vals, vl, vr = sla.eig(a, left=True, right=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
+        return sla.eig(op.weighted_dense(), left=left)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-    sel = np.abs(vals) < tol
-    return vals, vl, vr, sel
 
 
-def project_out_near_kernel(op: SystemOperator, state: StateVector, tol: float = 1e-8) -> StateVector:
+def project_out_near_kernel(
+    op: SystemOperator, state: StateVector, tol: float = _RESOLVED_EIGENVALUE
+) -> StateVector:
     """Remove components along discrete modes with |eigenvalue| < tol.
 
     Cheap path first: if the smallest singular value of A exceeds tol there
@@ -139,7 +140,8 @@ def project_out_near_kernel(op: SystemOperator, state: StateVector, tol: float =
     """
     if smallest_singular_value(op) >= tol:
         return state
-    vals, vl, vr, sel = _near_kernel_pairs(op, tol)
+    vals, vl, vr = _weighted_eig(op, left=True)
+    sel = np.abs(vals) < tol
     if not np.any(sel):
         return state
     sw = np.sqrt(op.weights)
@@ -153,9 +155,15 @@ def project_out_near_kernel(op: SystemOperator, state: StateVector, tol: float =
     return StateVector(y=z[:n], psi=z[n:])
 
 
-def _lowest_mode(op: SystemOperator, tol: float) -> StateVector:
-    vals, _, vr, _ = _near_kernel_pairs(op, tol)
-    ok = np.abs(vals) > tol
+def _lowest_mode(op: SystemOperator) -> StateVector:
+    """Slowest-decaying resolved eigenmode: the largest Re lambda among the
+    eigenvalues of modulus above _RESOLVED_EIGENVALUE.
+
+    Right eigenvectors only; the mode is mapped back to the H geometry and
+    its eigen-residual checked.
+    """
+    vals, vr = _weighted_eig(op)
+    ok = np.abs(vals) > _RESOLVED_EIGENVALUE
     if not np.any(ok):
         raise NumericalError("no resolved nonzero eigenmode found")
     idx = np.flatnonzero(ok)[np.argmax(vals[ok].real)]
@@ -181,30 +189,24 @@ def _mode_residual(op: SystemOperator, state: StateVector, lam: complex) -> floa
 def prepare_initial_state(
     op: SystemOperator,
     preset: InitialPreset | str = InitialPreset.SMOOTH_BUMP,
-    custom: Optional[StateVector] = None,
-    project_tol: float = 1e-8,
 ) -> StateVector:
-    """Build an initial state compatible with the damped boundary conditions.
+    """Build a unit-energy initial state compatible with the damped boundary.
 
-    Smooth presets are projected off the near-kernel modes (|eigenvalue| <
-    project_tol, the discrete proxy for range membership) and scaled to unit
-    energy.  The smooth bump x^2 (1-x)^2 has vanishing flux at both ends, so
-    it is compatible with the damped boundary row for either variant.  The
-    lowest-mode preset returns the slowest decaying resolved eigenmode.
+    The smooth bump x^2 (1-x)^2 has vanishing flux at both ends, so it is
+    compatible with the damped boundary row for either variant; it is
+    projected off the modes with |eigenvalue| < _RESOLVED_EIGENVALUE, which
+    a damped operator does not have at the default grids (the guard's
+    lambda=0 solve then skips the projection).  The lowest-mode preset
+    returns the slowest decaying resolved eigenmode.
     """
     preset = InitialPreset(preset)
-    x = op.xgrid.x
     if preset is InitialPreset.LOWEST_MODE:
-        state = _lowest_mode(op, project_tol)
+        state = _lowest_mode(op)
     else:
-        if preset is InitialPreset.CUSTOM:
-            if custom is None:
-                raise ParameterError("custom preset requires the 'custom' state argument")
-            state = custom
-        else:
-            y = (x**2 * (1.0 - x) ** 2).astype(complex)
-            state = StateVector(y=y, psi=np.zeros(op.xigrid.xi.size, dtype=complex))
-        state = project_out_near_kernel(op, state, tol=project_tol)
+        x = op.xgrid.x
+        y = (x**2 * (1.0 - x) ** 2).astype(complex)
+        state = StateVector(y=y, psi=np.zeros(op.xigrid.xi.size, dtype=complex))
+        state = project_out_near_kernel(op, state)
     e0 = energy(state, op)
     if e0 <= 0.0:
         raise NumericalError("prepared state has zero energy")

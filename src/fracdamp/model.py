@@ -201,7 +201,7 @@ class ProblemSpec:
 
     @property
     def zeta(self) -> float:
-        return self.rho * math.sin(self.beta * math.pi) / math.pi
+        return derive_constants(self.beta, self.rho)[0]
 
     @property
     def nu_alpha(self) -> Optional[float]:

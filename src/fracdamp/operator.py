@@ -13,12 +13,10 @@ boundary cancellation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .diffusive import XiGrid
 from .errors import ConfigurationError, ParameterError, ShapeError
@@ -156,16 +154,6 @@ class SystemOperator:
             -self.zeta * np.dot(self.xigrid.w * self.xigrid.xi**2, np.abs(state.psi) ** 2)
         )
 
-    def pde_block(self) -> sp.csr_matrix:
-        """The field block i*L alone as a complex sparse matrix."""
-        n = self.xgrid.x.size
-        return sp.diags(
-            [1j * self.l_sub, 1j * self.l_diag, 1j * self.l_sup],
-            offsets=[-1, 0, 1],
-            shape=(n, n),
-            format="csr",
-        )
-
     def dense(self) -> np.ndarray:
         n = self.xgrid.x.size
         m = self.xigrid.xi.size
@@ -186,16 +174,12 @@ class SystemOperator:
         return self.dense() * (sw[:, None] / sw[None, :])
 
 
-def assemble_operator(
-    spec: ProblemSpec,
-    xgrid: XGrid,
-    xigrid: XiGrid,
-    zeta_override: Optional[float] = None,
-) -> SystemOperator:
-    """Build the discrete generator for either variant.
+def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> SystemOperator:
+    """Build the discrete generator for either variant, damped with spec.zeta.
 
-    `zeta_override` exists for undamped sanity runs (conservation tests);
-    pass 0.0 to sever the damping while keeping the grids.
+    The field block does not depend on zeta, so dataclasses.replace(op,
+    zeta=0.0) is the same system with the damping severed (exactly
+    conservative).
     """
     if spec.gamma != 0.0:
         raise ConfigurationError(
@@ -226,14 +210,11 @@ def assemble_operator(
             left_bc = "weighted_neumann"
             dirichlet_left = False
     sub, diag, sup = _fv_tridiag(spec.kappa, xgrid, dirichlet_left)
-    zeta = spec.zeta if zeta_override is None else float(zeta_override)
-    if zeta < 0.0:
-        raise ParameterError(f"zeta must be >= 0, got zeta_override={zeta_override}")
     return SystemOperator(
         problem=spec,
         xgrid=xgrid,
         xigrid=xigrid,
-        zeta=zeta,
+        zeta=spec.zeta,
         boundary_index=boundary_index,
         flux_sign=flux_sign,
         l_sub=sub,
@@ -242,32 +223,3 @@ def assemble_operator(
         left_bc=left_bc,
     )
 
-
-def apply_operator(op: SystemOperator, state: StateVector) -> StateVector:
-    return op.apply(state)
-
-
-def export_operator(op: SystemOperator, matrix_path, meta_path) -> None:
-    """Debug export: 'row col re im' coordinate lines plus a JSON grid sidecar."""
-    a = op.dense()
-    rows, cols = np.nonzero(a)
-    with open(matrix_path, "w") as fh:
-        for r, c in zip(rows, cols):
-            v = a[r, c]
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-    meta = {
-        "variant": op.problem.variant.value,
-        "nx": int(op.xgrid.x.size),
-        "n_xi": int(op.xigrid.xi.size),
-        "grading": op.xgrid.g,
-        "xi_min": op.xigrid.xi_min,
-        "xi_max": op.xigrid.xi_max,
-        "beta": op.problem.beta,
-        "rho": op.problem.rho,
-        "zeta": op.zeta,
-        "boundary_index": int(op.boundary_index),
-        "left_bc": op.left_bc,
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,7 +17,6 @@ def make_operator(
     g=1.0,
     xi_min=1e-3,
     xi_max=1e2,
-    zeta_override=None,
 ):
     """Small assembled operator for structural tests (modest xi range keeps
 
@@ -25,7 +24,14 @@ def make_operator(
     spec = ProblemSpec(variant=variant, kappa=PowerLawKappa(alpha), beta=beta, rho=rho)
     xg = build_x_grid(nx, g)
     xig = build_xi_quadrature(beta, nxi, xi_min, xi_max)
-    return assemble_operator(spec, xg, xig, zeta_override=zeta_override)
+    return assemble_operator(spec, xg, xig)
+
+
+def resolvent_norm_dense(op, lam: float) -> float:
+    """Dense full-SVD oracle for ||(i lam - A)^{-1}|| on small instances."""
+    a = op.weighted_dense()
+    s = np.linalg.svd(1j * lam * np.eye(a.shape[0]) - a, compute_uv=False)
+    return float(1.0 / s[-1])
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ field block is an open question, not an assertion.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,11 +46,10 @@ def report(num, name, ok, detail):
 
 
 def _operator(variant, alpha, beta, rho=1.0, nx=400, nxi=200, g=1.0,
-              xi_min=1e-4, xi_max=1e4, zeta_override=None):
+              xi_min=1e-4, xi_max=1e4):
     spec = ProblemSpec(variant=variant, kappa=PowerLawKappa(alpha), beta=beta, rho=rho)
     return assemble_operator(
-        spec, build_x_grid(nx, g), build_xi_quadrature(beta, nxi, xi_min, xi_max),
-        zeta_override=zeta_override,
+        spec, build_x_grid(nx, g), build_xi_quadrature(beta, nxi, xi_min, xi_max)
     )
 
 
@@ -198,8 +198,8 @@ def test_10_theta_norm_formula():
 
 def test_11_undamped_conservation():
     rng = np.random.default_rng(99)
-    op = _operator(Variant.P, 0.5, 0.5, nx=64, nxi=48, xi_min=1e-3, xi_max=1e2,
-                   zeta_override=0.0)
+    op = replace(_operator(Variant.P, 0.5, 0.5, nx=64, nxi=48, xi_min=1e-3, xi_max=1e2),
+                 zeta=0.0)
     state = random_state(op, rng)
     scale = 1.0 / math.sqrt(energy(state, op))
     state = StateVector(y=scale * state.y, psi=scale * state.psi)

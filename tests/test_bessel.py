@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from fracdamp.bessel import (
     theta_prime,
-    BesselParams,
     _lommel,
     analytic_case_Pprime_poweralpha,
     analytic_resolvent_P,
@@ -89,11 +88,6 @@ class TestBesselJ:
         a = bessel_j(0.3, z)
         b = bessel_j(0.3, z, max_terms=400)
         assert abs(a - b) <= 1e-14 * abs(b)
-
-    def test_params_record(self):
-        p = BesselParams(nu=1.0 / 3.0)
-        assert p.c_plus == pytest.approx(2.0 ** (-1 / 3) / math.gamma(4.0 / 3.0))
-        assert p.c_minus == pytest.approx(2.0 ** (1 / 3) / math.gamma(2.0 / 3.0))
 
 
 class TestThetaPair:

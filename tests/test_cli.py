@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fracdamp
 from fracdamp.cli import main
 
 
@@ -30,6 +36,10 @@ class TestVerifyKernel:
             "--xi-max", 20, "--out", tmp_path / "bad",
         )
         assert code == 4
+
+    def test_nonpositive_rho_is_usage_error(self, tmp_path):
+        assert run_cli("verify-kernel", "--beta", 0.5, "--rho", 0,
+                       "--out", tmp_path / "rho0") == 2
 
 
 class TestSimulate:
@@ -162,3 +172,28 @@ class TestOracleCompare:
             run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5,
                     "--lambda", 1e-3, "--nx-list", "fifty", "--out", tmp_path / "x")
         assert exc.value.code == 2
+
+
+class TestPackageSurface:
+    def test_all_is_what_the_cli_imports(self):
+        # every name cli.py imports from a subpackage (the lazy import inside
+        # oracle-compare included), plus the state type
+        tree = ast.parse(Path(fracdamp.cli.__file__).read_text())
+        used = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        }
+        assert set(fracdamp.__all__) == used | {"StateVector"}
+        assert len(fracdamp.__all__) == len(set(fracdamp.__all__))
+        assert all(hasattr(fracdamp, name) for name in fracdamp.__all__)
+
+    def test_cli_import_leaves_scipy_sparse_out(self):
+        src = str(Path(fracdamp.__file__).parent.parent)
+        code = "import sys, fracdamp.cli; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"

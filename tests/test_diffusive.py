@@ -205,3 +205,19 @@ class TestEvolvePsiForced:
         mask = t >= 0.1
         rel = np.abs(flux.real - oracle)[mask] / np.abs(oracle)[mask]
         assert rel.max() < 1e-3
+
+
+class TestRhoValidation:
+    # zeta = rho sin(beta pi)/pi comes from derive_constants alone, which
+    # rejects rho <= 0 instead of yielding a zero or negative kernel
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_kernel_check_rejects_nonpositive_rho(self, rho):
+        grid = build_xi_quadrature(0.5, 64)
+        with pytest.raises(ParameterError, match="rho"):
+            kernel_check(grid, rho, np.geomspace(1e-2, 1e2, 5))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_evolve_psi_forced_rejects_nonpositive_rho(self, rho):
+        grid = build_xi_quadrature(0.5, 64)
+        with pytest.raises(ParameterError, match="rho"):
+            evolve_psi_forced(grid, np.ones(11), 0.1, rho=rho)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ class TestStep:
         assert np.all(out.y == 0) and np.all(out.psi == 0)
 
     def test_undamped_isometry(self, rng):
-        op = make_operator(zeta_override=0.0)
+        op = replace(make_operator(), zeta=0.0)
         for _ in range(20):
             state = random_state(op, rng)
             out = step_implicit_midpoint(op, state, 0.02)
@@ -51,7 +52,7 @@ class TestSimulate:
         assert np.all(trace.E == 0)
 
     def test_undamped_conservation(self, rng):
-        op = make_operator(zeta_override=0.0, nx=64, nxi=48)
+        op = replace(make_operator(nx=64, nxi=48), zeta=0.0)
         state = random_state(op, rng)
         scale = 1.0 / math.sqrt(energy(state, op))
         state = StateVector(y=scale * state.y, psi=scale * state.psi)
@@ -136,15 +137,6 @@ class TestPrepare:
         resid = StateVector(y=ay.y - lam * state.y, psi=ay.psi - lam * state.psi)
         assert weighted_norm(resid, op) < 1e-8 * weighted_norm(state, op)
         assert abs(lam) > 1e-8
-
-    def test_custom_requires_state(self, small_op):
-        with pytest.raises(ParameterError):
-            prepare_initial_state(small_op, "custom")
-
-    def test_custom_projected_and_normalized(self, small_op, rng):
-        raw = random_state(small_op, rng)
-        state = prepare_initial_state(small_op, "custom", custom=raw)
-        assert energy(state, small_op) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDecayFit:

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import DiagonalOperator, make_operator
+from conftest import DiagonalOperator, make_operator, resolvent_norm_dense
 from fracdamp.errors import FitDataError, ParameterError, SpectralCollisionError
 from fracdamp.model import PowerLawKappa, ProblemSpec, StateVector, Variant
 from fracdamp.resolvent import (
@@ -14,7 +15,6 @@ from fracdamp.resolvent import (
     _stable_window_fit,
     forcing_integral,
     resolvent_norm,
-    resolvent_norm_dense,
     scan_resolvent,
     solve_resolvent,
     theoretical_exponents,
@@ -64,13 +64,14 @@ class TestStubOperators:
 class _CountingDiagonal(DiagonalOperator):
     """DiagonalOperator whose shifted systems count their solves.
 
-    The `fail_at`-th solve, if given, returns NaN everywhere.
+    The `fail_at`-th solve, if given, returns `fail_value` everywhere.
     """
 
-    def __init__(self, diag, fail_at=None):
+    def __init__(self, diag, fail_at=None, fail_value=np.nan):
         super().__init__(diag)
         self.solves = 0
         self.fail_at = fail_at
+        self.fail_value = fail_value
 
     def shifted_system(self, lam):
         inner = super().shifted_system(lam)
@@ -80,7 +81,7 @@ class _CountingDiagonal(DiagonalOperator):
             def run(f):
                 outer.solves += 1
                 z = solve(f)
-                return np.full_like(z, np.nan) if outer.solves == outer.fail_at else z
+                return np.full_like(z, outer.fail_value) if outer.solves == outer.fail_at else z
 
             return run
 
@@ -128,11 +129,19 @@ class TestLanczos:
         # 2 runs x 3 steps, each step one solve and one adjoint solve
         assert stub.solves == 2 * 3 * 2
 
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_blow_up_in_iteration(self, k):
-        # the k-th solve returns NaN; the iteration sees it in its diagonal
-        # entry after the step's second solve and reports a collision
-        stub = _CountingDiagonal(-np.geomspace(0.05, 50.0, 12), fail_at=k)
+    @pytest.mark.parametrize(
+        "k,value",
+        [(2, np.nan), (5, np.nan), (2, np.inf), (5, np.inf)],
+        ids=["2", "5", "2-inf", "5-inf"],
+    )
+    def test_blow_up_in_iteration(self, k, value):
+        # the k-th solve (even: forward, odd: adjoint) returns NaN or inf; the
+        # iteration sees it in its diagonal entry after the step's second
+        # solve and reports a collision, with no RuntimeWarning from the
+        # inf*0 of the complex scalings on the way
+        stub = _CountingDiagonal(
+            -np.geomspace(0.05, 50.0, 12), fail_at=k, fail_value=value
+        )
         with pytest.raises(SpectralCollisionError, match="resolvent blow-up in iteration"):
             resolvent_norm(stub, 0.3)
         assert stub.solves == 2 * math.ceil(k / 2)
@@ -178,7 +187,7 @@ class TestAssembledNorms:
         assert np.abs(res_p).max() < 1e-10 * scale
 
     def test_undamped_operator_rejected(self):
-        op = make_operator(zeta_override=0.0)
+        op = replace(make_operator(), zeta=0.0)
         from fracdamp.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
