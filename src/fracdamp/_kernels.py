@@ -2,16 +2,28 @@
 
 Three inner loops dominate runtime: the implicit-midpoint time march, the
 forced relaxation-mode march, and the singular-kernel convolution.  The time
-march uses the Cayley form of the midpoint map, one tridiagonal solve and no
-operator apply per step; the relaxation march keeps only the current modes;
-the convolution is one real FFT product through ``numpy.fft``.  The
-tridiagonal LU wrapper serves both the march and the resolvent solves.
+march steps in the eigenbasis of the field block: one O(n^2) MRRR
+eigensolve (LAPACK dstemr) per march, then no solve and no operator apply
+per step.  Its orthogonal n x n basis is a dense float64 array, 1.3 MB at
+nx=400, 20 MB at nx=1600 and 82 MB at nx=3200.  The relaxation march keeps
+only the current modes; the convolution is one real FFT product through
+``numpy.fft``.  The tridiagonal LU wrapper serves the resolvent solves.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg import lapack as _lapack
+
+from .errors import NumericalError
+
+#: Largest relative defect |h_i l_sup_i - h_{i+1} l_sub_i| / max|h_i l_sup_i|
+#: of a field tridiagonal accepted as self-adjoint in the h inner product
+#: (flux-form assembly leaves about 3e-16).
+_SELF_ADJOINT_TOL = 1e-12
 
 
 def backend_name() -> str:
@@ -73,50 +85,110 @@ def psi_march(xi2, eta, weta, zeta, s_avg, dt):
     return psi, flux
 
 
+def field_eigenbasis(l_sub, l_diag, l_sup, h):
+    """Eigenpairs (ell, S) of the field tridiagonal L in the h inner product.
+
+    L is self-adjoint in <u, v>_h = sum h u conj(v) exactly when
+    h_i l_sup_i = h_{i+1} l_sub_i, as for every flux-form assembly.  Then
+    D^{1/2} L D^{-1/2} (D = diag h) is the symmetric tridiagonal with
+    off-diagonal sqrt(l_sub l_sup), and L = D^{-1/2} S diag(ell) S^T D^{1/2}
+    with S orthogonal.  MRRR (LAPACK dstemr) returns all n pairs in O(n^2)
+    time; S is a dense real n x n array.  A tridiagonal that is not
+    h-self-adjoint to _SELF_ADJOINT_TOL raises NumericalError.
+    """
+    flux = h[:-1] * l_sup
+    scale = np.abs(flux).max(initial=0.0)
+    defect = np.abs(flux - h[1:] * l_sub).max(initial=0.0)
+    if not defect <= _SELF_ADJOINT_TOL * scale:
+        raise NumericalError(
+            "field block is not self-adjoint in the h inner product",
+            {"self_adjoint_defect": float(defect / scale) if scale else float(defect)},
+        )
+    off = np.copysign(np.sqrt(l_sub * l_sup), l_sup)
+    return eigh_tridiagonal(l_diag, off, lapack_driver="stemr")
+
+
+def _real_matmul(a, z):
+    """a @ z for a real matrix a and a complex vector z.
+
+    Two real matrix-vector products, on the real and the imaginary part, so
+    a is never copied to complex.
+    """
+    out = np.empty(a.shape[0], dtype=np.complex128)
+    out.real = a @ z.real
+    out.imag = a @ z.imag
+    return out
+
+
 def midpoint_march(
     l_sub, l_diag, l_sup, h, b_idx, zeta, w, eta, xi2,
     y0, psi0, dt, n_steps, sample_steps,
 ):
-    """Implicit-midpoint march of the coupled (y, psi) system in Cayley form.
+    """Implicit-midpoint march of the coupled (y, psi) system in the field eigenbasis.
 
-    With c = dt/2 the midpoint map is (I - cA)^{-1}(I + cA) = 2(I - cA)^{-1} - I,
-    so a step is u' = 2v - u where (I - cA) v = u, and A is never applied.
-    The psi block of that solve is eliminated exactly (it is diagonal),
-    leaving one complex tridiagonal solve per step with a single modified
-    diagonal entry at the damped boundary cell.  Its right-hand side is y
-    with one boundary correction from psi; the matrix is factored halved (an
-    exact scaling), so the solve returns 2v and y' = 2v - y is one
-    subtraction; psi' follows from the boundary value of 2v alone.  Samples
-    are taken at the step indices listed in ``sample_steps`` (sorted, starting
-    at 0 and ending at n_steps).
+    With c = dt/2 the midpoint map is u' = 2v - u where (I - cA) v = u.  The
+    psi block of that solve is diagonal and is eliminated exactly, leaving
+    the field matrix 1/2 - (ic/2) L plus gmod at the damped cell b, halved so
+    that the solve returns 2v.  In the coordinates alpha = S^T h^{1/2} y of
+    ``field_eigenbasis`` that matrix is diag(1/l) + gmod s s^T with
+    l = 1/(1/2 - ic ell/2) and s = S[b, :], so Sherman-Morrison solves it in
+    closed form; its denominator 1 + gmod s.(l s) has real part >= 1.  The
+    step on u = (alpha, psi) is then a diagonal map plus a rank-two term:
+    alpha is rotated by the unit-modulus l - 1 and psi scaled by its
+    relaxation factor, and both are corrected along fixed vectors by
+    multiples of the two products p.alpha (p = l s) and q.psi (psi's share of
+    the boundary right-hand side).  No solve and no operator apply per step:
+    one 2-row product, one scaling and one 2-column update.  The energy is
+    |alpha|^2/2 plus the psi part, since S is orthogonal.  Samples are taken
+    at the step indices listed in ``sample_steps`` (sorted, starting at 0 and
+    ending at n_steps).
     """
+    ell, basis = field_eigenbasis(l_sub, l_diag, l_sup, h)
+    n = ell.size
     c = 0.5 * dt
-    dl = -0.5j * c * l_sub
-    du = -0.5j * c * l_sup
-    d = 0.5 - 0.5j * c * l_diag
     inv = 1.0 / (1.0 + c * xi2)
     gmod = (0.5 * c * c * zeta / h[b_idx]) * np.dot(w * eta * eta, inv)
-    d = d.astype(np.complex128)
-    d[b_idx] += gmod
-    lu = TridiagFactor(dl, d, du)
-
+    gain = 1.0 / (0.5 - 0.5j * c * ell)
+    s = basis[b_idx]
+    p = gain * s
+    sp = complex(np.dot(s, p))
+    kappa = gmod / (1.0 + gmod * sp)
+    r = math.sqrt(h[b_idx])
     weta = w * eta
-    # psi's share of the boundary right-hand side, and the weights of 2v[b]
-    # in psi'; complex, so that the per-step dot and product do not cast
-    q_bound = ((c * zeta / h[b_idx]) * weta * inv).astype(np.complex128)
-    a_psi = 2.0 * inv - 1.0
-    g_psi = (c * eta * inv).astype(np.complex128)
+    q = (c * zeta / h[b_idx]) * weta * inv
+    g_psi = c * eta * inv
+
+    # With pa = p.alpha and sig = q.psi, the boundary value of 2v is
+    # t (1 - kappa sp) / r where t = pa - r sp sig, and
+    #   alpha' = (l - 1) alpha - (r sig + kappa t) p,
+    #   psi'   = (2 inv - 1) psi + (t (1 - kappa sp) / r) g_psi,
+    # that is u' = scale*u - right @ (left @ u) with the 2 x (n+m) `left`
+    # reading (pa, sig) and the (n+m) x 2 `right` spreading them.
+    vb = (1.0 - kappa * sp) / r
+    scale = np.concatenate((gain - 1.0, 2.0 * inv - 1.0))
+    left = np.zeros((2, scale.size), dtype=np.complex128)
+    left[0, :n] = p
+    left[1, n:] = q
+    right = np.zeros((scale.size, 2), dtype=np.complex128, order="F")
+    right[:n, 0] = kappa * p
+    right[:n, 1] = (r - kappa * r * sp) * p
+    right[n:, 0] = -vb * g_psi
+    right[n:, 1] = (vb * r * sp) * g_psi
 
     n_samp = sample_steps.size
     e_out = np.zeros(n_samp)
     d_out = np.zeros(n_samp)
     s_out = np.zeros(n_samp, dtype=np.complex128)
 
-    y = y0.astype(np.complex128).copy()
-    psi = psi0.astype(np.complex128).copy()
+    sqrt_h = np.sqrt(h)
+    u = np.empty(scale.size, dtype=np.complex128)
+    u[:n] = _real_matmul(basis.T, sqrt_h * y0)
+    u[n:] = psi0
+    alpha, psi = u[:n], u[n:]
+    tmp = np.empty_like(u)
 
     def _record(k):
-        e_out[k] = 0.5 * (np.dot(h, np.abs(y) ** 2) + zeta * np.dot(w, np.abs(psi) ** 2))
+        e_out[k] = 0.5 * (np.vdot(alpha, alpha).real + zeta * np.dot(w, np.abs(psi) ** 2))
         d_out[k] = -zeta * np.dot(w * xi2, np.abs(psi) ** 2)
         s_out[k] = np.dot(weta, psi)
 
@@ -124,15 +196,12 @@ def midpoint_march(
     # march interval by interval between samples; the last stop ends the run
     for k, stop in enumerate(sample_steps.tolist() + [n_steps]):
         for _ in range(stop - done):
-            v = y.copy()
-            v[b_idx] -= np.dot(q_bound, psi)
-            lu.solve_in_place(v)  # 2v
-            vb = v[b_idx]
-            v -= y
-            y = v
-            psi *= a_psi
-            psi += g_psi * vb
+            d = np.dot(left, u)
+            u *= scale
+            np.dot(right, d, out=tmp)
+            u -= tmp
         done = stop
         if k < n_samp:
             _record(k)
-    return e_out, d_out, s_out, y, psi
+    y = _real_matmul(basis, alpha) / sqrt_h
+    return e_out, d_out, s_out, y, psi.copy()

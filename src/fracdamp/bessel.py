@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import NearSingularError, ParameterError
+from .model import nu_of_alpha
 
 _Z_MAX = 20.0
 _SERIES_TOL = 1e-17
@@ -76,7 +77,7 @@ def bessel_j_prime(nu: float, z):
 def _nu_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0,1), got alpha={alpha}")
-    return (1.0 - alpha) / (2.0 - alpha)
+    return nu_of_alpha(alpha)
 
 
 def theta_pm(x, mu: complex, alpha: float):

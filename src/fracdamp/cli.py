@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -156,16 +157,30 @@ def _cmd_simulate(args, parser) -> int:
     config = _grid_config(args, spec, grade)
     config.update({"t_final": args.t_final, "dt": dt, "y0": args.y0,
                    "fit_window": [lo, hi], "scheme": "implicit_midpoint"})
+    # wall time of each stage; telemetry for the manifest only
+    stage_s = {}
+    clock = time.perf_counter()
+
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        stage_s[stage] = now - clock
+        clock = now
+
     try:
         op = assemble_operator(spec, xg, xig)
+        lap("assembly")
         y0 = prepare_initial_state(op, args.y0)
-        trace = simulate(op, y0, args.t_final, dt)
+        lap("preparation")
+        trace = simulate(op, y0, args.t_final, dt)  # eigensolve included
+        lap("march")
         fit = None
         fit_error = None
         try:
             fit = fit_decay_exponent(trace, (lo, hi))
         except FracdampError as exc:
             fit_error = str(exc)
+        lap("fit")
     except NumericalError as exc:
         _write_manifest(out, "simulate", config, [], error={"message": str(exc), **exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -188,6 +203,7 @@ def _cmd_simulate(args, parser) -> int:
     diagnostics = {
         "march_steps": int(round(trace.t[-1] / dt)),
         "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
+        "stage_s": stage_s,
     }
     _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"],
                     diagnostics=diagnostics)

@@ -78,8 +78,8 @@ def step_implicit_midpoint(op: SystemOperator, state: StateVector, dt: float) ->
             *_midpoint_arrays(op),
             state.y, state.psi, float(dt), 1, np.array([0, 1], dtype=np.int64),
         )
-    except np.linalg.LinAlgError as exc:  # not expected for dt > 0
-        raise NumericalError(f"midpoint solve failed: {exc}", {"dt": dt}) from exc
+    except np.linalg.LinAlgError as exc:  # field eigensolve; not expected
+        raise NumericalError(f"midpoint step failed: {exc}", {"dt": dt}) from exc
     return StateVector(y=y, psi=psi)
 
 
@@ -92,9 +92,11 @@ def simulate(
 ) -> EnergyTrace:
     """March Y' = A Y and record the decimated energy trace.
 
-    The trace contains E, the discrete dissipation rate D (exact energy
-    derivative at the sample), and the boundary damping flux read from the
-    coupling row.
+    The march steps in the eigenbasis of the field block (see
+    ``_kernels.midpoint_march``); a field block that is not self-adjoint in
+    the h inner product raises NumericalError.  The trace contains E, the
+    discrete dissipation rate D (exact energy derivative at the sample), and
+    the boundary damping flux read from the coupling row.
     """
     if dt <= 0 or t_final <= 0:
         raise ParameterError(f"t_final and dt must be positive, got {t_final}, {dt}")

@@ -43,6 +43,12 @@ class BoundaryClass(str, enum.Enum):
     WEIGHTED_NEUMANN_AT_ZERO = "weighted_neumann_at_zero"  # 1 <= m_kappa < 2
 
 
+def nu_of_alpha(alpha: float) -> float:
+    """nu_alpha = (1-alpha)/(2-alpha), the Bessel order of the power-law
+    resolvent basis; callers check that alpha lies in (0,1)."""
+    return (1.0 - alpha) / (2.0 - alpha)
+
+
 def derive_constants(beta: float, rho: float, alpha: Optional[float] = None):
     """Derived damping constants (zeta, nu_alpha).
 
@@ -58,7 +64,7 @@ def derive_constants(beta: float, rho: float, alpha: Optional[float] = None):
     if alpha is not None:
         if not (0.0 < alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0,1), got alpha={alpha}")
-        nu_alpha = (1.0 - alpha) / (2.0 - alpha)
+        nu_alpha = nu_of_alpha(alpha)
     zeta = rho * math.sin(beta * math.pi) / math.pi
     return zeta, nu_alpha
 
@@ -208,7 +214,7 @@ class ProblemSpec:
         a = self.alpha
         if a is None or not (0.0 < a < 1.0):
             return None
-        return (1.0 - a) / (2.0 - a)
+        return nu_of_alpha(a)
 
     @property
     def m_kappa(self) -> float:

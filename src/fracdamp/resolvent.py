@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     SpectralCollisionError,
 )
-from .model import ProblemSpec, Variant
+from .model import ProblemSpec, Variant, nu_of_alpha
 from .operator import SystemOperator
 
 
@@ -473,7 +473,7 @@ def verify_determinant_scaling(
     mu_grid = np.asarray(mu_grid, dtype=np.complex128)
     if np.any(np.abs(mu_grid) > 0.1):
         raise ParameterError("determinant scaling is a small-|mu| check (|mu| <= 0.1)")
-    nu = (1.0 - alpha) / (2.0 - alpha)
+    nu = nu_of_alpha(alpha)
     c_plus, c_minus = bessel.leading_coefficients(nu)
     vals = np.empty(mu_grid.size, dtype=np.complex128)
     for k, mu in enumerate(mu_grid):

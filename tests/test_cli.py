@@ -61,6 +61,16 @@ class TestSimulate:
         assert diag["march_steps"] == 200
         assert diag["max_energy_rise"] <= 1e-12
 
+    def test_manifest_stage_times(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+            "--nx", 32, "--nxi", 24, "--t-final", 1.0, "--out", out,
+        ) == 0
+        stage_s = json.loads((out / "manifest.json").read_text())["diagnostics"]["stage_s"]
+        assert set(stage_s) == {"assembly", "preparation", "march", "fit"}
+        assert all(v >= 0.0 for v in stage_s.values())
+
     def test_invalid_variant_alpha_combination(self, tmp_path):
         code = run_cli(
             "simulate", "--problem", "P", "--alpha", 1.5, "--beta", 0.5,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_operator, random_state
-from fracdamp.errors import FitDataError, ParameterError
+from fracdamp.errors import FitDataError, NumericalError, ParameterError
 from fracdamp.evolution import (
     EnergyTrace,
     fit_decay_exponent,
@@ -58,6 +58,11 @@ class TestSimulate:
         state = StateVector(y=scale * state.y, psi=scale * state.psi)
         trace = simulate(op, state, 10.0, 1e-3, sample_stride=500)
         assert np.abs(trace.E - trace.E[0]).max() <= 1e-12
+
+    def test_field_block_not_h_self_adjoint_is_refused(self, small_op, rng):
+        op = replace(small_op, l_sub=1.1 * small_op.l_sub)
+        with pytest.raises(NumericalError, match="self-adjoint"):
+            simulate(op, random_state(op, rng), 0.1, 0.01)
 
     def test_energy_monotone_and_dissipation_sign(self, small_op, rng):
         state = random_state(small_op, rng)

@@ -1,14 +1,22 @@
 import numpy as np
+import pytest
 
+from conftest import make_operator
 from fracdamp import _kernels
+from fracdamp.errors import NumericalError
+from fracdamp.model import Variant
 
 
 def _march_args(n=24, m=16, seed=3):
+    """Random march inputs whose field block is in flux form, as assembled:
+    l_sub = a/h[1:] and l_sup = a/h[:-1], so h_i l_sup_i = h_{i+1} l_sub_i."""
     rng = np.random.default_rng(seed)
-    l_sub = rng.random(n - 1)
-    l_sup = rng.random(n - 1)
+    a = rng.random(n - 1) + 0.5
+    h = rng.random(n) + 0.5
+    h /= h.sum()
+    l_sub = a / h[1:]
+    l_sup = a / h[:-1]
     l_diag = -(rng.random(n) + 1.0)
-    h = np.full(n, 1.0 / n)
     xi2 = np.geomspace(1e-2, 1e2, m) ** 2
     w = rng.random(m) + 0.5
     eta = rng.random(m) + 0.5
@@ -53,6 +61,16 @@ class TestNumpyKernels:
                 x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max(), err_msg=name
             )
 
+    def test_midpoint_march_rejects_a_field_block_not_h_self_adjoint(self):
+        # independent l_sub and l_sup: no flux-form assembly looks like this
+        rng = np.random.default_rng(3)
+        args = list(_march_args())
+        args[0] = rng.random(args[0].size)
+        args[2] = rng.random(args[2].size)
+        with pytest.raises(NumericalError, match="self-adjoint") as info:
+            _kernels.midpoint_march(*args)
+        assert info.value.diagnostics["self_adjoint_defect"] > 1e-3
+
     def test_frac_conv_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         n = 500
@@ -64,3 +82,29 @@ class TestNumpyKernels:
         got = _kernels.frac_conv(w, lag)
         assert got[0] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestFieldEigenbasis:
+    @pytest.mark.parametrize(
+        "variant, alpha, g, left_bc",
+        [
+            (Variant.P, 0.5, 1.0, "damped_flux"),
+            (Variant.PPRIME, 0.5, 1.0, "dirichlet"),
+            (Variant.PPRIME, 1.5, 2.0, "weighted_neumann"),
+        ],
+    )
+    def test_orthonormal_basis_diagonalizes_the_symmetrized_field_block(
+        self, variant, alpha, g, left_bc
+    ):
+        op = make_operator(variant=variant, alpha=alpha, nx=48, g=g)
+        assert op.left_bc == left_bc
+        ell, basis = _kernels.field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        n = op.xgrid.x.size
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-13)
+        # D^{1/2} L D^{-1/2} with D = diag(h), from the assembled (non-symmetric) L
+        lmat = np.diag(op.l_diag) + np.diag(op.l_sub, -1) + np.diag(op.l_sup, 1)
+        sh = np.sqrt(op.xgrid.h)
+        lsym = lmat * (sh[:, None] / sh[None, :])
+        scale = np.abs(lsym).max()
+        np.testing.assert_allclose(lsym, lsym.T, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(basis @ np.diag(ell) @ basis.T, lsym, rtol=0, atol=1e-12 * scale)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_operator, random_state
+from fracdamp import bessel
 from fracdamp.errors import (
     CoefficientError,
     ConfigurationError,
@@ -126,6 +127,19 @@ class TestProblemSpec:
         assert spec.nu_alpha == pytest.approx(1.0 / 3.0)
         assert spec.m_kappa == 0.5
         assert spec.zeta > 0.0
+
+    def test_nu_alpha_one_formula_and_each_guard(self):
+        for a in (0.1, 1.0 / 3.0, 0.5, 0.9):
+            spec = ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(a), beta=0.5, rho=1.0)
+            want = (1.0 - a) / (2.0 - a)
+            assert spec.nu_alpha == derive_constants(0.5, 1.0, a)[1] == bessel._nu_alpha(a) == want
+        # outside (0,1): the property reads None, the other two raise
+        spec = ProblemSpec(variant=Variant.PPRIME, kappa=PowerLawKappa(1.5), beta=0.5, rho=1.0)
+        assert spec.nu_alpha is None
+        with pytest.raises(ParameterError, match="alpha"):
+            derive_constants(0.5, 1.0, 1.5)
+        with pytest.raises(ParameterError, match="alpha"):
+            bessel._nu_alpha(1.5)
 
     def test_gamma_negative_rejected(self):
         with pytest.raises(ParameterError, match="gamma"):
