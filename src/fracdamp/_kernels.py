@@ -7,7 +7,9 @@ eigensolve (LAPACK dstemr) per march, then no solve and no operator apply
 per step.  Its orthogonal n x n basis is a dense float64 array, 1.3 MB at
 nx=400, 20 MB at nx=1600 and 82 MB at nx=3200.  The relaxation march keeps
 only the current modes; the convolution is one real FFT product through
-``numpy.fft``.  The tridiagonal LU wrapper serves the resolvent solves.
+``numpy.fft``.  The resolvent needs only the field frequencies and the
+eigenvectors' entries at the damped cell, which ``boundary_weights`` gives
+in O(n) memory; the tridiagonal LU wrapper serves its shifted solves.
 """
 
 from __future__ import annotations
@@ -85,16 +87,14 @@ def psi_march(xi2, eta, weta, zeta, s_avg, dt):
     return psi, flux
 
 
-def field_eigenbasis(l_sub, l_diag, l_sup, h):
-    """Eigenpairs (ell, S) of the field tridiagonal L in the h inner product.
+def symmetrized_offdiagonal(l_sub, l_sup, h):
+    """Off-diagonal of D^{1/2} L D^{-1/2} (D = diag h) for the field tridiagonal L.
 
     L is self-adjoint in <u, v>_h = sum h u conj(v) exactly when
-    h_i l_sup_i = h_{i+1} l_sub_i, as for every flux-form assembly.  Then
-    D^{1/2} L D^{-1/2} (D = diag h) is the symmetric tridiagonal with
-    off-diagonal sqrt(l_sub l_sup), and L = D^{-1/2} S diag(ell) S^T D^{1/2}
-    with S orthogonal.  MRRR (LAPACK dstemr) returns all n pairs in O(n^2)
-    time; S is a dense real n x n array.  A tridiagonal that is not
-    h-self-adjoint to _SELF_ADJOINT_TOL raises NumericalError.
+    h_i l_sup_i = h_{i+1} l_sub_i, as for every flux-form assembly; then the
+    symmetrized matrix has off-diagonal sqrt(l_sub l_sup) and diagonal
+    l_diag.  A tridiagonal that is not h-self-adjoint to _SELF_ADJOINT_TOL
+    raises NumericalError.
     """
     flux = h[:-1] * l_sup
     scale = np.abs(flux).max(initial=0.0)
@@ -104,8 +104,72 @@ def field_eigenbasis(l_sub, l_diag, l_sup, h):
             "field block is not self-adjoint in the h inner product",
             {"self_adjoint_defect": float(defect / scale) if scale else float(defect)},
         )
-    off = np.copysign(np.sqrt(l_sub * l_sup), l_sup)
+    return np.copysign(np.sqrt(l_sub * l_sup), l_sup)
+
+
+def field_eigenbasis(l_sub, l_diag, l_sup, h):
+    """Eigenpairs (ell, S) of the field tridiagonal L in the h inner product.
+
+    L = D^{-1/2} S diag(ell) S^T D^{1/2} with S orthogonal, from the
+    symmetrized tridiagonal of ``symmetrized_offdiagonal`` (which refuses a
+    block that is not h-self-adjoint).  MRRR (LAPACK dstemr) returns all n
+    pairs in O(n^2) time; S is a dense real n x n array.
+    """
+    off = symmetrized_offdiagonal(l_sub, l_sup, h)
     return eigh_tridiagonal(l_diag, off, lapack_driver="stemr")
+
+
+def boundary_weights(d, off, b):
+    """Eigenvalues ell of the symmetric tridiagonal T = (d, off) and the squares
+    w_k = q_k[b]^2 of its orthonormal eigenvectors at the end row b, in O(n) memory.
+
+    ell comes from LAPACK dsterf.  With b eliminated last, the last pivot
+    p(z) of the LDL^T factorization of z - T is det(z - T)/det(z - T_b), T_b
+    being T without row and column b, so at an eigenvalue w_k = 1/p'(ell_k).
+    One pivot recurrence carries p and p' for all n eigenvalues at once
+    (O(n^2) time); one Newton step ell_k - p w_k refines each eigenvalue and
+    a second pass gives the weights.  Where ell_k is also, to rounding, an
+    eigenvalue of T_b, p is 0/0 and the residual |p w_k| of the second pass
+    stays above rounding: such a mode does not reach row b, its weight is
+    0 and it keeps its dsterf eigenvalue.
+    """
+    n = d.size
+    if b not in (0, n - 1):
+        raise ValueError(f"row {b} is not an end row of a tridiagonal of size {n}")
+    ell, info = _lapack.dsterf(d, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+    dd, ee2 = (d, off * off) if b == n - 1 else (d[::-1], (off * off)[::-1])
+    scale = np.abs(ell).max(initial=0.0)
+    tiny = np.finfo(float).tiny
+
+    def last_pivot(z):
+        # p_i = z - d_i - e_{i-1}^2 / p_{i-1}, p_i' = 1 + e_{i-1}^2 p_{i-1}' / p_{i-1}^2,
+        # in place; an exact zero pivot becomes the tiny one, as in a Sturm count
+        piv = z - dd[0]
+        dpiv = np.ones_like(z)
+        q = np.empty_like(z)
+        for i in range(1, n):
+            if not piv.all():
+                piv[piv == 0.0] = tiny
+            np.divide(ee2[i - 1], piv, out=q)
+            dpiv *= q
+            dpiv /= piv
+            dpiv += 1.0
+            np.subtract(z, dd[i], out=piv)
+            piv -= q
+        return piv, dpiv
+
+    rounding = 64.0 * np.finfo(float).eps * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        piv, dpiv = last_pivot(ell)
+        step = piv / dpiv
+        refined = np.where(np.abs(step) <= 1e6 * rounding, ell - step, ell)
+        piv, dpiv = last_pivot(refined)
+        w = 1.0 / dpiv
+        resolved = (np.abs(piv * w) <= rounding) & np.isfinite(w)
+    # a mode that does not reach row b keeps its dsterf eigenvalue
+    return np.where(resolved, refined, ell), np.where(resolved, w, 0.0)
 
 
 def _real_matmul(a, z):

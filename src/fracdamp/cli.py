@@ -220,7 +220,9 @@ def _cmd_scan(args, parser) -> int:
     config = _grid_config(args, spec, grade)
     config.update({"points": args.points, "lambda_min": args.lambda_min,
                    "lambda_max": args.lambda_max, "regime": args.regime})
+    clock = time.perf_counter()
     op = assemble_operator(spec, xg, xig)
+    assembly_s = time.perf_counter() - clock
     prediction = theoretical_exponents(spec)
     try:
         scan = scan_resolvent(op, lams, regime)
@@ -241,7 +243,20 @@ def _cmd_scan(args, parser) -> int:
     with open(out / "fit.json", "w") as fh:
         json.dump(fit_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out, "scan", config, [out / "scan.csv", out / "fit.json"])
+    # per shift: the field share of the top singular vector of the
+    # resolvent, |lambda|*||R|| - 1 (about 0 on the relaxation floor), the
+    # singular-value counts spent and the certificate gap
+    diagnostics = {
+        "shifts": [
+            {"lambda": r.lam, "field_share": r.field_share,
+             "lambda_norm_minus_one": abs(r.lam) * r.norm - 1.0,
+             "count_evaluations": r.evaluations, "certificate_gap": r.certificate_gap}
+            for r in scan.shifts
+        ],
+        "stage_s": {"assembly": assembly_s, **scan.stage_s},
+    }
+    _write_manifest(out, "scan", config, [out / "scan.csv", out / "fit.json"],
+                    diagnostics=diagnostics)
     return 0
 
 

@@ -67,22 +67,6 @@ def _midpoint_arrays(op: SystemOperator):
     )
 
 
-def step_implicit_midpoint(op: SystemOperator, state: StateVector, dt: float) -> StateVector:
-    """One midpoint step (I - dt/2 A) Y' = (I + dt/2 A) Y."""
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got dt={dt}")
-    if state.y.size != op.xgrid.x.size or state.psi.size != op.xigrid.xi.size:
-        raise ShapeError("state does not match operator grids")
-    try:
-        _, _, _, y, psi = _kernels.midpoint_march(
-            *_midpoint_arrays(op),
-            state.y, state.psi, float(dt), 1, np.array([0, 1], dtype=np.int64),
-        )
-    except np.linalg.LinAlgError as exc:  # field eigensolve; not expected
-        raise NumericalError(f"midpoint step failed: {exc}", {"dt": dt}) from exc
-    return StateVector(y=y, psi=psi)
-
-
 def simulate(
     op: SystemOperator,
     y0: StateVector,

@@ -14,10 +14,12 @@ boundary cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .diffusive import XiGrid
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .model import (
@@ -93,6 +95,20 @@ def _fv_tridiag(kappa: Callable, xgrid: XGrid, dirichlet_left: bool):
     return sub, diag, sup
 
 
+class FieldSpectrum(NamedTuple):
+    """The field block as the resolvent needs it, O(n) numbers.
+
+    ``ell`` are the frequencies of L, ``weight`` the squares s_k^2 of the
+    damped cell's row S[b, :] of its h-orthonormal eigenbasis, and ``off``
+    the off-diagonal of the symmetrized tridiagonal D^{1/2} L D^{-1/2}
+    (diagonal ``l_diag``).
+    """
+
+    ell: np.ndarray
+    weight: np.ndarray
+    off: np.ndarray
+
+
 @dataclass(frozen=True)
 class SystemOperator:
     """Assembled discrete generator with its weighted inner product.
@@ -153,6 +169,16 @@ class SystemOperator:
         return float(
             -self.zeta * np.dot(self.xigrid.w * self.xigrid.xi**2, np.abs(state.psi) ** 2)
         )
+
+    @cached_property
+    def field_spectrum(self) -> FieldSpectrum:
+        """ell and the boundary weights s_k^2, computed once and kept.
+
+        From ``_kernels.boundary_weights``: O(n) memory, no n x n basis.
+        """
+        off = _kernels.symmetrized_offdiagonal(self.l_sub, self.l_sup, self.xgrid.h)
+        ell, weight = _kernels.boundary_weights(self.l_diag, off, self.boundary_index)
+        return FieldSpectrum(ell=ell, weight=weight, off=off)
 
     def dense(self) -> np.ndarray:
         n = self.xgrid.x.size

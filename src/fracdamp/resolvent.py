@@ -1,13 +1,20 @@
-"""Resolvent-norm estimation, power-law fits and decay-rate translation.
+"""Resolvent norms, power-law fits and decay-rate translation.
 
 The norm ||(i*lam - A)^{-1}|| in the weighted geometry is 1/sigma_min of the
-weighted similarity of (i*lam - A).  sigma_min comes from a Lanczos
-iteration on the inverse normal operator, each step being two banded solves
-through the Schur complement onto the field block (the relaxation block is
+weighted similarity of i*lam - A.  In the h-orthonormal eigenbasis of the
+field block (frequencies ell_k, boundary row s of the basis; see
+``SystemOperator.field_spectrum``) and the weighted relaxation coordinates,
+i*lam - A is the diagonal Delta = diag(i(lam - ell), i lam + xi^2) plus the
+rank-two coupling e_s e_a^T - e_a e_s^T through the damped cell.  Its
+singular values below any sigma are counted exactly by a 4 x 4 Hermitian
+secular matrix (Golub 1973; Haynsworth inertia additivity), and sigma_min
+is found by bisection on that count, finished by a safeguarded secant
+(``_Secular``).  The singular vector is mapped to nodal coordinates with two
+real tridiagonal solves, and one solve with the assembled i*lam - A, through
+the Schur complement onto the field block (the relaxation block is
 diagonal, so its elimination adds a single complex impedance entry at the
 damped cell -- the discrete counterpart of the rho*(i*lam)^(beta-1)
-boundary impedance).  Each solve fills one fresh output buffer, and the
-Lanczos iteration overwrites the vector its matvec returns.
+boundary impedance), measures the returned norm and certifies sigma_min.
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from . import bessel
@@ -27,6 +34,7 @@ from ._kernels import TridiagFactor
 from .errors import (
     ConfigurationError,
     FitDataError,
+    NumericalError,
     ParameterError,
     SpectralCollisionError,
 )
@@ -48,10 +56,19 @@ class ScanFit:
 
 @dataclass(frozen=True)
 class ResolventScan:
+    """A scan's norms and fit, with what each shift measured.
+
+    ``shifts`` holds one ShiftReport per lambda and ``stage_s`` the wall
+    times of the field eigensolve, the shifts and the fit; both are
+    telemetry, not part of ``to_csv``.
+    """
+
     lam: np.ndarray
     norm: np.ndarray
     regime: ScanRegime
     fit: ScanFit
+    shifts: Tuple[ShiftReport, ...] = ()
+    stage_s: Optional[dict] = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -78,12 +95,12 @@ class ExponentPrediction:
 
 
 class _ShiftedSystem:
-    """Solves with M = i*lam - A and its conjugate transpose.
+    """Solves with M = i*lam - A.
 
     The relaxation rows are eliminated exactly; what remains is the field
     tridiagonal with the boundary impedance zeta/h_b * sum w eta^2/(i lam + xi^2)
-    added at the damped cell.  Both solves leave their input unchanged and
-    return a fresh array; the field part is solved in place in its leading
+    added at the damped cell.  A solve leaves its input unchanged and
+    returns a fresh array; the field part is solved in place in its leading
     n entries.
     """
 
@@ -99,25 +116,18 @@ class _ShiftedSystem:
         if np.any(np.abs(denom) == 0.0):
             raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(denom))]))
         eta = op.xigrid.eta
-        weta = op.xigrid.w * eta
         fold = op.zeta / op.xgrid.h[self.b]
-        g = fold * np.dot(weta * eta, 1.0 / denom)
+        g = fold * np.dot(op.xigrid.w * eta * eta, 1.0 / denom)
         # per-shift constants of the elimination, so a solve is one zgttrs,
         # one dot product and three in-place vector operations
         self._inv_denom = 1.0 / denom
-        self._inv_denom_conj = np.conj(self._inv_denom)
-        self._fold_weta = fold * weta
-        self._couple = self._fold_weta * self._inv_denom
-        self._couple_adj = eta * self._inv_denom_conj
+        self._couple = fold * op.xigrid.w * eta * self._inv_denom
         self._eta = eta
 
-        dl = -1j * op.l_sub
-        du = -1j * op.l_sup
         d = (1j * lam - 1j * op.l_diag).astype(np.complex128)
         d[self.b] += g
         try:
-            self._fwd = TridiagFactor(dl, d, du)
-            self._adj = TridiagFactor(np.conj(du), np.conj(d), np.conj(dl))
+            self._fwd = TridiagFactor(-1j * op.l_sub, d, -1j * op.l_sup)
         except np.linalg.LinAlgError as exc:
             raise SpectralCollisionError(lam, 1j * lam, str(exc)) from exc
 
@@ -139,24 +149,10 @@ class _ShiftedSystem:
         zp *= self._inv_denom
         return z
 
-    def solve_adjoint(self, f):
-        """z with (i lam - A)^H z = f."""
-        n, b = self.n, self.b
-        fp = f[n:]
-        z = np.empty(f.shape, dtype=np.complex128)
-        zy, zp = z[:n], z[n:]
-        zy[...] = f[:n]
-        zy[b] += np.dot(self._couple_adj, fp)
-        self._adj.solve_in_place(zy)
-        np.multiply(self._fold_weta, -zy[b], out=zp)
-        zp += fp
-        zp *= self._inv_denom_conj
-        return z
-
 
 def _shifted_system(op, lam: float):
-    # any object with a shifted_system(lam) method (solve, solve_adjoint and
-    # weights) can stand in for an assembled operator
+    # an assembled operator, or a proxy for one (its attributes, plus a
+    # shifted_system(lam) method returning an object with solve and weights)
     if isinstance(op, SystemOperator):
         return _ShiftedSystem(op, lam)
     if hasattr(op, "shifted_system"):
@@ -164,139 +160,463 @@ def _shifted_system(op, lam: float):
     raise ConfigurationError(f"cannot build a resolvent system for {type(op).__name__}")
 
 
-def resolvent_norm(
-    op,
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    seed: int = 0,
-) -> float:
+# ---------------------------------------------------------------------------
+# singular values in the field eigenbasis
+# ---------------------------------------------------------------------------
+
+#: Poles r_k within this share of sigma are kept as bordered rows of the
+#: secular matrix instead of being divided out.
+_BORDER = 1e-12
+#: The safeguarded secant stops at this relative bracket width.
+_SIGMA_RTOL = 4.0 * np.finfo(float).eps
+#: A certificate ||R u||/||u|| that differs from 1/sigma by more than this
+#: share, plus 64 eps times the local condition (the diagonal entry of the
+#: mode that carries the singular vector over sigma), is refused.  The
+#: global bound eps*cond(i lam - A) would reach 1 at lam = 0, where the
+#: structured solve and the secular value agree to about 1e-12.
+_CERTIFICATE_RTOL = 1e-7
+
+
+@dataclass(frozen=True)
+class ShiftReport:
+    """What one resolvent norm measured, for scan diagnostics.
+
+    ``field_share`` is the share of the top singular vector of the resolvent
+    in the field block, ``evaluations`` the number of singular-value counts
+    and ``certificate_gap`` = sigma*||R u||/||u|| - 1.
+    """
+
+    lam: float
+    norm: float
+    sigma: float
+    field_share: float
+    evaluations: int
+    certificate_gap: float
+
+
+class _Root(NamedTuple):
+    """sigma_min of a secular problem and what its singular vector needs.
+
+    Either ``free``, the index of a mode of weight 0 whose exact singular
+    value it is, or the bordered poles and the null vector (t, tau) of the
+    bordered secular matrix at sigma.
+    """
+
+    sigma: float
+    border: np.ndarray = np.zeros(0, dtype=int)
+    null: Optional[np.ndarray] = None
+    free: int = -1
+
+
+class _Secular:
+    """Singular values of M = diag(delta) + e_s e_a^T - e_a e_s^T.
+
+    This is i lam - A in the weighted field eigenbasis: delta holds
+    i(lam - ell_k) for the n field modes and i lam + xi_k^2 for the
+    relaxation modes, and x2 = (s^2; a^2) the squared coupling weights
+    (e_s = (s; 0), e_a = (0; a); only squares enter, so s >= 0 is taken,
+    which orients each field eigenvector by its boundary entry).  With
+    r_k = |delta_k| the poles, the number of singular values below sigma is
+    #{r_k < sigma} + neg G(sigma) - 2 (Haynsworth inertia additivity on the
+    augmented matrix [[0, M], [M^H, 0]]).  G(sigma) is 4 x 4 Hermitian on
+    the coordinates (field top, relaxation top, field bottom, relaxation
+    bottom): with d_k = 1/((sigma - r_k)(sigma + r_k)), mode k adds
+    x_k^2 sigma d_k to both diagonal entries of its coordinate pair (0, 2)
+    or (1, 3) and x_k^2 delta_k d_k to the pair's upper off-diagonal, and
+    -K links field top to relaxation bottom (-1) and relaxation top to
+    field bottom (+1).  Poles within _BORDER*sigma are
+    bordered instead of divided out: the pair's term for the eigenvalue
+    +r_k of [[0, delta_k], [conj delta_k, 0]] becomes a row
+    (x_k/sqrt 2)(e_p + (delta_k/r_k) e_p+2) with diagonal -(sigma - r_k),
+    and neg of the bordered matrix replaces their share of the count.
+    Modes of weight 0 are exact singular values r_k and enter the count
+    only.
+    """
+
+    def __init__(self, delta, x2, n_field):
+        self.delta = delta
+        r = np.abs(delta)
+        coupled = x2 >= np.finfo(float).tiny
+        self.free = np.flatnonzero(~coupled)
+        self.free_r = np.sort(r[self.free])
+        idx = np.flatnonzero(coupled)
+        self.idx = idx
+        self.r = r[idx]
+        self.x2 = x2[idx]
+        self.dl = delta[idx]
+        self.field = idx < n_field
+        self.order = np.argsort(self.r)
+        self.r_sorted = self.r[self.order]
+        # the four far sums as one real product: sigma-weights of the field
+        # and relaxation diagonals, then Re and Im of the off-diagonals
+        xd = self.x2 * self.dl
+        fw = self.field.astype(float)
+        rw = 1.0 - fw
+        sums = np.empty((idx.size, 6))
+        sums[:, 0] = self.x2 * fw
+        sums[:, 1] = self.x2 * rw
+        sums[:, 2] = xd.real * fw
+        sums[:, 3] = xd.imag * fw
+        sums[:, 4] = xd.real * rw
+        sums[:, 5] = xd.imag * rw
+        self._sums = sums
+        self.evaluations = 0
+        self._seen = {}
+
+    # -- the count -------------------------------------------------------
+
+    def near(self, lo, hi):
+        """Positions (in the coupled arrays) of the poles in [lo, hi), and
+        the number of poles below lo."""
+        i0, i1 = self.r_sorted.searchsorted((lo, hi))
+        return self.order[i0:i1], int(i0)
+
+    def matrix(self, sigma, border):
+        """The secular matrix at sigma with the poles `border` bordered.
+
+        Only the lower triangle is filled (the LAPACK eigensolvers read
+        that one), and the matrix is symmetrically equilibrated: the
+        congruence keeps its inertia and its zero crossings, while the
+        eigensolver sees entries of modulus <= 1.  Returns the matrix and
+        the scaling.
+        """
+        self.evaluations += 1
+        r = self.r
+        den = (sigma - r) * (sigma + r)
+        nb = border.size
+        if nb:
+            den[border] = np.inf  # their terms are the bordered rows
+        d = 1.0 / den
+        pf, pr, qf_re, qf_im, qr_re, qr_im = d @ self._sums
+        pf *= sigma
+        pr *= sigma
+        if not nb:
+            # 4 x 4: each row's largest entry is known in closed form
+            sf = 1.0 / math.sqrt(max(abs(pf), math.hypot(qf_re, qf_im), 1.0))
+            sr = 1.0 / math.sqrt(max(abs(pr), math.hypot(qr_re, qr_im), 1.0))
+            ff, rr, fr = sf * sf, sr * sr, sf * sr
+            g = np.zeros((4, 4), dtype=np.complex128)
+            g[0, 0] = g[2, 2] = pf * ff
+            g[1, 1] = g[3, 3] = pr * rr
+            g[2, 0] = complex(qf_re * ff, -qf_im * ff)
+            g[3, 1] = complex(qr_re * rr, -qr_im * rr)
+            g[3, 0] = -fr
+            g[2, 1] = fr
+            return g, np.array((sf, sr, sf, sr))
+        g = np.zeros((4 + nb, 4 + nb), dtype=np.complex128)
+        g[0, 0] = g[2, 2] = pf
+        g[1, 1] = g[3, 3] = pr
+        g[2, 0] = complex(qf_re, -qf_im)
+        g[3, 1] = complex(qr_re, -qr_im)
+        g[3, 0] = -1.0
+        g[2, 1] = 1.0
+        rb, x2b = r[border], self.x2[border]
+        p = np.where(self.field[border], 0, 1)
+        phase = self.dl[border] / rb
+        gterm = 0.5 * x2b / (sigma + rb)
+        np.add.at(g, (p, p), gterm)
+        np.add.at(g, (p + 2, p + 2), gterm)
+        np.add.at(g, (p + 2, p), -gterm * np.conj(phase))
+        rows = 4 + np.arange(nb)
+        xb = np.sqrt(0.5 * x2b)
+        g[rows, p] = xb
+        g[rows, p + 2] = xb * phase
+        g[rows, rows] = -(sigma - rb)
+        mag = np.abs(g)
+        scale = 1.0 / np.sqrt(np.maximum(mag.max(axis=0), mag.max(axis=1)))
+        g *= scale[:, None] * scale[None, :]
+        return g, scale
+
+    def eigenvalues(self, sigma, border):
+        """Ascending eigenvalues of the (equilibrated) secular matrix.
+
+        Remembered per (sigma, border): a bracket end is evaluated once.
+        """
+        key = (sigma, border.tobytes())
+        w = self._seen.get(key)
+        if w is None:
+            w, _, info = _lapack.zheev(self.matrix(sigma, border)[0], compute_v=0, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"zheev failed with info={info}")
+            self._seen[key] = w
+        return w
+
+    def count(self, sigma):
+        """Number of singular values below sigma."""
+        border, below = self.near(sigma * (1.0 - _BORDER), sigma * (1.0 + _BORDER))
+        neg = int(np.count_nonzero(self.eigenvalues(sigma, border) < 0.0))
+        return int(self.free_r.searchsorted(sigma)) + below + neg - 2
+
+    # -- the smallest singular value ----------------------------------------
+
+    def upper_bound(self):
+        """||M e_k|| over the unit modal vectors, the least of which bounds sigma_min."""
+        s2 = float(np.sum(self.x2[self.field]))
+        a2 = float(np.sum(self.x2[~self.field]))
+        other = np.where(self.field, a2, s2)
+        return float(np.sqrt(self.r**2 + self.x2 * other).min(initial=np.inf))
+
+    def smallest(self):
+        """sigma_min as a _Root, from which ``singular_vector`` builds its vector.
+
+        The coupled poles are grouped into clusters (neighbours closer than
+        _BORDER relative).  The count just below each cluster finds, by a
+        galloping then binary search, the first cluster with a singular
+        value below it; sigma_min then lies in the pole-free gap before
+        that cluster or inside the previous cluster, whose poles are
+        bordered.  A safeguarded secant finishes on that bracket.
+        """
+        # the least exact singular value of a decoupled mode caps the search
+        cap = self.free_r[0] * (1.0 - _SIGMA_RTOL) if self.free_r.size else np.inf
+        # poles at 0 lie below every sigma > 0 and are never bordered
+        first = int(self.r_sorted.searchsorted(0.0, side="right"))
+        rs = self.r_sorted[first : int(self.r_sorted.searchsorted(cap))]
+        cut = np.flatnonzero(rs[1:] * (1.0 - _BORDER) > rs[:-1] * (1.0 + _BORDER)) + 1
+        starts = np.concatenate(([0], cut)) if rs.size else np.zeros(0, dtype=int)
+        ends = np.concatenate((cut, [rs.size])) - 1 if rs.size else np.zeros(0, dtype=int)
+        # just below each cluster, outside the bordering window of count
+        below = rs[starts] * (1.0 - 2.0 * _BORDER)
+        bound = self.upper_bound()
+        top = min(bound, cap)
+        points = np.append(below[below < top], top)
+
+        def has_root_below(c):
+            if c < points.size - 1:
+                return self.count(points[c]) >= 1
+            for _ in range(64):
+                if self.count(points[c]) >= 1:
+                    return True
+                if points[c] == cap:
+                    return False
+                points[c] = min(2.0 * points[c], cap)
+            raise NumericalError("no singular value below the modal upper bound",
+                                 {"upper_bound": bound})
+
+        # the first gap point with a singular value below it
+        lo_c, step = -1, 1
+        while True:
+            c = min(lo_c + step, points.size - 1)
+            if has_root_below(c):
+                break
+            if c == points.size - 1:
+                # none below the cap: a mode of weight 0 is the smallest
+                k = self.free[int(np.argmin(np.abs(self.delta[self.free])))]
+                return _Root(float(np.abs(self.delta[k])), free=int(k))
+            lo_c, step = c, 2 * step
+        hi_c = c
+        while hi_c - lo_c > 1:
+            mid = (lo_c + hi_c) // 2
+            if has_root_below(mid):
+                hi_c = mid
+            else:
+                lo_c = mid
+        hi = float(points[hi_c])
+        no_border = np.zeros(0, dtype=int)
+        if hi_c == 0:
+            lo = 0.5 * hi
+            floor = hi * np.finfo(float).eps ** 2
+            while self.count(lo) >= 1:
+                hi, lo = lo, 0.25 * lo
+                if lo < floor:
+                    return _Root(0.0)
+            return self._secant(lo, hi, no_border)
+        c = hi_c - 1  # sigma_min is in cluster c or in the gap after it
+        lo = float(points[c])
+        above = float(rs[ends[c]] * (1.0 + 2.0 * _BORDER))
+        if above < hi and self.count(above) == 0:
+            return self._secant(above, hi, no_border)
+        cluster = self.order[first + starts[c] : first + ends[c] + 1]
+        return self._secant(lo, min(above, hi), cluster)
+
+    def _secant(self, lo, hi, border):
+        """Illinois regula falsi on the eigenvalue of G that crosses zero.
+
+        The bordered poles are fixed over [lo, hi] and no other pole lies
+        in it, so that eigenvalue (index j, the number of negative
+        eigenvalues at lo) is continuous there; its sign decides each side.
+        """
+        ev = self.eigenvalues(lo, border)
+        j = int(np.count_nonzero(ev < 0.0))
+        f_lo = ev[j]
+        f_hi = self.eigenvalues(hi, border)[j]
+        side = 0
+        for _ in range(200):
+            if hi - lo <= _SIGMA_RTOL * hi:
+                break
+            sigma = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else 0.5 * (lo + hi)
+            if not lo < sigma < hi:
+                sigma = 0.5 * (lo + hi)
+            ev = self.eigenvalues(sigma, border)
+            f = ev[j]
+            if np.count_nonzero(ev < 0.0) > j:
+                hi, f_hi = sigma, f
+                if side == 1:
+                    f_lo *= 0.5
+                side = 1
+            else:
+                lo, f_lo = sigma, f
+                if side == -1:
+                    f_hi *= 0.5
+                side = -1
+            if f == 0.0:
+                break
+        sigma = lo if abs(f_lo) < abs(f_hi) else hi
+        g, scale = self.matrix(sigma, border)
+        _, vecs, info = _lapack.zheev(g, compute_v=1, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zheev failed with info={info}")
+        return _Root(sigma, border=border, null=scale * vecs[:, j])
+
+    def singular_vector(self, root):
+        """Left singular vector u (modal coordinates) for sigma_min.
+
+        With (t, tau) the null vector of the bordered matrix, a far mode has
+        u_k = x_k (sigma t_p + delta_k t_p+2) / ((sigma - r_k)(sigma + r_k)),
+        a bordered one u_k = tau_k/sqrt 2 + x_k (t_p - delta_k/r_k t_p+2) / (2(sigma + r_k)),
+        p = 0 for field and 1 for relaxation modes.
+        """
+        u = np.zeros(self.delta.size, dtype=np.complex128)
+        if root.free >= 0:
+            u[root.free] = 1.0
+            return u
+        sigma, border = root.sigma, root.border
+        t, tau = root.null[:4], root.null[4:]
+        r = self.r
+        tp = np.where(self.field, t[0], t[1])
+        tq = np.where(self.field, t[2], t[3])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uc = np.sqrt(self.x2) * (sigma * tp + self.dl * tq) / ((sigma - r) * (sigma + r))
+        if border.size:
+            rb, db = r[border], self.dl[border]
+            xb = np.sqrt(self.x2[border])
+            uc[border] = tau / math.sqrt(2.0) + xb * (tp[border] - db / rb * tq[border]) / (
+                2.0 * (sigma + rb)
+            )
+        u[self.idx] = uc
+        return u
+
+
+def _tridiagonal_solve(l_diag, off, shift, rhs):
+    """(T - shift)^{-1} rhs for the symmetrized field tridiagonal T (LAPACK dgtsv).
+
+    Used at shifts on or next to an eigenvalue of T, whose eigenvector the
+    caller replaces or wants: if T - shift is singular to working precision,
+    the shift moves by a few ulps of the largest diagonal entry.
+    """
+    ulp = np.spacing(np.abs(l_diag).max())
+    for nudge in (0.0, 4.0 * ulp, 64.0 * ulp):
+        *_, x, info = _lapack.dgtsv(off, l_diag - (shift + nudge), off, rhs)
+        if info == 0:
+            return x
+    raise NumericalError(
+        "field tridiagonal is singular at a singular-vector shift",
+        {"shift": float(shift), "info": int(info)},
+    )
+
+
+def _field_eigenvector(l_diag, off, ell_k, b):
+    """Unit eigenvector of T for its eigenvalue ell_k, with entry b >= 0.
+
+    Three steps of inverse iteration at the eigenvalue.
+    """
+    x = np.full(l_diag.size, 1.0 / math.sqrt(l_diag.size))
+    for _ in range(3):
+        x = _tridiagonal_solve(l_diag, off, ell_k, x)
+        x /= np.linalg.norm(x)
+    return x if x[b] >= 0.0 else -x
+
+
+def _field_vector(spectrum, l_diag, b, lam, sigma, t, u_field, bordered):
+    """S u_field for the field part of a singular vector, without S.
+
+    Summed over the eigenpairs (ell_k, q_k) of the symmetrized tridiagonal
+    T, the far field modes give
+    ((t0 + i t2)/2) (T - (lam - sigma))^{-1} e_b - ((t0 - i t2)/2) (T - (lam + sigma))^{-1} e_b,
+    two real tridiagonal solves.  A bordered field mode's component along
+    its eigenvector q_k is replaced by its own coordinate u_k.
+    """
+    rhs = np.zeros(l_diag.size)
+    rhs[b] = 1.0
+    z = 0.5 * (t[0] + 1j * t[2]) * _tridiagonal_solve(l_diag, spectrum.off, lam - sigma, rhs)
+    z -= 0.5 * (t[0] - 1j * t[2]) * _tridiagonal_solve(l_diag, spectrum.off, lam + sigma, rhs)
+    for k in bordered:
+        q = _field_eigenvector(l_diag, spectrum.off, spectrum.ell[k], b)
+        z += (u_field[k] - np.dot(q, z)) * q
+    return z
+
+
+def _shift(op, lam: float) -> ShiftReport:
+    """The resolvent norm at i lam with what it measured; see resolvent_norm."""
+    sys_ = _shifted_system(op, lam)
+    spectrum = op.field_spectrum
+    n = spectrum.ell.size
+    b = op.boundary_index
+    xi2 = op.xigrid.xi**2
+    a2 = op.zeta * op.xigrid.w * op.xigrid.eta**2 / op.xgrid.h[b]
+    delta = np.concatenate((1j * (lam - spectrum.ell), xi2 + 1j * lam))
+    sec = _Secular(delta, np.concatenate((spectrum.weight, a2)), n)
+    root = sec.smallest()
+    sigma = root.sigma
+    if not sigma > 0.0:
+        raise SpectralCollisionError(lam, 1j * lam, "singular shift: sigma_min is 0")
+    u = sec.singular_vector(root)
+    scale = 1.0 / np.linalg.norm(u)
+    u *= scale
+    # the local condition: the size of the diagonal entry of the mode that
+    # carries the vector over sigma_min; past 1/(8 eps) the shift is
+    # singular to working precision
+    k = int(np.argmax(np.abs(u)))
+    cond = (abs(lam) + (abs(spectrum.ell[k]) if k < n else xi2[k - n])) / sigma
+    if cond >= 1.0 / (8.0 * np.finfo(float).eps):
+        raise SpectralCollisionError(
+            lam, 1j * lam, f"shift i*{lam:g} is numerically an eigenvalue (sigma_min {sigma:.3g})"
+        )
+    uf = u[:n]
+    field_share = float(np.vdot(uf, uf).real)
+    if root.free >= n:  # a decoupled relaxation mode
+        zf = np.zeros(n)
+    elif root.free >= 0:  # a decoupled field mode
+        zf = _field_eigenvector(op.l_diag, spectrum.off, spectrum.ell[root.free], b)
+    else:
+        bordered = sec.idx[root.border]
+        zf = _field_vector(spectrum, op.l_diag, b, lam, sigma, scale * root.null[:4], uf,
+                           bordered[bordered < n])
+    weights = sys_.weights
+    sw = np.sqrt(weights)
+    y = np.concatenate((zf, u[n:])) / sw
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = sys_.solve(y)
+        cert = float(np.linalg.norm(sw * z) / np.linalg.norm(sw * y))
+    if not np.isfinite(cert) or cert <= 0.0:
+        raise SpectralCollisionError(lam, 1j * lam, "non-finite resolvent certificate")
+    gap = cert * sigma - 1.0
+    if not abs(gap) <= _CERTIFICATE_RTOL + 64.0 * np.finfo(float).eps * cond:
+        raise NumericalError(
+            "resolvent certificate disagrees with the secular singular value",
+            {"lambda": lam, "sigma": sigma, "certificate": cert, "gap": gap,
+             "local_condition": cond, "evaluations": sec.evaluations},
+        )
+    return ShiftReport(lam=float(lam), norm=cert, sigma=float(sigma), field_share=field_share,
+                       evaluations=sec.evaluations, certificate_gap=gap)
+
+
+def resolvent_norm(op, lam: float, *, report: Optional[list] = None) -> float:
     """||(i lam - A)^{-1}|| in the weighted operator norm.
 
-    Lanczos iteration on the inverse normal operator with relative value
-    tolerance `tol` and step cap `max_iter`; on stagnation the iteration
-    restarts once from a fresh random vector, and if that stagnates too the
-    larger of the two final Ritz values (both lower bounds) is returned.
-    Raises SpectralCollisionError when the shift is numerically an
-    eigenvalue.
-
-    The iteration overwrites the vector each matvec returns, so the shifted
-    system's solve and solve_adjoint must return a fresh array.
+    sigma_min of i lam - A comes from an exact singular-value count in the
+    field eigenbasis (``_Secular``): bisection on the count, then a
+    safeguarded secant.  Its singular vector u is mapped to nodal
+    coordinates and one shifted solve measures ||R u||_W / ||u||_W, which is
+    returned: a lower bound for the norm, within _CERTIFICATE_RTOL (plus a
+    rounding term that grows with the local condition) of 1/sigma, or
+    NumericalError.  A shift at which sigma_min is
+    0 raises SpectralCollisionError.  If `report` is a list, the shift's
+    ShiftReport is appended to it.
     """
-    sys_ = _shifted_system(op, lam)
-    # complex copies, so the scalings below multiply without a dtype cast
-    sw = np.sqrt(sys_.weights).astype(np.complex128)
-    inv_w = (1.0 / sys_.weights).astype(np.complex128)
-    rng = np.random.default_rng(seed)
-    dim = sw.size
-
-    def _normal_inverse_matvec(v):
-        # sw * M^{-1} W^{-1} M^{-H} (sw * v): the weighted-adjoint inverse,
-        # then the weighted inverse, scaled in place on the solves' outputs
-        u = sys_.solve_adjoint(sw * v)
-        u *= inv_w
-        z = sys_.solve(u)
-        z *= sw
-        return z
-
-    def _blow_up():
-        return SpectralCollisionError(lam, 1j * lam, "resolvent blow-up in iteration")
-
-    # a solve that blows up to inf makes the complex scalings compute inf*0;
-    # the finiteness checks report that as a collision, so numpy's own
-    # warnings are silenced, once per shift rather than per matvec
-    with np.errstate(invalid="ignore", over="ignore"):
-        if dim == 1:
-            z = _normal_inverse_matvec(np.ones(1))
-            if not np.isfinite(z[0]):
-                raise _blow_up()
-            return float(np.abs(z[0])) ** 0.5
-
-        # Lanczos on the Hermitian inverse normal operator, driven by the
-        # factorized Schur-complement solves.  The top Ritz VALUE is wanted, not
-        # a vector, so value stabilization is the stopping criterion -- a plain
-        # power iteration stalls on the quasi-continuum of near-minimal singular
-        # values, the Krylov value does not.
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v0 /= np.linalg.norm(v0)
-        try:
-            theta, converged = _lanczos_top_value(_normal_inverse_matvec, v0, tol, max_iter)
-            if not converged:
-                # stagnation: restart once from a fresh vector, keep the best value
-                v1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                v1 /= np.linalg.norm(v1)
-                t2, converged = _lanczos_top_value(_normal_inverse_matvec, v1, tol, max_iter)
-                theta = t2 if converged else max(theta, t2)
-        except FloatingPointError as exc:
-            raise _blow_up() from exc
-    if not np.isfinite(theta) or theta <= 0.0:
-        raise SpectralCollisionError(lam, 1j * lam, "non-finite resolvent estimate")
-    return math.sqrt(theta)
-
-
-def _lanczos_top_value(matvec, v0, tol, max_steps):
-    """Largest eigenvalue of a Hermitian PSD operator by Lanczos.
-
-    Full reorthogonalization; stops when the top Ritz value is stable to
-    `tol` relative over two consecutive Krylov dimensions.  Returns the last
-    top Ritz value (a lower bound, 0.0 if no step ran) and whether it
-    converged; False means the run stagnated at `max_steps`.  Raises
-    FloatingPointError when a matvec result is not finite, which shows in
-    the diagonal entry alpha_k = Re q_k^H w.
-
-    The iteration owns, and overwrites, the vector each matvec returns.
-    Each step costs one matvec, two axpy (the three-term update), two gemv
-    (the reorthogonalization against the column-major basis, Q^H w and
-    w - Q c, on views without copies), one nrm2 and one dstebz bisection
-    for the top Ritz value alone.
-    """
-    dim = v0.size
-    max_steps = min(max_steps, dim)
-    # every column is written before it is read
-    q = np.empty((dim, max_steps + 1), dtype=np.complex128, order="F")
-    q[:, 0] = v0
-    alphas = np.empty(max_steps)
-    betas = np.empty(max_steps)
-    theta_prev = None
-    hits = 0
-    theta = 0.0
-    for k in range(max_steps):
-        qk = q[:, k]
-        w = matvec(qk)
-        a = np.vdot(qk, w).real
-        if not math.isfinite(a):
-            raise FloatingPointError("non-finite matvec result")
-        alphas[k] = a
-        w = _blas.zaxpy(qk, w, a=-a)
-        if k:
-            w = _blas.zaxpy(q[:, k - 1], w, a=-betas[k - 1])
-        # full reorthogonalization keeps the basis usable past convergence
-        basis = q[:, : k + 1]
-        coeff = _blas.zgemv(1.0, basis, w, trans=2)
-        w = _blas.zgemv(-1.0, basis, coeff, beta=1.0, y=w, overwrite_y=True)
-        b = _blas.dznrm2(w)
-        if k == 0:
-            theta = a
-        else:
-            # range 2 = by index; LAPACK indices are 1-based
-            m, ritz, _, _, info = _lapack.dstebz(
-                alphas[: k + 1], betas[:k], 2, 0.0, 0.0, k + 1, k + 1, 0.0, "E"
-            )
-            if info != 0 or m != 1:
-                raise np.linalg.LinAlgError(f"dstebz failed with info={info}, m={m}")
-            theta = float(ritz[0])
-        if theta_prev is not None and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-300):
-            hits += 1
-            if hits >= 2:
-                return theta, True
-        else:
-            hits = 0
-        theta_prev = theta
-        if b <= 1e-14 * max(abs(a), 1.0):
-            return theta, True  # invariant subspace exhausted
-        betas[k] = b
-        np.divide(w, b, out=q[:, k + 1])
-    return theta, False
+    shift = _shift(op, lam)
+    if report is not None:
+        report.append(shift)
+    return shift.norm
 
 
 def smallest_singular_value(op, lam: float = 0.0) -> float:
@@ -396,11 +716,20 @@ def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> Resolven
         regime = (
             ScanRegime.NEAR_ZERO if np.max(np.abs(lambdas)) <= 1.0 else ScanRegime.HIGH_FREQUENCY
         )
-    norms = np.array([resolvent_norm(op, lam) for lam in lambdas])
+    clock = time.perf_counter()
+    op.field_spectrum  # the field eigensolve, once per operator
+    stage_s = {"eigensolve": time.perf_counter() - clock}
+    clock = time.perf_counter()
+    reports = []
+    norms = np.array([resolvent_norm(op, lam, report=reports) for lam in lambdas])
+    stage_s["shifts"] = time.perf_counter() - clock
+    clock = time.perf_counter()
     i0, i1, slope, r2 = _stable_window_fit(np.log(np.abs(lambdas)), np.log(norms))
+    stage_s["fit"] = time.perf_counter() - clock
     return ResolventScan(
         lam=lambdas, norm=norms, regime=ScanRegime(regime),
         fit=ScanFit(exponent=slope, r_squared=r2, window=(i0, i1)),
+        shifts=tuple(reports), stage_s=stage_s,
     )
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fracdamp.diffusive import build_xi_quadrature
-from fracdamp.errors import ParameterError, SpectralCollisionError
 from fracdamp.model import PowerLawKappa, ProblemSpec, Variant
 from fracdamp.operator import assemble_operator, build_x_grid
 
@@ -52,37 +51,3 @@ def random_state(op, rng):
         y=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         psi=rng.standard_normal(m) + 1j * rng.standard_normal(m),
     )
-
-
-class DiagonalOperator:
-    """Diagonal operator with closed-form resolvent norms.
-
-    It stands in for an assembled operator through the ``shifted_system(lam)``
-    protocol that ``resolvent_norm`` accepts.
-    """
-
-    def __init__(self, diag, weights=None):
-        self.diag = np.asarray(diag, dtype=np.complex128)
-        w = np.ones(self.diag.size) if weights is None else np.asarray(weights, float)
-        if np.any(w <= 0):
-            raise ParameterError("stub weights must be positive")
-        self.weights = w
-        self.zeta = 1.0
-
-    def shifted_system(self, lam: float):
-        return _DiagonalShifted(self, lam)
-
-
-class _DiagonalShifted:
-    def __init__(self, op: DiagonalOperator, lam: float):
-        self.denom = 1j * lam - op.diag
-        if np.any(np.abs(self.denom) < 1e-300):
-            k = int(np.argmin(np.abs(self.denom)))
-            raise SpectralCollisionError(lam, complex(op.diag[k]))
-        self.weights = op.weights
-
-    def solve(self, f):
-        return f / self.denom
-
-    def solve_adjoint(self, f):
-        return f / np.conj(self.denom)

@@ -104,8 +104,8 @@ def test_05_near_zero_exponent_pprime_general(beta):
     # target: the general-coefficient bound -(2-beta) +/- 0.15 for kappa =
     # x^1.5.  It is an upper estimate, so the fitted slope may not be steeper
     # than it; the relaxation floor 1/|lambda| keeps the slope from being
-    # shallower than -1 (same tolerance) and holds pointwise to 100x the
-    # Lanczos tolerance -- a norm the solver undershoots fails it.
+    # shallower than -1 (same tolerance) and holds pointwise to 1e-6 -- a
+    # norm the solver undershoots fails it.
     op = _operator(Variant.PPRIME, 1.5, beta, nx=800, nxi=200, g=2.0)
     scan = scan_resolvent(op, np.geomspace(1e-4, 1e-1, 25))
     bound = -theoretical_exponents(op.problem).theta

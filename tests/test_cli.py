@@ -123,6 +123,28 @@ class TestScan:
         assert fit["decay_exponent_predicted"] == 2.0
         assert fit["exponent"] == pytest.approx(-1.0, abs=0.15)
 
+    def test_manifest_diagnostics(self, tmp_path):
+        out = tmp_path / "scand"
+        code = run_cli(
+            "scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+            "--nx", 64, "--nxi", 32, "--points", 9, "--out", out,
+        )
+        assert code == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert set(diag) == {"shifts", "stage_s"}
+        assert set(diag["stage_s"]) == {"assembly", "eigensolve", "shifts", "fit"}
+        assert all(v >= 0.0 for v in diag["stage_s"].values())
+        lams = [float(v) for v in
+                (out / "scan.csv").read_text().splitlines()[1:] for v in [v.split(",")[0]]]
+        assert [s["lambda"] for s in diag["shifts"]] == pytest.approx(lams, rel=1e-15)
+        for shift in diag["shifts"]:
+            assert set(shift) == {"lambda", "field_share", "lambda_norm_minus_one",
+                                  "count_evaluations", "certificate_gap"}
+            assert 0.0 <= shift["field_share"] <= 1.0
+            assert shift["count_evaluations"] >= 1
+            assert abs(shift["certificate_gap"]) < 1e-7
+            assert shift["lambda_norm_minus_one"] >= -1e-6  # the relaxation floor
+
     def test_general_coefficient_prediction(self, tmp_path):
         out = tmp_path / "scang"
         code = run_cli(

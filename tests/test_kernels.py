@@ -108,3 +108,21 @@ class TestFieldEigenbasis:
         scale = np.abs(lsym).max()
         np.testing.assert_allclose(lsym, lsym.T, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(basis @ np.diag(ell) @ basis.T, lsym, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "variant, alpha, g",
+        [(Variant.P, 0.5, 1.0), (Variant.PPRIME, 0.5, 1.0), (Variant.PPRIME, 1.5, 2.0)],
+    )
+    def test_boundary_weights_are_the_squared_boundary_row(self, variant, alpha, g):
+        op = make_operator(variant=variant, alpha=alpha, nx=200, g=g)
+        b = op.boundary_index
+        ell, basis = _kernels.field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
+        got_ell, weight = _kernels.boundary_weights(np.asarray(op.l_diag), off, b)
+        scale = np.abs(ell).max()
+        np.testing.assert_allclose(got_ell, ell, rtol=0, atol=1e-13 * scale)
+        # relative accuracy where the mode reaches the damped cell, absolute
+        # (to rounding) where it does not
+        np.testing.assert_allclose(weight, basis[b] ** 2, rtol=1e-8, atol=1e-14)
+        assert weight.sum() == pytest.approx(1.0, abs=1e-12)
+
