@@ -4,12 +4,14 @@ Three inner loops dominate runtime: the implicit-midpoint time march, the
 forced relaxation-mode march, and the singular-kernel convolution.  The time
 march steps in the eigenbasis of the field block: one O(n^2) MRRR
 eigensolve (LAPACK dstemr) per march, then no solve and no operator apply
-per step.  Its orthogonal n x n basis is a dense float64 array, 1.3 MB at
-nx=400, 20 MB at nx=1600 and 82 MB at nx=3200.  The relaxation march keeps
-only the current modes; the convolution is one real FFT product through
-``numpy.fft``.  The resolvent needs only the field frequencies and the
-eigenvectors' entries at the damped cell, which ``boundary_weights`` gives
-in O(n) memory; the tridiagonal LU wrapper serves its shifted solves.
+per step; the steps between two samples are advanced in blocks of up to
+_MARCH_BLOCK, each two matrix products and one scaling.  The orthogonal
+n x n basis is a dense float64 array, 1.3 MB at nx=400, 20 MB at nx=1600
+and 82 MB at nx=3200.  The relaxation march keeps only the current modes;
+the convolution is one real FFT product through ``numpy.fft``.  The
+resolvent needs only the field frequencies and the eigenvectors' entries at
+the damped cell, which ``boundary_weights`` gives in O(n) memory; the
+tridiagonal LU wrapper serves its shifted solves.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from .errors import NumericalError
 #: of a field tridiagonal accepted as self-adjoint in the h inner product
 #: (flux-form assembly leaves about 3e-16).
 _SELF_ADJOINT_TOL = 1e-12
+
+#: Most midpoint steps advanced by one pair of block products; the cached
+#: block matrices of a march hold 4 * _MARCH_BLOCK * (n + m) complex entries
+#: per distinct block length.
+_MARCH_BLOCK = 32
 
 
 def backend_name() -> str:
@@ -184,6 +191,27 @@ def _real_matmul(a, z):
     return out
 
 
+def _march_block(scale, left, right, k):
+    """(Q, R, scale^k) advancing k steps of u' = scale*u - right @ (left @ u).
+
+    That step is u' = M u with M = diag(scale) - right @ left.  The rows of
+    Q are the 2-row readers Q_j = left M^j, j < k, built without a solve by
+    Q_{j+1} = Q_j scale - (Q_j right) left, so d = Q u_0 holds every
+    step's (left @ u_j).  The columns of R are the spreaders
+    scale^(k-1-j) right in the same order, so u_k = scale^k u_0 - R d.
+    """
+    size = scale.size
+    readers = np.empty((k, 2, size), dtype=np.complex128)
+    readers[0] = left
+    powers = np.ones((k, size), dtype=np.complex128)  # powers[j] = scale^(k-1-j)
+    for j in range(1, k):
+        np.multiply(readers[j - 1], scale, out=readers[j])
+        readers[j] -= (readers[j - 1] @ right) @ left
+        np.multiply(powers[k - j], scale, out=powers[k - 1 - j])
+    spreaders = (powers[:, :, None] * right).transpose(1, 0, 2).reshape(size, 2 * k)
+    return readers.reshape(2 * k, size), spreaders, powers[0] * scale
+
+
 def midpoint_march(
     l_sub, l_diag, l_sup, h, b_idx, zeta, w, eta, xi2,
     y0, psi0, dt, n_steps, sample_steps,
@@ -201,10 +229,12 @@ def midpoint_march(
     alpha is rotated by the unit-modulus l - 1 and psi scaled by its
     relaxation factor, and both are corrected along fixed vectors by
     multiples of the two products p.alpha (p = l s) and q.psi (psi's share of
-    the boundary right-hand side).  No solve and no operator apply per step:
-    one 2-row product, one scaling and one 2-column update.  The energy is
-    |alpha|^2/2 plus the psi part, since S is orthogonal.  Samples are taken
-    at the step indices listed in ``sample_steps`` (sorted, starting at 0 and
+    the boundary right-hand side).  No solve and no operator apply: the
+    steps between two samples are taken in blocks of at most _MARCH_BLOCK,
+    each one (2k x N) product, one scaling and one (N x 2k) product on the
+    N = n + m coordinates (``_march_block``).  The energy is |alpha|^2/2
+    plus the psi part, since S is orthogonal.  Samples are taken at the
+    step indices listed in ``sample_steps`` (sorted, starting at 0 and
     ending at n_steps).
     """
     ell, basis = field_eigenbasis(l_sub, l_diag, l_sup, h)
@@ -240,9 +270,14 @@ def midpoint_march(
     right[n:, 1] = (vb * r * sp) * g_psi
 
     n_samp = sample_steps.size
-    e_out = np.zeros(n_samp)
-    d_out = np.zeros(n_samp)
     s_out = np.zeros(n_samp, dtype=np.complex128)
+    # E and D are weighted sums of the squared real and imaginary parts of u
+    readout = np.zeros((2, 2 * scale.size))
+    readout[0, : 2 * n] = 0.5
+    readout[0, 2 * n :] = np.repeat(0.5 * zeta * w, 2)
+    readout[1, 2 * n :] = np.repeat(-zeta * w * xi2, 2)
+    ed = np.zeros((n_samp, 2))
+    squares = np.empty(2 * scale.size)
 
     sqrt_h = np.sqrt(h)
     u = np.empty(scale.size, dtype=np.complex128)
@@ -250,22 +285,25 @@ def midpoint_march(
     u[n:] = psi0
     alpha, psi = u[:n], u[n:]
     tmp = np.empty_like(u)
-
-    def _record(k):
-        e_out[k] = 0.5 * (np.vdot(alpha, alpha).real + zeta * np.dot(w, np.abs(psi) ** 2))
-        d_out[k] = -zeta * np.dot(w * xi2, np.abs(psi) ** 2)
-        s_out[k] = np.dot(weta, psi)
+    blocks = {}
 
     done = 0
     # march interval by interval between samples; the last stop ends the run
     for k, stop in enumerate(sample_steps.tolist() + [n_steps]):
-        for _ in range(stop - done):
-            d = np.dot(left, u)
-            u *= scale
-            np.dot(right, d, out=tmp)
+        while done < stop:
+            length = min(stop - done, _MARCH_BLOCK)
+            if length not in blocks:
+                blocks[length] = _march_block(scale, left, right, length)
+            readers, spreaders, scale_k = blocks[length]
+            d = np.dot(readers, u)
+            u *= scale_k
+            np.dot(spreaders, d, out=tmp)
             u -= tmp
-        done = stop
+            done += length
         if k < n_samp:
-            _record(k)
+            np.square(u.view(np.float64), out=squares)
+            np.dot(readout, squares, out=ed[k])
+            s_out[k] = np.dot(weta, psi)
     y = _real_matmul(basis, alpha) / sqrt_h
+    e_out, d_out = ed.T.copy()
     return e_out, d_out, s_out, y, psi.copy()

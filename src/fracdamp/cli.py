@@ -245,7 +245,8 @@ def _cmd_scan(args, parser) -> int:
         fh.write("\n")
     # per shift: the field share of the top singular vector of the
     # resolvent, |lambda|*||R|| - 1 (about 0 on the relaxation floor), the
-    # singular-value counts spent and the certificate gap
+    # singular-value counts spent and the certificate gap; for the fit: its
+    # window's indices, R^2 and the largest |log norm - line| inside it
     diagnostics = {
         "shifts": [
             {"lambda": r.lam, "field_share": r.field_share,
@@ -253,6 +254,8 @@ def _cmd_scan(args, parser) -> int:
              "count_evaluations": r.evaluations, "certificate_gap": r.certificate_gap}
             for r in scan.shifts
         ],
+        "fit": {"window_index": list(scan.fit.window), "r_squared": scan.fit.r_squared,
+                "max_abs_residual": scan.fit.max_residual},
         "stage_s": {"assembly": assembly_s, **scan.stage_s},
     }
     _write_manifest(out, "scan", config, [out / "scan.csv", out / "fit.json"],

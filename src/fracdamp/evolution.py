@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -80,7 +81,9 @@ def simulate(
     ``_kernels.midpoint_march``); a field block that is not self-adjoint in
     the h inner product raises NumericalError.  The trace contains E, the
     discrete dissipation rate D (exact energy derivative at the sample), and
-    the boundary damping flux read from the coupling row.
+    the boundary damping flux read from the coupling row.  Samples are
+    taken every ``sample_stride`` steps (a positive integer; by default the
+    stride that keeps about 2000 samples) and at the last step.
     """
     if dt <= 0 or t_final <= 0:
         raise ParameterError(f"t_final and dt must be positive, got {t_final}, {dt}")
@@ -89,7 +92,9 @@ def simulate(
     n_steps = max(1, int(round(t_final / dt)))  # trace ends at n_steps*dt
     if sample_stride is None:
         sample_stride = max(1, n_steps // 2000)
-    steps = np.arange(0, n_steps + 1, int(sample_stride), dtype=np.int64)
+    elif not isinstance(sample_stride, numbers.Integral) or sample_stride < 1:
+        raise ParameterError(f"sample_stride must be a positive integer, got {sample_stride!r}")
+    steps = np.arange(0, n_steps + 1, sample_stride, dtype=np.int64)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     try:

@@ -52,6 +52,7 @@ class ScanFit:
     exponent: float
     r_squared: float
     window: Tuple[int, int]  # inclusive index range of the fitted sub-window
+    max_residual: float  # largest |log norm - fitted line| inside the window
 
 
 @dataclass(frozen=True)
@@ -724,11 +725,15 @@ def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> Resolven
     norms = np.array([resolvent_norm(op, lam, report=reports) for lam in lambdas])
     stage_s["shifts"] = time.perf_counter() - clock
     clock = time.perf_counter()
-    i0, i1, slope, r2 = _stable_window_fit(np.log(np.abs(lambdas)), np.log(norms))
+    logx, logy = np.log(np.abs(lambdas)), np.log(norms)
+    i0, i1, slope, r2 = _stable_window_fit(logx, logy)
+    x, y = logx[i0 : i1 + 1], logy[i0 : i1 + 1]
+    _, intercept, _ = _fit_line(x, y)
+    residual = float(np.abs(y - (slope * x + intercept)).max())
     stage_s["fit"] = time.perf_counter() - clock
     return ResolventScan(
         lam=lambdas, norm=norms, regime=ScanRegime(regime),
-        fit=ScanFit(exponent=slope, r_squared=r2, window=(i0, i1)),
+        fit=ScanFit(exponent=slope, r_squared=r2, window=(i0, i1), max_residual=residual),
         shifts=tuple(reports), stage_s=stage_s,
     )
 

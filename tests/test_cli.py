@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracdamp
@@ -131,7 +132,21 @@ class TestScan:
         )
         assert code == 0
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert set(diag) == {"shifts", "stage_s"}
+        assert set(diag) == {"shifts", "fit", "stage_s"}
+        fit = json.loads((out / "fit.json").read_text())
+        i0, i1 = diag["fit"]["window_index"]
+        assert 0 <= i0 < i1 < 9
+        assert diag["fit"]["r_squared"] == fit["r_squared"]
+        rows = [[float(v) for v in line.split(",")]
+                for line in (out / "scan.csv").read_text().splitlines()[1:]]
+        assert [rows[i0][0], rows[i1][0]] == fit["window"]
+        # the residual about the fitted line, recomputed from scan.csv
+        logx = np.log([r[0] for r in rows[i0 : i1 + 1]])
+        logy = np.log([r[1] for r in rows[i0 : i1 + 1]])
+        slope, intercept = np.polyfit(logx, logy, 1)
+        assert fit["exponent"] == pytest.approx(slope, rel=1e-12)
+        residual = np.abs(logy - (slope * logx + intercept)).max()
+        assert diag["fit"]["max_abs_residual"] == pytest.approx(residual, rel=1e-9, abs=1e-15)
         assert set(diag["stage_s"]) == {"assembly", "eigensolve", "shifts", "fit"}
         assert all(v >= 0.0 for v in diag["stage_s"].values())
         lams = [float(v) for v in

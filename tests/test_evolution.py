@@ -69,6 +69,11 @@ class TestSimulate:
         trace = simulate(op, state, 10.0, 1e-3, sample_stride=500)
         assert np.abs(trace.E - trace.E[0]).max() <= 1e-12
 
+    @pytest.mark.parametrize("stride", [0, 0.4, -3, 2.5, 2.0])
+    def test_sample_stride_must_be_a_positive_integer(self, small_op, rng, stride):
+        with pytest.raises(ParameterError, match="sample_stride"):
+            simulate(small_op, random_state(small_op, rng), 0.1, 0.01, sample_stride=stride)
+
     def test_field_block_not_h_self_adjoint_is_refused(self, small_op, rng):
         op = replace(small_op, l_sub=1.1 * small_op.l_sub)
         with pytest.raises(NumericalError, match="self-adjoint"):

@@ -50,16 +50,46 @@ def _dense_midpoint_oracle(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2,
     return np.array(e_out), np.array(d_out), np.array(s_out), u[:n], u[n:]
 
 
+def _operator_march_args(variant, dt=0.01):
+    """March inputs from an assembled operator, with sample intervals longer
+    than the block cap (33 -> 100 is split) and a ragged tail (100 -> 150)."""
+    op = make_operator(variant=variant, nx=24, nxi=16)
+    rng = np.random.default_rng(5)
+    n, m = op.xgrid.x.size, op.xigrid.xi.size
+    y0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    steps = np.array([0, 1, 33, 100, 150], dtype=np.int64)
+    assert np.diff(steps).max() > _kernels._MARCH_BLOCK
+    return (op.l_sub, op.l_diag, op.l_sup, op.xgrid.h, op.boundary_index, op.zeta,
+            op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2, y0, psi0, dt, 150, steps)
+
+
+def _assert_matches_dense_oracle(args):
+    got = _kernels.midpoint_march(*args)
+    want = _dense_midpoint_oracle(*args)
+    for name, x, y in zip(("E", "D", "S", "y", "psi"), got, want):
+        assert x.shape == y.shape, name
+        np.testing.assert_allclose(
+            x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max(), err_msg=name
+        )
+
+
 class TestNumpyKernels:
     def test_midpoint_march_matches_dense_oracle(self):
-        args = _march_args()
-        got = _kernels.midpoint_march(*args)
-        want = _dense_midpoint_oracle(*args)
-        for name, x, y in zip(("E", "D", "S", "y", "psi"), got, want):
-            assert x.shape == y.shape, name
-            np.testing.assert_allclose(
-                x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max(), err_msg=name
-            )
+        _assert_matches_dense_oracle(_march_args())
+
+    @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
+    def test_split_sample_intervals_match_dense_oracle(self, variant):
+        _assert_matches_dense_oracle(_operator_march_args(variant))
+
+    @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
+    def test_midpoint_march_repeats_bit_for_bit(self, variant):
+        # byte-identical trace.csv reruns rest on this
+        args = _operator_march_args(variant)
+        first = _kernels.midpoint_march(*args)
+        second = _kernels.midpoint_march(*args)
+        for name, x, y in zip(("E", "D", "S", "y", "psi"), first, second):
+            assert np.array_equal(x, y), name
 
     def test_midpoint_march_rejects_a_field_block_not_h_self_adjoint(self):
         # independent l_sub and l_sup: no flux-form assembly looks like this
