@@ -1,0 +1,20 @@
+"""The CSV artifacts: a header row, then rows of numbers.
+
+Every value is written with format ".17g", which reads back to the same
+double, and every line ends in "\r\n": the bytes csv.writer's default
+dialect gives, since no such field needs quoting.  The rows are formatted
+and joined in one pass and written at once.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``header`` and one row per entry of the equal-length ``columns``."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [",".join(header)]
+    lines += [",".join([format(v, ".17g") for v in row]) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")

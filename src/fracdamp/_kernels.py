@@ -1,17 +1,18 @@
 """Hot numerical kernels, one numpy/LAPACK implementation each.
 
-Three inner loops dominate runtime: the implicit-midpoint time march, the
-forced relaxation-mode march, and the singular-kernel convolution.  The time
-march steps in the eigenbasis of the field block: one O(n^2) MRRR
-eigensolve (LAPACK dstemr) per march, then no solve and no operator apply
-per step; the steps between two samples are advanced in blocks of up to
-_MARCH_BLOCK, each two matrix products and one scaling.  The orthogonal
-n x n basis is a dense float64 array, 1.3 MB at nx=400, 20 MB at nx=1600
-and 82 MB at nx=3200.  The relaxation march keeps only the current modes;
-the convolution is one real FFT product through ``numpy.fft``.  The
-resolvent needs only the field frequencies and the eigenvectors' entries at
-the damped cell, which ``boundary_weights`` gives in O(n) memory; the
-tridiagonal LU wrapper serves its shifted solves.
+Two inner loops dominate runtime: the implicit-midpoint time march and the
+singular-kernel convolution.  The time march steps in the eigenbasis of the
+field block: one O(n^2) MRRR eigensolve (LAPACK dstemr) per march, then no
+solve and no operator apply per step; the steps between two samples are
+advanced in blocks of up to _MARCH_BLOCK, each two matrix products and one
+scaling.  The orthogonal n x n basis is a dense float64 array, 1.3 MB at
+nx=400, 20 MB at nx=1600 and 82 MB at nx=3200.  The convolution is one real
+FFT product through ``numpy.fft``; it serves both the closed-form kernel and
+the forced relaxation modes, whose flux is the same causal convolution with
+the quadrature kernel's cell integrals.  The resolvent needs only the field
+frequencies and the eigenvectors' entries at the damped cell, which
+``boundary_weights`` gives in O(n) memory; the tridiagonal LU wrapper serves
+its shifted solves.
 """
 
 from __future__ import annotations
@@ -74,24 +75,6 @@ def frac_conv(w_avg: np.ndarray, lag_weights: np.ndarray) -> np.ndarray:
         spec = np.fft.rfft(w_avg, nfft) * np.fft.rfft(lag_weights[:n], nfft)
         out[1:] = np.fft.irfft(spec, nfft)[:n]
     return out
-
-
-def psi_march(xi2, eta, weta, zeta, s_avg, dt):
-    """March psi_k' = -xi_k^2 psi_k + eta_k s(t) exactly per step.
-
-    ``s_avg`` holds the per-step constant forcing values.  Returns the final
-    modes and the damping flux zeta*sum(w eta psi) at every step; the mode
-    history is not kept.
-    """
-    n_steps = s_avg.size
-    decay = np.exp(-xi2 * dt)
-    gain = -np.expm1(-xi2 * dt) / xi2  # expm1 avoids cancellation for tiny xi^2*dt
-    flux = np.zeros(n_steps + 1, dtype=np.complex128)
-    psi = np.zeros(xi2.size, dtype=np.complex128)
-    for n in range(n_steps):
-        psi = decay * psi + gain * eta * s_avg[n]
-        flux[n + 1] = zeta * np.dot(weta, psi)
-    return psi, flux
 
 
 def symmetrized_offdiagonal(l_sub, l_sup, h):
@@ -235,7 +218,9 @@ def midpoint_march(
     N = n + m coordinates (``_march_block``).  The energy is |alpha|^2/2
     plus the psi part, since S is orthogonal.  Samples are taken at the
     step indices listed in ``sample_steps`` (sorted, starting at 0 and
-    ending at n_steps).
+    ending at n_steps).  Returns the sampled energy E, dissipation rate D
+    and boundary sum w.(eta psi), and the final modes psi; the final field
+    is not mapped back out of the basis.
     """
     ell, basis = field_eigenbasis(l_sub, l_diag, l_sup, h)
     n = ell.size
@@ -279,11 +264,10 @@ def midpoint_march(
     ed = np.zeros((n_samp, 2))
     squares = np.empty(2 * scale.size)
 
-    sqrt_h = np.sqrt(h)
     u = np.empty(scale.size, dtype=np.complex128)
-    u[:n] = _real_matmul(basis.T, sqrt_h * y0)
+    u[:n] = _real_matmul(basis.T, np.sqrt(h) * y0)
     u[n:] = psi0
-    alpha, psi = u[:n], u[n:]
+    psi = u[n:]
     tmp = np.empty_like(u)
     blocks = {}
 
@@ -304,6 +288,5 @@ def midpoint_march(
             np.square(u.view(np.float64), out=squares)
             np.dot(readout, squares, out=ed[k])
             s_out[k] = np.dot(weta, psi)
-    y = _real_matmul(basis, alpha) / sqrt_h
     e_out, d_out = ed.T.copy()
-    return e_out, d_out, s_out, y, psi.copy()
+    return e_out, d_out, s_out, psi.copy()

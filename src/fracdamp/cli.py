@@ -9,7 +9,6 @@ manifest reproduce the CSV outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__, _csv, _kernels
 from .diffusive import build_xi_quadrature, kernel_check
 from .errors import FracdampError, NumericalError
 from .evolution import fit_decay_exponent, prepare_initial_state, simulate
@@ -37,18 +36,6 @@ from .resolvent import (
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 THRESHOLD_EXIT = 4
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _content_hash(doc: dict) -> str:
@@ -321,7 +308,7 @@ def _cmd_oracle_compare(args, parser) -> int:
                         error={"message": str(exc), **exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    _write_csv(out / "oracle.csv", ["lambda", "l2_error", "linf_error", "nx"], rows)
+    _csv.write_csv(out / "oracle.csv", ["lambda", "l2_error", "linf_error", "nx"], zip(*rows))
     orders = []
     for k in range(1, len(errors)):
         if errors[k] > 0 and errors[k - 1] > 0 and nx_list[k] != nx_list[k - 1]:

@@ -4,12 +4,13 @@ The memory kernel rho*tau**(-beta)*exp(-gamma*tau)/Gamma(1-beta) is written
 exactly as zeta * integral of |xi|**(2*beta-1) * exp(-(xi^2+gamma)*tau) over
 the real xi axis, which turns the convolution damping into local-in-time
 relaxation modes psi(xi,t).  This module builds the xi quadrature, checks it
-against the closed-form kernel, and provides a direct convolution oracle.
+against the closed-form kernel, and provides a direct convolution oracle and
+the forced modes, whose flux is the same convolution with the quadrature
+kernel.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from . import _kernels
+from ._csv import write_csv
 from .errors import GridError, ParameterError
 from .model import derive_constants
 
@@ -114,11 +116,8 @@ class KernelCheck:
     max_rel_error: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "quadrature", "exact", "rel_error"])
-            for row in zip(self.tau, self.quadrature_value, self.exact_value, self.rel_error):
-                writer.writerow([format(v, ".17g") for v in row])
+        write_csv(path, ["tau", "quadrature", "exact", "rel_error"],
+                  [self.tau, self.quadrature_value, self.exact_value, self.rel_error])
 
 
 def kernel_check(grid: XiGrid, rho: float, taus, gamma: float = 0.0) -> KernelCheck:
@@ -168,20 +167,39 @@ def direct_fractional_integral(w, t_grid, beta: float, gamma: float = 0.0) -> np
 
 
 def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0):
-    """Drive the relaxation modes with a boundary signal, mode-exactly per step.
+    """Drive the relaxation modes with a real boundary signal, mode-exactly per step.
 
-    Each mode obeys psi_k' = -xi_k^2 psi_k + eta_k s(t) from psi_k(0)=0 and is
-    advanced with the exponential integrator, the signal held at its per-step
-    mean.  Returns (psi_final, flux): the modes at the last sample and, at
-    every sample, flux(t) = zeta sum w_k eta_k psi_k(t).
+    Each mode obeys psi_k' = -xi_k^2 psi_k + eta_k s(t) from psi_k(0)=0 under
+    the exponential integrator, the signal held at its per-step mean s_avg.
+    Returns (psi_final, flux): the modes at the last sample and, at every
+    sample, flux(t) = zeta sum w_k eta_k psi_k(t).  That flux is the causal
+    product-rectangle convolution of s_avg with the quadrature kernel's cell
+    integrals K[m] = zeta sum_k w_k eta_k^2 exp(-xi_k^2 m dt) g_k,
+    g_k = (1 - exp(-xi_k^2 dt))/xi_k^2, so it goes through the same FFT
+    product as ``direct_fractional_integral``; the final modes are
+    psi_k = g_k eta_k sum_j exp(-xi_k^2 (n-1-j) dt) s_avg[j].  One mode at a
+    time, so the work arrays stay O(n_steps).
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got dt={dt}")
-    s = np.asarray(boundary_signal)
+    if np.iscomplexobj(boundary_signal):
+        raise ParameterError("boundary_signal must be real")
+    s = np.asarray(boundary_signal, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise GridError("boundary_signal must be a 1-d series with >= 2 samples")
     zeta, _ = derive_constants(grid.beta, rho)
     s_avg = 0.5 * (s[:-1] + s[1:])
-    return _kernels.psi_march(
-        grid.xi**2, grid.eta, grid.w * grid.eta, zeta, s_avg, dt
-    )
+    s_rev = s_avg[::-1].copy()
+    lags = dt * np.arange(s_avg.size)
+    xi2 = grid.xi**2
+    gain = -np.expm1(-xi2 * dt) / xi2  # expm1 avoids cancellation for tiny xi^2*dt
+    kernel = np.zeros(s_avg.size)
+    decay = np.empty(s_avg.size)
+    psi = np.empty(xi2.size)
+    for k in range(xi2.size):
+        np.multiply(lags, -xi2[k], out=decay)
+        np.exp(decay, out=decay)  # decay[m] = exp(-xi_k^2 m dt)
+        psi[k] = gain[k] * grid.eta[k] * np.dot(decay, s_rev)
+        decay *= zeta * grid.w[k] * grid.eta[k] ** 2 * gain[k]
+        kernel += decay
+    return psi, _kernels.frac_conv(s_avg, kernel)

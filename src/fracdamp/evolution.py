@@ -8,7 +8,6 @@ property of the scheme, not an accuracy statement.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import numbers
@@ -19,6 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _kernels
+from ._csv import write_csv
 from .errors import FitDataError, NumericalError, ParameterError, ShapeError
 from .model import StateVector, energy
 from .operator import SystemOperator
@@ -43,14 +43,8 @@ class EnergyTrace:
     flux: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "E", "D", "flux_re", "flux_im"])
-            for t, e, d, f in zip(self.t, self.E, self.D, self.flux):
-                writer.writerow(
-                    [format(t, ".17g"), format(e, ".17g"), format(d, ".17g"),
-                     format(f.real, ".17g"), format(f.imag, ".17g")]
-                )
+        write_csv(path, ["t", "E", "D", "flux_re", "flux_im"],
+                  [self.t, self.E, self.D, self.flux.real, self.flux.imag])
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ def simulate(
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     try:
-        e_out, d_out, s_out, _, _ = _kernels.midpoint_march(
+        e_out, d_out, s_out, _ = _kernels.midpoint_march(
             *_midpoint_arrays(op), y0.y, y0.psi, float(dt), n_steps, steps,
         )
     except np.linalg.LinAlgError as exc:

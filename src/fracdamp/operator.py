@@ -145,11 +145,6 @@ class SystemOperator:
         """Diagonal of the weighted inner product, (h_i ; zeta*w_k)."""
         return np.concatenate((self.xgrid.h, self.zeta * self.xigrid.w))
 
-    def boundary_flux(self, state: StateVector) -> complex:
-        """Damping flux value at the damped end (the coupling-row readout)."""
-        s = np.dot(self.xigrid.w * self.xigrid.eta, state.psi)
-        return complex(self.flux_sign * 1j * self.zeta * s)
-
     def apply(self, state: StateVector) -> StateVector:
         if state.y.size != self.xgrid.x.size or state.psi.size != self.xigrid.xi.size:
             raise ShapeError("state does not match operator grids")

@@ -19,7 +19,6 @@ boundary impedance), measures the returned norm and certifies sigma_min.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import time
@@ -30,6 +29,7 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from . import bessel
+from ._csv import write_csv
 from ._kernels import TridiagFactor
 from .errors import (
     ConfigurationError,
@@ -72,11 +72,7 @@ class ResolventScan:
     stage_s: Optional[dict] = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "norm"])
-            for lam, nrm in zip(self.lam, self.norm):
-                writer.writerow([format(lam, ".17g"), format(nrm, ".17g")])
+        write_csv(path, ["lambda", "norm"], [self.lam, self.norm])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,11 @@ import numpy as np
 import pytest
 
 import fracdamp
+from conftest import make_operator
 from fracdamp.cli import main
+from fracdamp.diffusive import KernelCheck
+from fracdamp.evolution import EnergyTrace
+from fracdamp.resolvent import scan_resolvent
 
 
 def run_cli(*args):
@@ -219,6 +225,53 @@ class TestOracleCompare:
             run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5,
                     "--lambda", 1e-3, "--nx-list", "fifty", "--out", tmp_path / "x")
         assert exc.value.code == 2
+
+
+def _csv_writer_bytes(header, rows):
+    """csv.writer's rendering in its default dialect, every value as ".17g"."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, ".17g") for v in row])
+    return buf.getvalue().encode()
+
+
+class TestCsvArtifacts:
+    # signed zeros, thirds, a subnormal, large, non-finite and integral values
+    VALUES = np.array([0.0, -0.0, 0.1, -1.0 / 3.0, 5e-324, 6.02214076e23,
+                       np.inf, -np.inf, np.nan, 12345.0])
+
+    def test_trace_scan_and_kernel_bytes_are_csv_writer_bytes(self, tmp_path):
+        v = self.VALUES
+        flux = np.empty(v.size, dtype=complex)
+        flux.real, flux.imag = v[::-1], np.roll(v, 3)
+        EnergyTrace(t=v, E=np.roll(v, 1), D=-v, flux=flux).to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == _csv_writer_bytes(
+            ["t", "E", "D", "flux_re", "flux_im"],
+            zip(v, np.roll(v, 1), -v, flux.real, flux.imag),
+        )
+        scan = scan_resolvent(make_operator(nx=32, nxi=16), np.geomspace(1e-3, 1e-1, v.size))
+        scan.to_csv(tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_bytes() == _csv_writer_bytes(
+            ["lambda", "norm"], zip(scan.lam, scan.norm)
+        )
+        KernelCheck(tau=v, quadrature_value=np.roll(v, 2), exact_value=-v, rel_error=v[::-1],
+                    in_window=np.ones(v.size, bool), max_rel_error=0.0).to_csv(tmp_path / "kernel.csv")
+        assert (tmp_path / "kernel.csv").read_bytes() == _csv_writer_bytes(
+            ["tau", "quadrature", "exact", "rel_error"], zip(v, np.roll(v, 2), -v, v[::-1])
+        )
+
+    def test_oracle_bytes_are_csv_writer_bytes(self, tmp_path):
+        code = run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3,
+                       "--nx-list", "50,100", "--nxi", 64, "--out", tmp_path)
+        assert code == 0
+        got = (tmp_path / "oracle.csv").read_bytes()
+        # .17g reads back to the same double, so the parsed values are the written ones
+        header, *rows = csv.reader(io.StringIO(got.decode(), newline=""))
+        values = [[float(lam), float(l2), float(linf), int(nx)] for lam, l2, linf, nx in rows]
+        assert [row[3] for row in values] == [50, 100]
+        assert got == _csv_writer_bytes(header, values)
 
 
 class TestPackageSurface:

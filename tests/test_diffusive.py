@@ -12,6 +12,24 @@ from fracdamp.diffusive import (
     kernel_value,
 )
 from fracdamp.errors import GridError, ParameterError
+from fracdamp.model import derive_constants
+
+
+def _psi_march_oracle(grid, signal, dt, rho=1.0):
+    """The forced relaxation march one time step at a time: every mode
+    advanced by the exponential integrator under the per-step mean signal,
+    the flux zeta sum w eta psi read after each step."""
+    zeta, _ = derive_constants(grid.beta, rho)
+    xi2, eta = grid.xi**2, grid.eta
+    decay = np.exp(-xi2 * dt)
+    gain = -np.expm1(-xi2 * dt) / xi2
+    s_avg = 0.5 * (signal[:-1] + signal[1:])
+    psi = np.zeros(xi2.size)
+    flux = np.zeros(s_avg.size + 1)
+    for n, s in enumerate(s_avg):
+        psi = decay * psi + gain * eta * s
+        flux[n + 1] = zeta * np.dot(grid.w * eta, psi)
+    return psi, flux
 
 
 class TestXiGrid:
@@ -205,6 +223,26 @@ class TestEvolvePsiForced:
         mask = t >= 0.1
         rel = np.abs(flux.real - oracle)[mask] / np.abs(oracle)[mask]
         assert rel.max() < 1e-3
+
+    @pytest.mark.parametrize("beta, rho", [(0.5, 1.0), (0.3, 1.7)])
+    def test_matches_the_per_step_march(self, beta, rho):
+        # default grid, xi^2 up to 1e8: modes from fully resolved to ones
+        # that relax within a step; a signal of both signs
+        grid = build_xi_quadrature(beta)
+        dt = 1e-3
+        t = dt * np.arange(4001)
+        signal = np.sin(3.0 * t) - 0.2 + 0.5 * np.cos(40.0 * t)
+        psi, flux = evolve_psi_forced(grid, signal, dt, rho=rho)
+        want_psi, want_flux = _psi_march_oracle(grid, signal, dt, rho=rho)
+        assert flux.shape == want_flux.shape and psi.shape == want_psi.shape
+        assert flux[0] == 0.0
+        np.testing.assert_allclose(flux, want_flux, rtol=0, atol=1e-12 * np.abs(want_flux).max())
+        np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-12 * np.abs(want_psi).max())
+
+    def test_complex_signal_refused(self):
+        grid = build_xi_quadrature(0.5, 64)
+        with pytest.raises(ParameterError, match="real"):
+            evolve_psi_forced(grid, np.ones(11) + 1j, 0.1)
 
 
 class TestRhoValidation:
