@@ -113,6 +113,17 @@ def _grid_config(args, spec, grade) -> dict:
     }
 
 
+def _fit_window(text: str):
+    """LO:HI, two numbers with 0 < LO < HI, for --fit-window."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if not 0.0 < lo < hi:
+        raise argparse.ArgumentTypeError(f"needs 0 < LO < HI, got {text!r}")
+    return lo, hi
+
+
 def _add_problem_flags(p):
     p.add_argument("--problem", choices=["P", "Pprime"], default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -137,10 +148,7 @@ def _cmd_simulate(args, parser) -> int:
     spec = _problem_from_args(args, parser)
     xg, xig, grade = _grids_from_args(args, spec)
     dt = args.dt if args.dt is not None else args.t_final / 2e4
-    if args.fit_window:
-        lo, hi = (float(v) for v in args.fit_window.split(":"))
-    else:
-        lo, hi = args.t_final / 10.0, args.t_final
+    lo, hi = args.fit_window or (args.t_final / 10.0, args.t_final)
     config = _grid_config(args, spec, grade)
     config.update({"t_final": args.t_final, "dt": dt, "y0": args.y0,
                    "fit_window": [lo, hi], "scheme": "implicit_midpoint"})
@@ -157,7 +165,8 @@ def _cmd_simulate(args, parser) -> int:
     try:
         op = assemble_operator(spec, xg, xig)
         lap("assembly")
-        y0 = prepare_initial_state(op, args.y0)
+        initial_state = {}
+        y0 = prepare_initial_state(op, args.y0, report=initial_state)
         lap("preparation")
         trace = simulate(op, y0, args.t_final, dt)  # eigensolve included
         lap("march")
@@ -186,11 +195,12 @@ def _cmd_simulate(args, parser) -> int:
         fh.write("\n")
     # the midpoint rule is contractive, so the largest sampled energy change
     # relative to E[0] (prepared states have unit energy) should be roundoff
-    # or below
+    # or below; initial_state is what the preparation measured
     diagnostics = {
         "march_steps": int(round(trace.t[-1] / dt)),
         "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
         "stage_s": stage_s,
+        "initial_state": initial_state,
     }
     _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"],
                     diagnostics=diagnostics)
@@ -336,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", dest="t_final", type=float, required=True)
     p.add_argument("--dt", type=float, default=None, help="default t_final/20000")
     p.add_argument("--y0", choices=["smooth-bump", "lowest-mode"], default="smooth-bump")
-    p.add_argument("--fit-window", dest="fit_window", default=None, metavar="LO:HI")
+    p.add_argument("--fit-window", dest="fit_window", type=_fit_window, default=None,
+                   metavar="LO:HI")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -22,10 +23,18 @@ from ._csv import write_csv
 from .errors import FitDataError, NumericalError, ParameterError, ShapeError
 from .model import StateVector, energy
 from .operator import SystemOperator
-from .resolvent import _fit_line, smallest_singular_value
+from .resolvent import (
+    _field_eigenvector,
+    _fit_line,
+    damped_eigenvalues,
+    smallest_singular_value,
+)
 
 #: Eigenvalues of modulus at or below this are roundoff, not resolved modes.
 _RESOLVED_EIGENVALUE = 1e-8
+#: Closest distance, relative to the largest field frequency, at which the
+#: eigenvector's complement solve is made next to a field frequency.
+_NUDGE = 1e-12
 
 
 class InitialPreset(str, enum.Enum):
@@ -106,14 +115,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _weighted_eig(op: SystemOperator, left: bool = False):
-    """Dense eig of the weighted similarity: (vals, vr), or (vals, vl, vr) with left."""
-    try:
-        return sla.eig(op.weighted_dense(), left=left)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-
-
 def project_out_near_kernel(
     op: SystemOperator, state: StateVector, tol: float = _RESOLVED_EIGENVALUE
 ) -> StateVector:
@@ -125,7 +126,10 @@ def project_out_near_kernel(
     """
     if smallest_singular_value(op) >= tol:
         return state
-    vals, vl, vr = _weighted_eig(op, left=True)
+    try:
+        vals, vl, vr = sla.eig(op.weighted_dense(), left=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
     sel = np.abs(vals) < tol
     if not np.any(sel):
         return state
@@ -140,26 +144,92 @@ def project_out_near_kernel(
     return StateVector(y=z[:n], psi=z[n:])
 
 
-def _lowest_mode(op: SystemOperator) -> StateVector:
+def _mode_vector(op: SystemOperator, lam: complex) -> StateVector:
+    """Eigenvector of A for its eigenvalue lam, from O(n + m) work.
+
+    In the symmetrized field coordinates u = h^{1/2} y an eigenpair obeys
+    (lam - iT) u = -G(lam) u_b e_b, with G the relaxation sum of
+    ``resolvent._Characteristic``, and psi_k = eta_k y_b / (lam + xi_k^2).
+    So u is proportional to (lam - iT)^{-1} e_b.  That solve is singular to
+    working precision when lam sits within rounding of a field frequency
+    i ell_k of small boundary weight, so u is split along the unit
+    eigenvector q_k of the nearest frequency (inverse iteration; its
+    boundary entry s = q_k[b] is resolved even where ``field_spectrum``
+    reads weight 0): u = q_k - G s r / (1 + G r_b), with r = (lam - iT)^{-1}
+    (e_b - s q_k) taken off q_k, one complex tridiagonal solve.  Within
+    _NUDGE of i ell_k that solve is made that far from it along the real
+    axis, which moves r by about _NUDGE over the gap to the other frequencies.
+    """
+    spectrum = op.field_spectrum
+    b = op.boundary_index
+    k = int(np.argmin(np.abs(lam - 1j * spectrum.ell)))
+    q = _field_eigenvector(op.l_diag, spectrum.off, spectrum.ell[k], b)
+    s = q[b]
+    rhs = -s * q.astype(np.complex128)
+    rhs[b] += 1.0
+    nudge = _NUDGE * max(np.abs(spectrum.ell).max(), 1.0)
+    shift = lam if abs(lam - 1j * spectrum.ell[k]) > nudge else 1j * spectrum.ell[k] + nudge
+    off = -1j * spectrum.off
+    try:
+        _kernels.TridiagFactor(off, shift - 1j * op.l_diag, off).solve_in_place(rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise NumericalError(f"eigenvector solve failed: {exc}", {"eigenvalue": lam}) from exc
+    r = rhs - np.dot(q, rhs) * q
+    xi2 = op.xigrid.xi**2
+    g = op.zeta / op.xgrid.h[b] * np.dot(op.xigrid.w * op.xigrid.eta**2, 1.0 / (lam + xi2))
+    u = q - (g * s / (1.0 + g * r[b])) * r
+    y = u / np.sqrt(op.xgrid.h)
+    return StateVector(y=y, psi=op.xigrid.eta * y[b] / (lam + xi2))
+
+
+def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVector:
     """Slowest-decaying resolved eigenmode: the largest Re lambda among the
     eigenvalues of modulus above _RESOLVED_EIGENVALUE.
 
-    Right eigenvectors only; the mode is mapped back to the H geometry and
-    its eigen-residual checked.
+    The eigenvalues come from the secular census
+    (``resolvent.damped_eigenvalues``), which resolves real parts far below
+    eps |lambda|: a field mode of weight 0 has Re lambda = 0 exactly, a
+    coupled root Re lambda < 0.  Values within 64 eps of the largest real
+    part, relative to it, are tied, and the tie goes to the smallest
+    |lambda|.  On variant P the largest real part is the 0 of the field
+    modes of weight 0, so the mode is the one of them with the smallest
+    frequency: its boundary weight is about 1e-17 at nx=400 and it does not
+    feel the damping.  On P' every field mode is coupled and the mode is the
+    relaxation root next to -xi_min^2, with |lambda| just above
+    _RESOLVED_EIGENVALUE.  The eigenvector is built without a dense matrix
+    (``_mode_vector``) and its eigen-residual checked.  If `report` is a
+    dict, the mode's eigenvalue, boundary weight, field energy share and
+    residual and the census counts and wall time are stored in it.
     """
-    vals, vr = _weighted_eig(op)
-    ok = np.abs(vals) > _RESOLVED_EIGENVALUE
-    if not np.any(ok):
+    clock = time.perf_counter()
+    census = damped_eigenvalues(op)
+    census_s = time.perf_counter() - clock
+    vals = census.values[np.abs(census.values) > _RESOLVED_EIGENVALUE]
+    if not vals.size:
         raise NumericalError("no resolved nonzero eigenmode found")
-    idx = np.flatnonzero(ok)[np.argmax(vals[ok].real)]
-    z = vr[:, idx] / np.sqrt(op.weights)
-    n = op.xgrid.x.size
-    mode = StateVector(y=z[:n], psi=z[n:])
-    resid = _mode_residual(op, mode, vals[idx])
+    top = vals.real.max()
+    tied = vals[vals.real >= top - 64.0 * np.finfo(float).eps * abs(top)]
+    lam = complex(tied[np.argmin(np.abs(tied))])
+    mode = _mode_vector(op, lam)
+    resid = _mode_residual(op, mode, lam)
     if resid > 1e-6:
         raise NumericalError(
-            f"eigenmode residual {resid:.3e} too large", {"eigenvalue": vals[idx]}
+            f"eigenmode residual {resid:.3e} too large", {"eigenvalue": lam}
         )
+    if report is not None:
+        field = StateVector(y=mode.y, psi=np.zeros_like(mode.psi))
+        b = op.boundary_index
+        report.update({
+            "eigenvalue": [lam.real, lam.imag],
+            "boundary_weight": 0.5 * op.xgrid.h[b] * abs(mode.y[b]) ** 2 / energy(field, op),
+            "field_energy_share": energy(field, op) / energy(mode, op),
+            "residual": resid,
+            "census": {"found": int(np.count_nonzero(census.converged[-census.expected:])),
+                       "expected": census.expected, "unconverged": census.unconverged,
+                       "recovered": census.recovered,
+                       "max_newton_iterations": int(census.iterations.max())},
+            "census_s": census_s,
+        })
     return mode
 
 
@@ -174,6 +244,7 @@ def _mode_residual(op: SystemOperator, state: StateVector, lam: complex) -> floa
 def prepare_initial_state(
     op: SystemOperator,
     preset: InitialPreset | str = InitialPreset.SMOOTH_BUMP,
+    report: Optional[dict] = None,
 ) -> StateVector:
     """Build a unit-energy initial state compatible with the damped boundary.
 
@@ -181,17 +252,25 @@ def prepare_initial_state(
     compatible with the damped boundary row for either variant; it is
     projected off the modes with |eigenvalue| < _RESOLVED_EIGENVALUE, which
     a damped operator does not have at the default grids (the guard's
-    lambda=0 solve then skips the projection).  The lowest-mode preset
-    returns the slowest decaying resolved eigenmode.
+    lambda=0 solve reads sigma_min(A) above the threshold and the projection
+    is skipped).  The lowest-mode preset returns the resolved eigenmode with
+    the largest Re lambda, ties at rounding going to the smallest |lambda|
+    (see ``_lowest_mode``).  If `report` is a dict, what the preparation
+    measured is stored in it: for the bump sigma_min(A) and whether the
+    projection ran, for the lowest mode what ``_lowest_mode`` reports.
     """
     preset = InitialPreset(preset)
     if preset is InitialPreset.LOWEST_MODE:
-        state = _lowest_mode(op)
+        state = _lowest_mode(op, report)
     else:
         x = op.xgrid.x
         y = (x**2 * (1.0 - x) ** 2).astype(complex)
         state = StateVector(y=y, psi=np.zeros(op.xigrid.xi.size, dtype=complex))
-        state = project_out_near_kernel(op, state)
+        sigma = smallest_singular_value(op)
+        if sigma < _RESOLVED_EIGENVALUE:
+            state = project_out_near_kernel(op, state)
+        if report is not None:
+            report.update({"sigma_min": sigma, "projected": bool(sigma < _RESOLVED_EIGENVALUE)})
     e0 = energy(state, op)
     if e0 <= 0.0:
         raise NumericalError("prepared state has zero energy")

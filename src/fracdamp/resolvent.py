@@ -15,6 +15,8 @@ the Schur complement onto the field block (the relaxation block is
 diagonal, so its elimination adds a single complex impedance entry at the
 damped cell -- the discrete counterpart of the rho*(i*lam)^(beta-1)
 boundary impedance), measures the returned norm and certifies sigma_min.
+The same coordinates give the eigenvalues of A as the roots of one scalar
+secular function, without a dense matrix (``damped_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -622,6 +624,268 @@ def smallest_singular_value(op, lam: float = 0.0) -> float:
         return 1.0 / resolvent_norm(op, lam)
     except SpectralCollisionError:
         return 0.0
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues as roots of the secular equation
+# ---------------------------------------------------------------------------
+
+#: Newton iterations allowed per root, and deflation sweeps per recovery;
+#: a root that has not converged within them is not counted.
+_NEWTON_STEPS = 60
+#: A Newton step below this share of the root's modulus ends its iteration.
+_NEWTON_RTOL = 16.0 * np.finfo(float).eps
+#: Converged roots closer than this share of their modulus are one root.
+_DISTINCT_RTOL = 1e-10
+#: Bisection steps that bracket each relaxation-band root on the real axis.
+_BRACKET_STEPS = 30
+#: Entries per row block of the secular sums (1 MB of complex temporaries).
+_SUM_BLOCK = 1 << 16
+
+
+class DampedEigenvalues(NamedTuple):
+    """The eigenvalues of A and how the secular census found them.
+
+    ``values`` holds all n + m eigenvalues: first i ell_k for the field
+    modes of weight 0 (decoupled, so exact), then the K + m roots of
+    1 + F G, K being the number of coupled field modes.  ``converged`` and
+    ``iterations`` are per value (decoupled modes: True and 0).  A census
+    is only returned complete, so every flag is True.  ``unconverged``
+    counts the Newton starts that did not converge (starts that converge
+    to a root another start found are merged, not counted), and
+    ``recovered`` the roots that deflated Newton found after them.
+    """
+
+    values: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    expected: int
+    unconverged: int
+    recovered: int
+
+
+def _secular_sums(z, poles, w2):
+    """sum w2/(z - p) and sum w2/(z - p)^2 over the poles p, for each z.
+
+    Evaluated in row blocks of at most _SUM_BLOCK table entries, so no
+    len(z) x len(poles) array is formed.
+    """
+    s0 = np.empty(z.size, dtype=np.complex128)
+    s1 = np.empty(z.size, dtype=np.complex128)
+    rows = max(1, _SUM_BLOCK // max(poles.size, 1))
+    w2 = w2.astype(np.complex128)
+    for i in range(0, z.size, rows):
+        d = np.subtract.outer(z[i : i + rows], poles)
+        np.reciprocal(d, out=d)
+        s0[i : i + rows] = d @ w2
+        d *= d
+        s1[i : i + rows] = d @ w2
+    return s0, s1
+
+
+class _Characteristic:
+    """det(z - A) = det Delta(z) (1 + F(z) G(z)), as the census needs it.
+
+    In the weighted field eigenbasis z - A is diag(z - i ell, z + xi^2)
+    plus the rank-two coupling e_s e_a^T - e_a e_s^T of ``_Secular``, so
+    with the field weights s_k^2 and the relaxation weights a_k^2 =
+    zeta w_k eta_k^2 / h_b
+        F(z) = sum s_k^2 / (z - i ell_k),   G(z) = sum a_k^2 / (z + xi_k^2).
+    Only coupled modes (weight > 0) are poles.  Newton runs on the forms
+    that stay regular at the poles a root sits next to: 1/F + G near the
+    field poles and in the open band, 1/G + F next to a relaxation pole.
+    """
+
+    def __init__(self, op):
+        spectrum = op.field_spectrum
+        b = op.boundary_index
+        self.coupled = spectrum.weight > 0.0
+        self.ell = spectrum.ell[self.coupled]
+        self.s2 = spectrum.weight[self.coupled]
+        self.field_poles = 1j * self.ell
+        self.relax_poles = (-op.xigrid.xi**2).astype(np.complex128)
+        self.a2 = op.zeta * op.xigrid.w * op.xigrid.eta**2 / op.xgrid.h[b]
+
+    def terms(self, z):
+        """F, F', G, G' at each z."""
+        f, df = _secular_sums(z, self.field_poles, self.s2)
+        g, dg = _secular_sums(z, self.relax_poles, self.a2)
+        return f, -df, g, -dg
+
+    def newton(self, z, near_relax):
+        """Newton from each start z, on 1/G + F where near_relax, else on 1/F + G.
+
+        Safeguarded: iterates stay in the closed left half-plane, and a
+        start stops when its step falls below _NEWTON_RTOL of its modulus
+        (converged) or is not finite (a pole was hit); no start runs more
+        than _NEWTON_STEPS iterations.  Returns (roots, converged, iterations).
+        """
+        z = z.astype(np.complex128)
+        converged = np.zeros(z.size, dtype=bool)
+        iterations = np.zeros(z.size, dtype=np.int64)
+        active = np.flatnonzero(np.isfinite(z))
+        for _ in range(_NEWTON_STEPS):
+            if not active.size:
+                break
+            za = z[active]
+            relax = near_relax[active]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                f, df, g, dg = self.terms(za)
+                step = np.where(relax, (1.0 / g + f) / (df - dg / g**2),
+                                (1.0 / f + g) / (dg - df / f**2))
+            finite = np.isfinite(step)
+            za = np.where(finite, za - step, za)
+            # every eigenvalue has Re <= 0 (Re <A Y, Y> <= 0), so an iterate is
+            # put back onto that closed half-plane, which brings it no
+            # farther from any root
+            za.real = np.minimum(za.real, 0.0)
+            z[active] = za
+            iterations[active] += 1
+            done = finite & (np.abs(step) <= _NEWTON_RTOL * np.abs(za))
+            converged[active[done]] = True
+            active = active[finite & ~done]
+        return z, converged, iterations
+
+    def gap_starts(self):
+        """One real start per gap between consecutive relaxation poles.
+
+        On the negative axis G is real and falls from +inf to -inf across
+        each gap, while Re F < 0 keeps 1/F finite; the start is where
+        G + Re(1/F) changes sign, found by bisection in real arithmetic.
+        """
+        order = np.argsort(self.relax_poles.real)
+        edges, a2 = self.relax_poles.real[order], self.a2[order]
+        lo, hi = edges[:-1].copy(), edges[1:].copy()
+        ell2 = self.ell**2
+        for _ in range(_BRACKET_STEPS):
+            mid = 0.5 * (lo + hi)
+            g = (1.0 / np.subtract.outer(mid, edges)) @ a2
+            inv = 1.0 / np.add.outer(mid**2, ell2)
+            f_re = mid * (inv @ self.s2)
+            f_im = inv @ (self.s2 * self.ell)
+            right = g + f_re / (f_re**2 + f_im**2) > 0.0
+            lo = np.where(right, mid, lo)
+            hi = np.where(right, hi, mid)
+        return 0.5 * (lo + hi)
+
+    def pole_starts(self):
+        """Starts next to each relaxation pole p: p - a^2 F(p)."""
+        return self.relax_poles - self.a2 * _secular_sums(self.relax_poles, self.field_poles,
+                                                          self.s2)[0]
+
+    def field_starts(self):
+        """Starts next to each field pole i ell: i ell - s^2 G(i ell)."""
+        return self.field_poles - self.s2 * _secular_sums(self.field_poles, self.relax_poles,
+                                                          self.a2)[0]
+
+    def deflated_root(self, w, found):
+        """Newton from w with the found roots divided out (Maehly 1954).
+
+        With P = (1 + F G) prod(z - poles) the characteristic polynomial,
+        P'/P - sum 1/(z - r) over the found roots r is the logarithmic
+        derivative of P with those roots removed, so each step heads for a
+        root not yet found.  Returns (root, converged, iterations).
+        """
+        poles = np.concatenate((self.field_poles, self.relax_poles))
+        w = np.array([w], dtype=np.complex128)
+        for it in range(1, _NEWTON_STEPS + 1):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                f, df, g, dg = self.terms(w)
+                log_d = ((df * g + f * dg) / (1.0 + f * g)
+                         + _secular_sums(w, poles, np.ones(poles.size))[0]
+                         - _secular_sums(w, found, np.ones(found.size))[0])
+                step = 1.0 / log_d
+            if not np.isfinite(step[0]):
+                return w[0], False, it
+            w -= step
+            if abs(step[0]) <= _NEWTON_RTOL * abs(w[0]):
+                return w[0], True, it
+        return w[0], False, _NEWTON_STEPS
+
+    def recovery_starts(self):
+        """Deflation starts away from both pole families: the rays at
+        +-3 pi/4 through the band, one point per decade of |pole|."""
+        scale = np.abs(np.concatenate((self.field_poles, self.relax_poles)))
+        scale = scale[scale > 0.0]
+        decades = np.arange(math.floor(math.log10(scale.min())),
+                            math.ceil(math.log10(scale.max())) + 1)
+        radius = 10.0 ** np.repeat(decades, 2)
+        return radius * np.tile(np.exp([0.75j * np.pi, -0.75j * np.pi]), decades.size)
+
+
+def _distinct(z):
+    """Indices of z without repeats: roots within _DISTINCT_RTOL of their modulus are one."""
+    mod = np.abs(z)
+    order = np.argsort(mod, kind="stable")
+    zs, mod = z[order], mod[order]
+    tol = _DISTINCT_RTOL * mod
+    keep = np.ones(zs.size, dtype=bool)
+    for i in range(zs.size):
+        if not keep[i]:
+            continue
+        j = i + 1
+        while j < zs.size and mod[j] - mod[i] <= tol[i]:
+            if abs(zs[j] - zs[i]) <= tol[i]:
+                keep[j] = False
+            j += 1
+    return order[keep]
+
+
+def damped_eigenvalues(op) -> DampedEigenvalues:
+    """All eigenvalues of A, from the secular form of its characteristic polynomial.
+
+    A field mode of weight 0 in ``op.field_spectrum`` is an exact
+    eigenvalue i ell_k.  The other K + m eigenvalues are the roots of
+    1 + F G (see ``_Characteristic``), found by safeguarded Newton from
+    three families of starts: next to each coupled field pole, next to
+    each relaxation pole, and one bracketed on the real axis in each gap
+    between consecutive relaxation poles.  Converged roots are merged;
+    roots still missing (such as the continuation of a zero field
+    frequency into the relaxation band) are recovered one at a time by
+    Newton with the found roots divided out.  Each evaluation costs
+    O(n + m); no dense matrix is formed.  Unless K + m distinct converged roots result,
+    NumericalError is raised with the census counts.
+    """
+    if op.zeta <= 0.0:
+        raise ConfigurationError("the eigenvalue census requires a damped operator (zeta > 0)")
+    char = _Characteristic(op)
+    n_field, n_relax = char.field_poles.size, char.relax_poles.size
+    expected = n_field + n_relax
+
+    starts = np.concatenate((char.field_starts(), char.pole_starts(), char.gap_starts()))
+    near_relax = np.zeros(starts.size, dtype=bool)
+    near_relax[n_field : n_field + n_relax] = True
+    z, converged, iterations = char.newton(starts, near_relax)
+    good = np.flatnonzero(converged)
+    keep = good[_distinct(z[good])]
+    roots, iters = z[keep], iterations[keep]
+    unconverged = int(starts.size - good.size)
+    recovered = 0
+    # roots still missing, one at a time, by deflated Newton from fixed
+    # points and then from the starts that did not converge
+    for w0 in np.concatenate((char.recovery_starts(), starts[~converged])):
+        if roots.size >= expected:
+            break
+        w, ok, its = char.deflated_root(w0, roots)
+        if ok and np.all(np.abs(roots - w) > _DISTINCT_RTOL * abs(w)):
+            roots = np.append(roots, w)
+            iters = np.append(iters, its)
+            recovered += 1
+    if roots.size != expected:
+        raise NumericalError(
+            "eigenvalue census incomplete",
+            {"found": int(roots.size), "expected": expected, "unconverged": unconverged,
+             "recovered": recovered, "max_newton_iterations": int(iterations.max(initial=0))},
+        )
+    decoupled = 1j * op.field_spectrum.ell[~char.coupled]
+    return DampedEigenvalues(
+        values=np.concatenate((decoupled, roots)),
+        converged=np.ones(decoupled.size + roots.size, dtype=bool),
+        iterations=np.concatenate((np.zeros(decoupled.size, dtype=np.int64), iters)),
+        expected=expected,
+        unconverged=unconverged,
+        recovered=recovered,
+    )
 
 
 def solve_resolvent(op: SystemOperator, lam: float, f_y, f_psi):

@@ -33,6 +33,11 @@ def resolvent_norm_dense(op, lam: float) -> float:
     return float(1.0 / s[-1])
 
 
+def eigvals_dense(op) -> np.ndarray:
+    """Dense-eig oracle for the eigenvalues of A on small instances."""
+    return np.linalg.eigvals(op.weighted_dense())
+
+
 @pytest.fixture
 def small_op():
     return make_operator()

@@ -78,6 +78,47 @@ class TestSimulate:
         assert set(stage_s) == {"assembly", "preparation", "march", "fit"}
         assert all(v >= 0.0 for v in stage_s.values())
 
+    @pytest.mark.parametrize("y0", ["lowest-mode", "smooth-bump"])
+    def test_manifest_initial_state(self, tmp_path, y0):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--problem", "Pprime", "--alpha", 1.5, "--beta", 0.5,
+            "--nx", 48, "--nxi", 32, "--t-final", 1.0, "--dt", 0.01, "--y0", y0, "--out", out,
+        ) == 0
+        report = json.loads((out / "manifest.json").read_text())["diagnostics"]["initial_state"]
+        if y0 == "smooth-bump":
+            assert set(report) == {"sigma_min", "projected"}
+            assert report["sigma_min"] > 0.0 and report["projected"] is False
+            return
+        assert set(report) == {"eigenvalue", "boundary_weight", "field_energy_share",
+                               "residual", "census", "census_s"}
+        assert len(report["eigenvalue"]) == 2 and report["eigenvalue"][0] < 0.0
+        assert 0.0 <= report["boundary_weight"] <= 1.0
+        assert 0.0 <= report["field_energy_share"] <= 1.0
+        assert report["residual"] <= 1e-8
+        census = report["census"]
+        assert set(census) == {"found", "expected", "unconverged", "recovered",
+                               "max_newton_iterations"}
+        assert census["found"] == census["expected"] > 0
+        assert report["census_s"] >= 0.0
+
+    @pytest.mark.parametrize("window", ["1", "a:b", "1:2:3", "5:2", "0:2"])
+    def test_bad_fit_window_is_refused_before_any_work(self, tmp_path, window):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                    "--nx", 32, "--nxi", 16, "--t-final", 5.0, "--fit-window", window,
+                    "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_fit_window_is_used(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                       "--nx", 32, "--nxi", 16, "--t-final", 5.0, "--dt", 0.01,
+                       "--fit-window", "1:4.5", "--out", out) == 0
+        assert json.loads((out / "fit.json").read_text())["window"] == [1.0, 4.5]
+
     def test_invalid_variant_alpha_combination(self, tmp_path):
         code = run_cli(
             "simulate", "--problem", "P", "--alpha", 1.5, "--beta", 0.5,

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_operator, random_state
+from conftest import eigvals_dense, make_operator, random_state
 from fracdamp import _kernels
+from fracdamp import resolvent as resolvent_module
 from fracdamp.errors import FitDataError, NumericalError, ParameterError
 from fracdamp.evolution import (
     EnergyTrace,
@@ -14,7 +15,7 @@ from fracdamp.evolution import (
     project_out_near_kernel,
     simulate,
 )
-from fracdamp.model import StateVector, energy, weighted_norm
+from fracdamp.model import StateVector, Variant, energy, weighted_norm
 
 
 def _one_step(op, state, dt):
@@ -156,6 +157,64 @@ class TestPrepare:
         resid = StateVector(y=ay.y - lam * state.y, psi=ay.psi - lam * state.psi)
         assert weighted_norm(resid, op) < 1e-8 * weighted_norm(state, op)
         assert abs(lam) > 1e-8
+
+    @pytest.mark.parametrize("variant,alpha,g", [(Variant.P, 0.5, 1.0),
+                                                 (Variant.PPRIME, 0.5, 1.0),
+                                                 (Variant.PPRIME, 1.5, 2.0)])
+    def test_lowest_mode_has_the_largest_real_part(self, variant, alpha, g):
+        op = make_operator(variant, alpha=alpha, nx=64, g=g)
+        report = {}
+        prepare_initial_state(op, "lowest-mode", report=report)
+        dense = eigvals_dense(op)
+        resolved = dense[np.abs(dense) > 1e-8]
+        re, im = report["eigenvalue"]
+        assert abs(complex(re, im)) > 1e-8
+        assert abs(re - resolved.real.max()) <= 64 * np.finfo(float).eps * np.abs(dense).max()
+
+    @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
+    def test_lowest_mode_needs_no_dense_eig(self, variant, monkeypatch):
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on the lowest-mode path")
+
+        for module, name in ((scipy.linalg, "eig"), (scipy.linalg, "eigvals"),
+                             (np.linalg, "eig"), (np.linalg, "eigvals")):
+            monkeypatch.setattr(module, name, refuse)
+        op = make_operator(variant, nx=48, nxi=32)
+        state = prepare_initial_state(op, "lowest-mode")
+        assert energy(state, op) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
+    def test_lowest_mode_residual_at_the_benchmark_grid(self, variant):
+        # nx=400, nxi=200 and xi in [1e-4, 1e4]: on P most field modes read
+        # weight 0 in field_spectrum, yet their boundary entries are about 1e-8
+        from fracdamp.diffusive import build_xi_quadrature
+        from fracdamp.model import PowerLawKappa, ProblemSpec
+        from fracdamp.operator import assemble_operator, build_x_grid
+
+        spec = ProblemSpec(variant=variant, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0)
+        op = assemble_operator(spec, build_x_grid(400, 1.0),
+                               build_xi_quadrature(0.5, 200, 1e-4, 1e4))
+        report = {}
+        prepare_initial_state(op, "lowest-mode", report=report)
+        assert report["residual"] <= 1e-8
+        census = report["census"]
+        assert census["found"] == census["expected"]
+
+    def test_incomplete_census_is_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(resolvent_module, "_NEWTON_STEPS", 1)
+        with pytest.raises(NumericalError) as exc:
+            prepare_initial_state(make_operator(Variant.PPRIME, nx=48, nxi=32), "lowest-mode")
+        diag = exc.value.diagnostics
+        assert diag["found"] < diag["expected"]
+        assert set(diag) >= {"unconverged", "recovered", "max_newton_iterations"}
+
+    def test_smooth_bump_report(self, small_op):
+        report = {}
+        prepare_initial_state(small_op, report=report)
+        assert report["projected"] is False
+        assert report["sigma_min"] >= 0.5 * small_op.xigrid.xi_min**2
 
 
 class TestDecayFit:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_operator, resolvent_norm_dense
+from conftest import eigvals_dense, make_operator, resolvent_norm_dense
 from fracdamp.errors import FitDataError, ParameterError, SpectralCollisionError
 from fracdamp.model import PowerLawKappa, ProblemSpec, StateVector, Variant
 from fracdamp import resolvent as resolvent_module
@@ -14,6 +14,7 @@ from fracdamp.resolvent import (
     _ShiftedSystem,
     _fit_line,
     _stable_window_fit,
+    damped_eigenvalues,
     forcing_integral,
     resolvent_norm,
     scan_resolvent,
@@ -284,6 +285,51 @@ class TestShiftedSystem:
         np.testing.assert_array_equal(z1, z2)
         assert not np.shares_memory(z1, f)
         assert not np.shares_memory(z1, z2)
+
+
+# (variant, alpha, grading): P with its zero Neumann frequency, P' with the
+# Dirichlet-type and the weighted-Neumann end
+CENSUS_CASES = [(Variant.P, 0.5, 1.0), (Variant.PPRIME, 0.5, 1.0), (Variant.PPRIME, 1.5, 2.0)]
+
+
+class TestDampedEigenvalues:
+    @staticmethod
+    def _match(dense, values):
+        """Largest distance of a one-to-one pairing, relative to max(|lambda|, 1)."""
+        from scipy.optimize import linear_sum_assignment
+
+        dist = np.abs(dense[:, None] - values[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        return float((dist[rows, cols] / np.maximum(np.abs(dense[rows]), 1.0)).max())
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5])
+    @pytest.mark.parametrize("variant,alpha,g", CENSUS_CASES)
+    def test_matches_dense_eig(self, variant, alpha, g, beta):
+        # the relaxation band holds mid-band roots a few hundredths off the
+        # real axis and roots within 1e-6 of their poles; on P and on P'
+        # alpha=1.5 the zero field frequency continues into the band
+        op = make_operator(variant, alpha=alpha, beta=beta, nx=100, g=g)
+        census = damped_eigenvalues(op)
+        coupled = int(np.count_nonzero(op.field_spectrum.weight))
+        assert census.expected == coupled + op.xigrid.xi.size
+        assert census.values.size == op.dimension
+        assert census.converged.all()
+        assert self._match(eigvals_dense(op), census.values) <= 1e-9
+
+    @pytest.mark.parametrize("variant,alpha,g", [CENSUS_CASES[0], CENSUS_CASES[2]])
+    def test_deflation_recovers_a_left_out_root(self, variant, alpha, g):
+        # the roots next to -1: mid-band relaxation roots and the damped
+        # continuation of the zero field frequency, which sits next to
+        # neither pole family
+        op = make_operator(variant, alpha=alpha, beta=0.3, nx=100, g=g)
+        census = damped_eigenvalues(op)
+        roots = census.values[-census.expected:]
+        char = resolvent_module._Characteristic(op)
+        w0 = char.recovery_starts()[0]
+        for k in np.argsort(np.abs(roots + 1.0))[:8]:
+            w, ok, _ = char.deflated_root(w0, np.delete(roots, k))
+            assert ok
+            assert abs(w - roots[k]) <= 1e-9 * max(abs(roots[k]), 1.0)
 
 
 def _brute_force_window_fit(logx, logy, min_points=8, slope_band=0.10):
