@@ -769,14 +769,12 @@ class _Characteristic:
         return 0.5 * (lo + hi)
 
     def pole_starts(self):
-        """Starts next to each relaxation pole p: p - a^2 F(p)."""
-        return self.relax_poles - self.a2 * _secular_sums(self.relax_poles, self.field_poles,
-                                                          self.s2)[0]
-
-    def field_starts(self):
-        """Starts next to each field pole i ell: i ell - s^2 G(i ell)."""
-        return self.field_poles - self.s2 * _secular_sums(self.field_poles, self.relax_poles,
-                                                          self.a2)[0]
+        """Starts next to each pole, the first Newton step from it on the form
+        regular there: i ell - s^2 G(i ell) for the field poles, then
+        p - a^2 F(p) for the relaxation poles p."""
+        g = _secular_sums(self.field_poles, self.relax_poles, self.a2)[0]
+        f = _secular_sums(self.relax_poles, self.field_poles, self.s2)[0]
+        return np.concatenate((self.field_poles - self.s2 * g, self.relax_poles - self.a2 * f))
 
     def deflated_root(self, w, found):
         """Newton from w with the found roots divided out (Maehly 1954).
@@ -852,7 +850,7 @@ def damped_eigenvalues(op) -> DampedEigenvalues:
     n_field, n_relax = char.field_poles.size, char.relax_poles.size
     expected = n_field + n_relax
 
-    starts = np.concatenate((char.field_starts(), char.pole_starts(), char.gap_starts()))
+    starts = np.concatenate((char.pole_starts(), char.gap_starts()))
     near_relax = np.zeros(starts.size, dtype=bool)
     near_relax[n_field : n_field + n_relax] = True
     z, converged, iterations = char.newton(starts, near_relax)
