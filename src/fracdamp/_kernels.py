@@ -1,26 +1,26 @@
 """Hot numerical kernels, one numpy/LAPACK implementation each.
 
 Two inner loops dominate runtime: the implicit-midpoint time march and the
-singular-kernel convolution.  The time march steps in the eigenbasis of the
-field block: one O(n^2) MRRR eigensolve (LAPACK dstemr) per march, then no
-solve and no operator apply per step; the steps between two samples are
-advanced in blocks of up to _MARCH_BLOCK, each two matrix products and one
-scaling.  The orthogonal n x n basis is a dense float64 array, 1.3 MB at
-nx=400, 20 MB at nx=1600 and 82 MB at nx=3200.  The convolution is one real
-FFT product through ``numpy.fft``; it serves both the closed-form kernel and
-the forced relaxation modes, whose flux is the same causal convolution with
-the quadrature kernel's cell integrals.  The resolvent needs only the field
-frequencies and the eigenvectors' entries at the damped cell, which
-``boundary_weights`` gives in O(n) memory; the tridiagonal LU wrapper serves
-its shifted solves.
+singular-kernel convolution.  The time march steps only the field modes that
+reach the damped cell, in their eigen-coordinates, and forms no n x n array:
+the frequencies and boundary weights come from ``boundary_weights`` and the
+initial field's coordinates from ``field_modes``, each a few passes of one
+pivot recurrence over all modes at once (``_sweep``, O(n) memory).  No solve
+and no operator apply per step: the steps between two samples are advanced
+in blocks of up to _MARCH_BLOCK, each two matrix products and one scaling.
+The convolution is one real FFT product through ``numpy.fft``; it serves
+both the closed-form kernel and the forced relaxation modes, whose flux is
+the same causal convolution with the quadrature kernel's cell integrals.
+The resolvent needs the same frequencies and boundary weights; the
+tridiagonal LU wrapper serves its shifted solves.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
@@ -31,9 +31,15 @@ from .errors import NumericalError
 _SELF_ADJOINT_TOL = 1e-12
 
 #: Most midpoint steps advanced by one pair of block products; the cached
-#: block matrices of a march hold 4 * _MARCH_BLOCK * (n + m) complex entries
-#: per distinct block length.
+#: block matrices of a march hold 4 * _MARCH_BLOCK * (K + m) complex entries
+#: per distinct block length, K being the field modes marched.
 _MARCH_BLOCK = 32
+
+#: Smallest weight q_k[row]^2 at which ``field_modes`` reads a mode at an end
+#: row; the relative error of a weight w there is about eps / w.
+_RESOLVED_WEIGHT = 1e-6
+
+_TINY = np.finfo(float).tiny
 
 
 def backend_name() -> str:
@@ -97,16 +103,92 @@ def symmetrized_offdiagonal(l_sub, l_sup, h):
     return np.copysign(np.sqrt(l_sub * l_sup), l_sup)
 
 
-def field_eigenbasis(l_sub, l_diag, l_sup, h):
-    """Eigenpairs (ell, S) of the field tridiagonal L in the h inner product.
+class _Elimination(NamedTuple):
+    """T = (d, off) with its rows ordered so that one end row is eliminated
+    last (``flip``: the order is reversed): the off-diagonal ``e`` and the
+    reference pivots ``ref`` of the LDL^T factorization of -T in that order,
+    with the ratios g_i = e_{i-1}^2 / ref_{i-1}."""
 
-    L = D^{-1/2} S diag(ell) S^T D^{1/2} with S orthogonal, from the
-    symmetrized tridiagonal of ``symmetrized_offdiagonal`` (which refuses a
-    block that is not h-self-adjoint).  MRRR (LAPACK dstemr) returns all n
-    pairs in O(n^2) time; S is a dense real n x n array.
+    e: np.ndarray
+    ref: np.ndarray
+    g: np.ndarray
+    flip: bool
+
+
+def _elimination(d, off, last):
+    """The elimination of T = (d, off) with the end row ``last`` last.
+
+    The field block has no positive eigenvalue, so the factorization of -T
+    is definite: its last pivot is 0 to rounding when T is singular and is
+    never divided by.  An exact zero among the others becomes the tiny one,
+    as in a Sturm count.
     """
-    off = symmetrized_offdiagonal(l_sub, l_sup, h)
-    return eigh_tridiagonal(l_diag, off, lapack_driver="stemr")
+    n = d.size
+    if last not in (0, n - 1):
+        raise ValueError(f"row {last} is not an end row of a tridiagonal of size {n}")
+    flip = last != n - 1
+    dd, ee = (d[::-1], off[::-1]) if flip else (d, off)
+    ee2 = ee * ee
+    ref = [-dd[0]]
+    for di, e2 in zip(dd[1:].tolist(), ee2.tolist()):
+        ref.append(-di - e2 / (ref[-1] or _TINY))
+    ref = np.array(ref)
+    prev = ref[:-1].copy()
+    prev[prev == 0.0] = _TINY
+    return _Elimination(ee, ref, ee2 / prev, flip)
+
+
+def _sweep(el, mu, derivative=False, ratio=False, z=None):
+    """One pass of the LDL^T recurrence of mu - T in the order of ``el``, for
+    all mu at once (O(n) steps): the last pivot p(mu) and the rows t (the
+    last pivot's differential part), then p'(mu) if ``derivative``, the
+    product rho(mu) of the multipliers e_i / p_i if ``ratio``, and the real
+    and imaginary parts of the last entry r(mu) of the vector z (natural row
+    order) eliminated alongside, if given.
+
+    The pivots are carried in differential form, p_i = ref_i + t_i with
+    t_i = mu + g_i t_{i-1} / p_{i-1}: mu is never added to a diagonal entry,
+    so the rounding of the large entries at fine cells does not move the
+    small eigenvalues.  With first row f and last row l, (mu - T) x = e_l has
+    x_f / x_l = rho(mu), and e_l . (mu - T)^{-1} z = r(mu) / p(mu).  At an
+    eigenvalue ell_k with unit eigenvector q_k these are q_k[f] / q_k[l] and
+    a pole of residue q_k[l] (q_k . z), so q_k . z = r(ell_k) q_k[l], and the
+    weight q_k[l]^2 is 1 / p'(ell_k).  A pivot that is exactly 0 leaves
+    non-finite values in its column, which the callers treat as unresolved.
+    """
+    n = el.ref.size
+    one, zero = np.ones_like(mu), np.zeros_like(mu)
+    # per row: its coefficient, its value at the first row, what each step adds
+    rows = [(el.g, mu, mu)]
+    if derivative:
+        rows.append((el.e * el.e, one, one))
+    if ratio:
+        rows.append((el.e, one, zero))
+    coef, start, add = (list(r) for r in zip(*rows))
+    nb = len(rows)
+    add = np.array(add)
+    if z is not None:
+        zz = np.stack((np.real(z), np.imag(z)), axis=1)
+        zz = (zz[::-1] if el.flip else zz)[:, :, None]
+        coef += [el.e, el.e]
+        start += [zz[0, 0] * one, zz[0, 1] * one]
+    coef = np.stack(coef, axis=1)[:, :, None]
+    x = np.array(start)
+    ref = el.ref.tolist()
+    piv = ref[0] + mu
+    m = np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(1, n):
+            # (t, p', rho, r) <- (g t, e^2 p' / p, e rho, e r) / p + (mu, 1, 0, z_i)
+            np.divide(coef[i - 1], piv, out=m)
+            if derivative:
+                m[1] /= piv
+            x *= m
+            x[:nb] += add
+            if z is not None:
+                x[nb:] += zz[i]
+            np.add(x[0], ref[i], out=piv)
+    return piv, x
 
 
 def boundary_weights(d, off, b):
@@ -116,62 +198,82 @@ def boundary_weights(d, off, b):
     ell comes from LAPACK dsterf.  With b eliminated last, the last pivot
     p(z) of the LDL^T factorization of z - T is det(z - T)/det(z - T_b), T_b
     being T without row and column b, so at an eigenvalue w_k = 1/p'(ell_k).
-    One pivot recurrence carries p and p' for all n eigenvalues at once
-    (O(n^2) time); one Newton step ell_k - p w_k refines each eigenvalue and
-    a second pass gives the weights.  Where ell_k is also, to rounding, an
-    eigenvalue of T_b, p is 0/0 and the residual |p w_k| of the second pass
-    stays above rounding: such a mode does not reach row b, its weight is
-    0 and it keeps its dsterf eigenvalue.
+    One pivot recurrence (``_sweep``) carries p and p' for all n eigenvalues
+    at once (O(n^2) time); one Newton step ell_k - p w_k refines each
+    eigenvalue and a second pass gives the weights.  Where ell_k is also, to
+    rounding, an eigenvalue of T_b, p is 0/0 and the residual |p w_k| of the
+    second pass stays above rounding: such a mode does not reach row b, its
+    weight is 0 and it keeps its dsterf eigenvalue.
     """
-    n = d.size
-    if b not in (0, n - 1):
-        raise ValueError(f"row {b} is not an end row of a tridiagonal of size {n}")
     ell, info = _lapack.dsterf(d, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
-    dd, ee2 = (d, off * off) if b == n - 1 else (d[::-1], (off * off)[::-1])
-    scale = np.abs(ell).max(initial=0.0)
-    tiny = np.finfo(float).tiny
-
-    def last_pivot(z):
-        # p_i = z - d_i - e_{i-1}^2 / p_{i-1}, p_i' = 1 + e_{i-1}^2 p_{i-1}' / p_{i-1}^2,
-        # in place; an exact zero pivot becomes the tiny one, as in a Sturm count
-        piv = z - dd[0]
-        dpiv = np.ones_like(z)
-        q = np.empty_like(z)
-        for i in range(1, n):
-            if not piv.all():
-                piv[piv == 0.0] = tiny
-            np.divide(ee2[i - 1], piv, out=q)
-            dpiv *= q
-            dpiv /= piv
-            dpiv += 1.0
-            np.subtract(z, dd[i], out=piv)
-            piv -= q
-        return piv, dpiv
-
-    rounding = 64.0 * np.finfo(float).eps * scale
+    el = _elimination(d, off, b)
+    rounding = 64.0 * np.finfo(float).eps * np.abs(ell).max(initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        piv, dpiv = last_pivot(ell)
-        step = piv / dpiv
+        piv, x = _sweep(el, ell, derivative=True)
+        step = piv / x[1]
         refined = np.where(np.abs(step) <= 1e6 * rounding, ell - step, ell)
-        piv, dpiv = last_pivot(refined)
-        w = 1.0 / dpiv
+        piv, x = _sweep(el, refined, derivative=True)
+        w = 1.0 / x[1]
         resolved = (np.abs(piv * w) <= rounding) & np.isfinite(w)
     # a mode that does not reach row b keeps its dsterf eigenvalue
     return np.where(resolved, refined, ell), np.where(resolved, w, 0.0)
 
 
-def _real_matmul(a, z):
-    """a @ z for a real matrix a and a complex vector z.
+def field_modes(d, off, b, ell, weight, z):
+    """The field modes a march carries: frequencies, boundary entries
+    s_k = q_k[b] > 0 and coordinates c_k = q_k . z of the vector z, for the
+    eigenvalues ell and weights of ``boundary_weights`` at the end row b,
+    with the remainder ||z||^2 - sum |c_k|^2 that the modes left out hold;
+    O(n) memory and two passes of ``_sweep``.
 
-    Two real matrix-vector products, on the real and the imaginary part, so
-    a is never copied to complex.
+    A mode of positive weight takes c_k = r_b(ell_k) s_k from the residue of
+    z at b.  Below _RESOLVED_WEIGHT the weight at b, near 0/0, loses its
+    accuracy, and such a mode, or one of weight 0, is read from the other end
+    row a instead when its weight there is at least _RESOLVED_WEIGHT and
+    larger: one Newton step there refines its frequency, and the weight
+    q_k[a]^2, the ratio rho_k = q_k[b] / q_k[a] and the residue at a give
+    s_k = |q_k[a] rho_k| and c_k, its sign turned to s_k > 0.  The ratio is
+    a product of multipliers and keeps its relative accuracy however small
+    q_k[b] is.  The march carries the modes of positive weight and those
+    whose boundary term s_k |c_k| is above eps ||z||; the others do not
+    meet the damping to rounding.  A remainder below -n eps ||z||^2, more
+    than the rounding of n coordinates, raises NumericalError (P and P' up
+    to n = 3200 read at least -0.05 n eps ||z||^2).
     """
-    out = np.empty(a.shape[0], dtype=np.complex128)
-    out.real = a @ z.real
-    out.imag = a @ z.imag
-    return out
+    n = d.size
+    norm2 = float(np.vdot(z, z).real)
+    freq = ell.copy()
+    s = np.sqrt(weight)
+    c = np.zeros(n, dtype=np.complex128)
+    near = weight > 0.0
+    _, x = _sweep(_elimination(d, off, b), ell[near], z=z)
+    c[near] = s[near] * (x[1] + 1j * x[2])
+    weak = np.flatnonzero(weight < _RESOLVED_WEIGHT)
+    if weak.size:
+        rounding = 64.0 * np.finfo(float).eps * np.abs(ell).max(initial=0.0)
+        piv, (_, dpiv, rho, r_re, r_im) = _sweep(
+            _elimination(d, off, n - 1 - b), ell[weak], derivative=True, ratio=True, z=z
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_a = 1.0 / dpiv
+            step = piv * w_a
+            better = ((w_a >= np.maximum(weight[weak], _RESOLVED_WEIGHT))
+                      & (np.abs(step) <= rounding) & np.isfinite(rho) & (rho != 0.0))
+        idx, s_a, rho = weak[better], np.sqrt(w_a[better]), rho[better]
+        freq[idx] -= step[better]
+        s[idx] = s_a * np.abs(rho)
+        c[idx] = np.sign(rho) * s_a * (r_re[better] + 1j * r_im[better])
+    carried = near | (s * np.abs(c) > np.finfo(float).eps * math.sqrt(norm2))
+    c = c[carried]
+    remainder = norm2 - float(np.vdot(c, c).real)
+    if not (np.isfinite(remainder) and remainder >= -n * np.finfo(float).eps * norm2):
+        raise NumericalError(
+            "field coordinates hold more than the norm of the field",
+            {"remainder": remainder, "norm_squared": norm2, "modes": int(c.size)},
+        )
+    return freq[carried], s[carried], c, remainder
 
 
 def _march_block(scale, left, right, k):
@@ -196,53 +298,59 @@ def _march_block(scale, left, right, k):
 
 
 def midpoint_march(
-    l_sub, l_diag, l_sup, h, b_idx, zeta, w, eta, xi2,
-    y0, psi0, dt, n_steps, sample_steps,
+    ell, s, h_b, zeta, w, eta, xi2,
+    alpha0, psi0, uncoupled_energy, dt, n_steps, sample_steps,
 ):
-    """Implicit-midpoint march of the coupled (y, psi) system in the field eigenbasis.
+    """Implicit-midpoint march of the coupled (y, psi) system on the field modes
+    that reach the damped cell.
 
-    With c = dt/2 the midpoint map is u' = 2v - u where (I - cA) v = u.  The
+    The field modes are the eigenpairs (ell_k, q_k) of the field tridiagonal
+    in the h inner product.  The march takes K of them, as ``field_modes``
+    returns them: frequencies ell, boundary entries s_k = q_k[b] and the
+    coordinates alpha0_k = q_k . h^{1/2} y0 of the initial field, with the
+    cell width h_b at the damped cell b.  A mode left out does not meet the
+    damping: it only rotates, and its energy stays in the constant
+    ``uncoupled_energy``, added to every E.  With c = dt/2 the midpoint map
+    is u' = 2v - u where (I - cA) v = u.  The
     psi block of that solve is diagonal and is eliminated exactly, leaving
-    the field matrix 1/2 - (ic/2) L plus gmod at the damped cell b, halved so
-    that the solve returns 2v.  In the coordinates alpha = S^T h^{1/2} y of
-    ``field_eigenbasis`` that matrix is diag(1/l) + gmod s s^T with
-    l = 1/(1/2 - ic ell/2) and s = S[b, :], so Sherman-Morrison solves it in
-    closed form; its denominator 1 + gmod s.(l s) has real part >= 1.  The
-    step on u = (alpha, psi) is then a diagonal map plus a rank-two term:
-    alpha is rotated by the unit-modulus l - 1 and psi scaled by its
-    relaxation factor, and both are corrected along fixed vectors by
+    the field matrix 1/2 - (ic/2) L plus gmod at the damped cell, halved so
+    that the solve returns 2v.  In the mode coordinates alpha that matrix is
+    diag(1/l) + gmod s s^T with l = 1/(1/2 - ic ell/2), so Sherman-Morrison
+    solves it in closed form; its denominator 1 + gmod s.(l s) has real
+    part >= 1.  The step on u = (alpha, psi) is then a diagonal map plus a
+    rank-two term: alpha is rotated by the unit-modulus l - 1 and psi scaled
+    by its relaxation factor, and both are corrected along fixed vectors by
     multiples of the two products p.alpha (p = l s) and q.psi (psi's share of
     the boundary right-hand side).  No solve and no operator apply: the
     steps between two samples are taken in blocks of at most _MARCH_BLOCK,
     each one (2k x N) product, one scaling and one (N x 2k) product on the
-    N = n + m coordinates (``_march_block``).  The energy is |alpha|^2/2
-    plus the psi part, since S is orthogonal.  Samples are taken at the
-    step indices listed in ``sample_steps`` (sorted, starting at 0 and
-    ending at n_steps).  Returns the sampled energy E, dissipation rate D
-    and boundary sum w.(eta psi), and the final modes psi; the final field
-    is not mapped back out of the basis.
+    N = K + m coordinates (``_march_block``).  The energy is |alpha|^2/2
+    plus the psi part plus ``uncoupled_energy``, since the modes are
+    orthonormal.  Samples are taken at the step indices listed in
+    ``sample_steps`` (sorted, starting at 0 and ending at n_steps).
+    Returns the sampled energy E, dissipation rate D and boundary sum
+    w.(eta psi), and the final modes psi; the final field stays in mode
+    coordinates and is not returned.
     """
-    ell, basis = field_eigenbasis(l_sub, l_diag, l_sup, h)
     n = ell.size
     c = 0.5 * dt
     inv = 1.0 / (1.0 + c * xi2)
-    gmod = (0.5 * c * c * zeta / h[b_idx]) * np.dot(w * eta * eta, inv)
+    gmod = (0.5 * c * c * zeta / h_b) * np.dot(w * eta * eta, inv)
     gain = 1.0 / (0.5 - 0.5j * c * ell)
-    s = basis[b_idx]
     p = gain * s
     sp = complex(np.dot(s, p))
     kappa = gmod / (1.0 + gmod * sp)
-    r = math.sqrt(h[b_idx])
+    r = math.sqrt(h_b)
     weta = w * eta
-    q = (c * zeta / h[b_idx]) * weta * inv
+    q = (c * zeta / h_b) * weta * inv
     g_psi = c * eta * inv
 
     # With pa = p.alpha and sig = q.psi, the boundary value of 2v is
     # t (1 - kappa sp) / r where t = pa - r sp sig, and
     #   alpha' = (l - 1) alpha - (r sig + kappa t) p,
     #   psi'   = (2 inv - 1) psi + (t (1 - kappa sp) / r) g_psi,
-    # that is u' = scale*u - right @ (left @ u) with the 2 x (n+m) `left`
-    # reading (pa, sig) and the (n+m) x 2 `right` spreading them.
+    # that is u' = scale*u - right @ (left @ u) with the 2 x (K+m) `left`
+    # reading (pa, sig) and the (K+m) x 2 `right` spreading them.
     vb = (1.0 - kappa * sp) / r
     scale = np.concatenate((gain - 1.0, 2.0 * inv - 1.0))
     left = np.zeros((2, scale.size), dtype=np.complex128)
@@ -265,7 +373,7 @@ def midpoint_march(
     squares = np.empty(2 * scale.size)
 
     u = np.empty(scale.size, dtype=np.complex128)
-    u[:n] = _real_matmul(basis.T, np.sqrt(h) * y0)
+    u[:n] = alpha0
     u[n:] = psi0
     psi = u[n:]
     tmp = np.empty_like(u)
@@ -289,4 +397,5 @@ def midpoint_march(
             np.dot(readout, squares, out=ed[k])
             s_out[k] = np.dot(weta, psi)
     e_out, d_out = ed.T.copy()
+    e_out += uncoupled_energy
     return e_out, d_out, s_out, psi.copy()

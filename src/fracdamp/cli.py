@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 threshold
 failure (verify-kernel).  Every run writes a manifest with the resolved
-configuration, a content hash of it, and the kernel backend, so reruns of a
-manifest reproduce the CSV outputs byte for byte.
+configuration, a content hash of it, the kernel backend and the BLAS thread
+settings, so reruns of a manifest reproduce the CSV outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,6 +44,13 @@ def _content_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _blas_threads() -> dict:
+    """The BLAS thread variables as this process sees them; with two BLAS
+    threads the blocked march can wait on thread wake-ups."""
+    return {name: os.environ.get(name, "unset")
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
 def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
                     diagnostics=None) -> None:
     manifest = {
@@ -51,6 +59,7 @@ def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
         "input_hash": _content_hash(config),
         "tool_version": __version__,
         "kernel_backend": _kernels.backend_name(),
+        "blas_threads": _blas_threads(),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(str(p.name) for p in outputs),
     }
@@ -168,7 +177,7 @@ def _cmd_simulate(args, parser) -> int:
         initial_state = {}
         y0 = prepare_initial_state(op, args.y0, report=initial_state)
         lap("preparation")
-        trace = simulate(op, y0, args.t_final, dt)  # eigensolve included
+        trace = simulate(op, y0, args.t_final, dt)  # field coordinates included
         lap("march")
         fit = None
         fit_error = None
@@ -195,10 +204,13 @@ def _cmd_simulate(args, parser) -> int:
         fh.write("\n")
     # the midpoint rule is contractive, so the largest sampled energy change
     # relative to E[0] (prepared states have unit energy) should be roundoff
-    # or below; initial_state is what the preparation measured
+    # or below; initial_state is what the preparation measured, march the
+    # field modes stepped and the share of E[0] in the modes left out
     diagnostics = {
         "march_steps": int(round(trace.t[-1] / dt)),
         "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
+        "march": {"coupled_modes": trace.coupled_modes, "field_modes": int(xg.x.size),
+                  "uncoupled_energy_share": trace.uncoupled_energy / float(trace.E[0])},
         "stage_s": stage_s,
         "initial_state": initial_state,
     }

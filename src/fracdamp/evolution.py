@@ -44,12 +44,19 @@ class InitialPreset(str, enum.Enum):
 
 @dataclass(frozen=True)
 class EnergyTrace:
-    """Sampled run history: energy E, dissipation rate D <= 0, damping flux."""
+    """Sampled run history: energy E, dissipation rate D <= 0, damping flux.
+
+    ``coupled_modes`` is the number of field modes the march stepped, and
+    ``uncoupled_energy`` the part of every E held by the field modes left
+    out, which do not reach the damped cell: the damping never removes it.
+    """
 
     t: np.ndarray
     E: np.ndarray
     D: np.ndarray
     flux: np.ndarray
+    coupled_modes: int = 0
+    uncoupled_energy: float = 0.0
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "E", "D", "flux_re", "flux_im"],
@@ -64,13 +71,6 @@ class DecayFit:
     r_squared: float
 
 
-def _midpoint_arrays(op: SystemOperator):
-    return (
-        op.l_sub, op.l_diag, op.l_sup, op.xgrid.h, op.boundary_index,
-        op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
-    )
-
-
 def simulate(
     op: SystemOperator,
     y0: StateVector,
@@ -80,9 +80,13 @@ def simulate(
 ) -> EnergyTrace:
     """March Y' = A Y and record the decimated energy trace.
 
-    The march steps in the eigenbasis of the field block (see
-    ``_kernels.midpoint_march``); a field block that is not self-adjoint in
-    the h inner product raises NumericalError.  The trace contains E, the
+    The march steps the field modes that reach the damped cell (see
+    ``_kernels.midpoint_march``).  They, and the initial field's coordinates
+    along them, come from the frequencies and boundary weights of
+    ``op.field_spectrum`` through ``_kernels.field_modes``, with no n x n
+    array; the energy of the modes left out is the trace's
+    ``uncoupled_energy``.  A field block that is not self-adjoint in the h
+    inner product raises NumericalError.  The trace contains E, the
     discrete dissipation rate D (exact energy derivative at the sample), and
     the boundary damping flux read from the coupling row.  Samples are
     taken every ``sample_stride`` steps (a positive integer; by default the
@@ -101,13 +105,21 @@ def simulate(
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     try:
-        e_out, d_out, s_out, _ = _kernels.midpoint_march(
-            *_midpoint_arrays(op), y0.y, y0.psi, float(dt), n_steps, steps,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"time march failed: {exc}", {"dt": dt, "n_steps": n_steps}) from exc
+        spectrum = op.field_spectrum
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise NumericalError(f"field eigenvalues failed: {exc}") from exc
+    b = op.boundary_index
+    h = op.xgrid.h
+    ell, s, alpha0, remainder = _kernels.field_modes(
+        op.l_diag, spectrum.off, b, spectrum.ell, spectrum.weight, np.sqrt(h) * y0.y
+    )
+    e_out, d_out, s_out, _ = _kernels.midpoint_march(
+        ell, s, h[b], op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
+        alpha0, y0.psi, 0.5 * remainder, float(dt), n_steps, steps,
+    )
     flux = op.flux_sign * 1j * op.zeta * s_out
-    return EnergyTrace(t=steps * dt, E=e_out, D=d_out, flux=flux)
+    return EnergyTrace(t=steps * dt, E=e_out, D=d_out, flux=flux,
+                       coupled_modes=int(ell.size), uncoupled_energy=0.5 * remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from fracdamp import _kernels
 from fracdamp.diffusive import build_xi_quadrature
 from fracdamp.model import PowerLawKappa, ProblemSpec, Variant
 from fracdamp.operator import assemble_operator, build_x_grid
@@ -36,6 +38,26 @@ def resolvent_norm_dense(op, lam: float) -> float:
 def eigvals_dense(op) -> np.ndarray:
     """Dense-eig oracle for the eigenvalues of A on small instances."""
     return np.linalg.eigvals(op.weighted_dense())
+
+
+def field_eigenbasis(l_sub, l_diag, l_sup, h):
+    """Dense MRRR oracle (LAPACK dstemr): the eigenpairs (ell, S) of the field
+    tridiagonal L in the h inner product, L = D^{-1/2} S diag(ell) S^T D^{1/2}
+    with D = diag(h) and S a dense orthogonal n x n array."""
+    off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
+    return eigh_tridiagonal(l_diag, off, lapack_driver="stemr")
+
+
+def march_args(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2, y0, psi0, dt, n_steps, steps):
+    """The arguments of ``_kernels.midpoint_march`` for a nodal initial state,
+    prepared as ``evolution.simulate`` prepares them: the coupled modes of the
+    field spectrum, the initial field's coordinates along them and the energy
+    of the rest."""
+    l_diag = np.asarray(l_diag)
+    off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
+    ell, weight = _kernels.boundary_weights(l_diag, off, b)
+    ell, s, alpha0, remainder = _kernels.field_modes(l_diag, off, b, ell, weight, np.sqrt(h) * y0)
+    return (ell, s, h[b], zeta, w, eta, xi2, alpha0, psi0, 0.5 * remainder, dt, n_steps, steps)
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ class TestVerifyKernel:
         assert manifest["command"] == "verify-kernel"
         assert "input_hash" in manifest
         assert manifest["kernel_backend"] == "numpy"
+        assert set(manifest["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
     def test_beta_09_passes(self, tmp_path):
         assert run_cli("verify-kernel", "--beta", 0.9, "--out", tmp_path / "b9") == 0
@@ -77,6 +78,36 @@ class TestSimulate:
         stage_s = json.loads((out / "manifest.json").read_text())["diagnostics"]["stage_s"]
         assert set(stage_s) == {"assembly", "preparation", "march", "fit"}
         assert all(v >= 0.0 for v in stage_s.values())
+
+    @pytest.mark.parametrize("problem, alpha", [("P", 0.5), ("Pprime", 0.5)])
+    def test_manifest_march(self, tmp_path, problem, alpha):
+        # nx=100: on P 40 field modes do not reach the damped cell and the bump
+        # leaves them about 1e-11 of its energy; on P' every mode is coupled
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--problem", problem, "--alpha", alpha, "--beta", 0.5,
+            "--nx", 100, "--nxi", 64, "--t-final", 1.0, "--dt", 0.01, "--out", out,
+        ) == 0
+        march = json.loads((out / "manifest.json").read_text())["diagnostics"]["march"]
+        assert set(march) == {"coupled_modes", "field_modes", "uncoupled_energy_share"}
+        assert march["field_modes"] == 100
+        if problem == "P":
+            assert 0 < march["coupled_modes"] < march["field_modes"]
+            assert 0.0 < march["uncoupled_energy_share"] < 1e-9
+        else:
+            assert march["coupled_modes"] == march["field_modes"]
+            assert abs(march["uncoupled_energy_share"]) <= 1e-12
+
+    def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+            "--nx", 32, "--nxi", 16, "--t-final", 1.0, "--out", out,
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "unset"}
 
     @pytest.mark.parametrize("y0", ["lowest-mode", "smooth-bump"])
     def test_manifest_initial_state(self, tmp_path, y0):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import eigvals_dense, make_operator, random_state
+from conftest import eigvals_dense, make_operator, march_args, random_state
 from fracdamp import _kernels
 from fracdamp import resolvent as resolvent_module
 from fracdamp.errors import FitDataError, NumericalError, ParameterError
@@ -21,11 +21,11 @@ from fracdamp.model import StateVector, Variant, energy, weighted_norm
 def _one_step(op, state, dt):
     """One midpoint step of the march kernel (n_steps=1): the weighted norms
     sqrt(2E) before and after the step, and the final modes."""
-    e, _, _, psi = _kernels.midpoint_march(
+    e, _, _, psi = _kernels.midpoint_march(*march_args(
         op.l_sub, op.l_diag, op.l_sup, op.xgrid.h, op.boundary_index,
         op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
         state.y, state.psi, dt, 1, np.array([0, 1], dtype=np.int64),
-    )
+    ))
     before, after = np.sqrt(2.0 * e)
     assert before == pytest.approx(weighted_norm(state, op), rel=1e-12)
     return after, psi
@@ -78,6 +78,40 @@ class TestSimulate:
         op = replace(small_op, l_sub=1.1 * small_op.l_sub)
         with pytest.raises(NumericalError, match="self-adjoint"):
             simulate(op, random_state(op, rng), 0.1, 0.01)
+
+    @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
+    def test_march_needs_no_dense_field_eigenbasis(self, variant, monkeypatch, rng):
+        import scipy.linalg
+        from scipy.linalg import lapack
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense field eigenbasis in the march")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(lapack, "dstemr", refuse)
+        op = make_operator(variant, nx=48, nxi=32)
+        state = random_state(op, rng)
+        trace = simulate(op, state, 0.5, 0.01)
+        assert trace.E[0] == pytest.approx(energy(state, op), rel=1e-12)
+        assert np.all(np.diff(trace.E) <= 1e-12 * trace.E[0])
+
+    def test_uncoupled_energy_is_held_by_modes_off_the_damped_cell(self, rng):
+        # on P at nx=100 40 field modes read weight 0 in field_spectrum; the
+        # energy the march leaves out lies in those modes, and it includes
+        # every mode whose boundary entry is below 1e-20
+        from conftest import field_eigenbasis
+
+        op = make_operator(Variant.P, nx=100, nxi=64)
+        state = random_state(op, rng)
+        trace = simulate(op, state, 0.5, 0.01)
+        _, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        energies = 0.5 * np.abs(basis.T @ (np.sqrt(op.xgrid.h) * state.y)) ** 2
+        b = op.boundary_index
+        weight_zero = energies[op.field_spectrum.weight == 0.0].sum()
+        unreached = energies[np.abs(basis[b]) < 1e-20].sum()
+        assert unreached > 0.0
+        rounding = 1e-12 * trace.E[0]
+        assert unreached - rounding <= trace.uncoupled_energy <= weight_zero + rounding
 
     def test_energy_monotone_and_dissipation_sign(self, small_op, rng):
         state = random_state(small_op, rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_operator
+from conftest import field_eigenbasis, make_operator, march_args
 from fracdamp import _kernels
 from fracdamp.errors import NumericalError
 from fracdamp.model import Variant
@@ -23,7 +23,8 @@ def _march_args(n=24, m=16, seed=3):
     y0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     steps = np.array([0, 1, 7, 10], dtype=np.int64)
-    return (l_sub, l_diag, l_sup, h, 2, 0.3, w, eta, xi2, y0, psi0, 1e-3, 10, steps)
+    # the damped cell is an end row, as in both variants
+    return (l_sub, l_diag, l_sup, h, n - 1, 0.3, w, eta, xi2, y0, psi0, 1e-3, 10, steps)
 
 
 def _dense_midpoint_oracle(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2,
@@ -50,10 +51,10 @@ def _dense_midpoint_oracle(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2,
     return np.array(e_out), np.array(d_out), np.array(s_out), u[n:]
 
 
-def _operator_march_args(variant, dt=0.01):
+def _operator_march_args(variant, dt=0.01, nx=24, nxi=16):
     """March inputs from an assembled operator, with sample intervals longer
     than the block cap (33 -> 100 is split) and a ragged tail (100 -> 150)."""
-    op = make_operator(variant=variant, nx=24, nxi=16)
+    op = make_operator(variant=variant, nx=nx, nxi=nxi)
     rng = np.random.default_rng(5)
     n, m = op.xgrid.x.size, op.xigrid.xi.size
     y0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -65,7 +66,7 @@ def _operator_march_args(variant, dt=0.01):
 
 
 def _assert_matches_dense_oracle(args):
-    got = _kernels.midpoint_march(*args)
+    got = _kernels.midpoint_march(*march_args(*args))
     want = _dense_midpoint_oracle(*args)
     assert len(got) == len(want)
     for name, x, y in zip(("E", "D", "S", "psi"), got, want):
@@ -83,23 +84,35 @@ class TestNumpyKernels:
     def test_split_sample_intervals_match_dense_oracle(self, variant):
         _assert_matches_dense_oracle(_operator_march_args(variant))
 
+    def test_weight_zero_field_modes_match_dense_oracle(self):
+        # on P at nx=100, nxi=64, 40 of the 100 field modes do not reach the
+        # damped cell: the march leaves them out and keeps their energy as a
+        # constant, which the dense map has to agree with
+        args = _operator_march_args(Variant.P, nx=100, nxi=64)
+        l_sub, l_diag, l_sup, h, b = args[:5]
+        off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
+        _, weight = _kernels.boundary_weights(np.asarray(l_diag), off, b)
+        assert np.count_nonzero(weight == 0.0) > 0
+        _assert_matches_dense_oracle(args)
+
     @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
     def test_midpoint_march_repeats_bit_for_bit(self, variant):
         # byte-identical trace.csv reruns rest on this
-        args = _operator_march_args(variant)
+        args = march_args(*_operator_march_args(variant))
         first = _kernels.midpoint_march(*args)
         second = _kernels.midpoint_march(*args)
         for name, x, y in zip(("E", "D", "S", "psi"), first, second):
             assert np.array_equal(x, y), name
 
     def test_midpoint_march_rejects_a_field_block_not_h_self_adjoint(self):
-        # independent l_sub and l_sup: no flux-form assembly looks like this
+        # independent l_sub and l_sup: no flux-form assembly looks like this;
+        # the march's field spectrum cannot be formed from them
         rng = np.random.default_rng(3)
         args = list(_march_args())
         args[0] = rng.random(args[0].size)
         args[2] = rng.random(args[2].size)
         with pytest.raises(NumericalError, match="self-adjoint") as info:
-            _kernels.midpoint_march(*args)
+            _kernels.midpoint_march(*march_args(*args))
         assert info.value.diagnostics["self_adjoint_defect"] > 1e-3
 
     def test_frac_conv_matches_direct_sum(self):
@@ -129,7 +142,7 @@ class TestFieldEigenbasis:
     ):
         op = make_operator(variant=variant, alpha=alpha, nx=48, g=g)
         assert op.left_bc == left_bc
-        ell, basis = _kernels.field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
         n = op.xgrid.x.size
         np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-13)
         # D^{1/2} L D^{-1/2} with D = diag(h), from the assembled (non-symmetric) L
@@ -147,7 +160,7 @@ class TestFieldEigenbasis:
     def test_boundary_weights_are_the_squared_boundary_row(self, variant, alpha, g):
         op = make_operator(variant=variant, alpha=alpha, nx=200, g=g)
         b = op.boundary_index
-        ell, basis = _kernels.field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
         off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
         got_ell, weight = _kernels.boundary_weights(np.asarray(op.l_diag), off, b)
         scale = np.abs(ell).max()
@@ -157,3 +170,53 @@ class TestFieldEigenbasis:
         np.testing.assert_allclose(weight, basis[b] ** 2, rtol=1e-8, atol=1e-14)
         assert weight.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "variant, alpha, g, nx",
+        [(Variant.P, 0.5, 1.0, 100), (Variant.P, 0.5, 1.0, 200),
+         (Variant.PPRIME, 0.5, 1.0, 200), (Variant.PPRIME, 1.5, 2.0, 200)],
+    )
+    def test_field_modes_are_the_basis_modes(self, variant, alpha, g, nx):
+        op = make_operator(variant=variant, alpha=alpha, nx=nx, g=g)
+        b = op.boundary_index
+        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
+        spec_ell, weight = _kernels.boundary_weights(np.asarray(op.l_diag), off, b)
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(ell.size) + 1j * rng.standard_normal(ell.size)
+        freq, s, c, remainder = _kernels.field_modes(
+            np.asarray(op.l_diag), off, b, spec_ell, weight, z
+        )
+        # every mode of positive weight is carried, and each carried mode is
+        # one eigenpair of the dense basis
+        assert np.count_nonzero(weight) <= freq.size <= ell.size
+        idx = np.abs(freq[:, None] - ell[None, :]).argmin(axis=1)
+        assert np.unique(idx).size == idx.size
+        scale = np.abs(ell).max()
+        np.testing.assert_allclose(freq, ell[idx], rtol=0, atol=1e-13 * scale)
+        want_s = np.abs(basis[b, idx])
+        want_c = (basis.T @ z)[idx] * np.sign(basis[b, idx])
+        norm = np.linalg.norm(z)
+        # what reaches the damped cell, s_k and s_k c_k, is exact to rounding
+        # down to the smallest entries; the coordinates that hold the norm are
+        # resolved, and so is the energy of the modes left out
+        np.testing.assert_allclose(s, want_s, rtol=1e-6, atol=1e-15)
+        np.testing.assert_allclose(s * c, want_s * want_c, rtol=0, atol=1e-14 * norm)
+        held = np.abs(want_c) > 1e-3 * norm
+        np.testing.assert_allclose(c[held], want_c[held], rtol=0, atol=1e-12 * norm)
+        left = np.ones(ell.size, dtype=bool)
+        left[idx] = False
+        assert remainder == pytest.approx(np.sum(np.abs(basis.T @ z)[left] ** 2),
+                                          abs=1e-12 * norm**2)
+        # a mode left out reaches the damped cell only below rounding
+        assert np.all(np.abs(basis[b, left] * (basis.T @ z)[left]) <= 1e-15 * norm)
+
+    def test_field_modes_refuse_more_than_the_norm(self):
+        # quadrupled weights double every coordinate: the remainder
+        # ||z||^2 - sum |c_k|^2 turns negative far beyond rounding
+        op = make_operator(variant=Variant.PPRIME, nx=48)
+        spectrum = op.field_spectrum
+        z = np.sqrt(op.xgrid.h) * (1.0 + op.xgrid.x)
+        with pytest.raises(NumericalError, match="norm") as info:
+            _kernels.field_modes(np.asarray(op.l_diag), spectrum.off, op.boundary_index,
+                                 spectrum.ell, 4.0 * spectrum.weight, z)
+        assert info.value.diagnostics["remainder"] < 0.0
