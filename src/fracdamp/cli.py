@@ -220,6 +220,10 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
+    lo, hi = args.lambda_min, args.lambda_max
+    if not all(math.isfinite(v) and v != 0.0 for v in (lo, hi)) or (lo > 0) != (hi > 0):
+        parser.error("--lambda-min and --lambda-max must be finite, nonzero and of one sign, "
+                     f"got {lo:g} and {hi:g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)

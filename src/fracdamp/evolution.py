@@ -16,25 +16,18 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import _kernels
 from ._csv import write_csv
 from .errors import FitDataError, NumericalError, ParameterError, ShapeError
 from .model import StateVector, energy
 from .operator import SystemOperator
-from .resolvent import (
-    _field_eigenvector,
-    _fit_line,
-    damped_eigenvalues,
-    smallest_singular_value,
-)
+from .resolvent import _fit_line, _ShiftedSystem, damped_eigenvalues, smallest_singular_value
 
 #: Eigenvalues of modulus at or below this are roundoff, not resolved modes.
 _RESOLVED_EIGENVALUE = 1e-8
-#: Closest distance, relative to the largest field frequency, at which the
-#: eigenvector's complement solve is made next to a field frequency.
-_NUDGE = 1e-12
+#: Inverse-iteration steps that build the lowest mode's eigenvector.
+_INVERSE_STEPS = 3
 
 
 class InitialPreset(str, enum.Enum):
@@ -90,10 +83,15 @@ def simulate(
     discrete dissipation rate D (exact energy derivative at the sample), and
     the boundary damping flux read from the coupling row.  Samples are
     taken every ``sample_stride`` steps (a positive integer; by default the
-    stride that keeps about 2000 samples) and at the last step.
+    stride that keeps about 2000 samples) and at the last step.  A t_final
+    or dt that is not positive and finite raises ParameterError.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ParameterError(f"t_final and dt must be positive, got {t_final}, {dt}")
+    # written so that nan fails it; t_final/dt overflows for a tiny dt
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf and t_final / dt < math.inf):
+        raise ParameterError(
+            f"t_final and dt must be positive and finite, with a finite step count, "
+            f"got {t_final}, {dt}"
+        )
     if y0.y.size != op.xgrid.x.size or y0.psi.size != op.xigrid.xi.size:
         raise ShapeError("initial state does not match operator grids")
     n_steps = max(1, int(round(t_final / dt)))  # trace ends at n_steps*dt
@@ -127,73 +125,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def project_out_near_kernel(
-    op: SystemOperator, state: StateVector, tol: float = _RESOLVED_EIGENVALUE
-) -> StateVector:
-    """Remove components along discrete modes with |eigenvalue| < tol.
-
-    Cheap path first: if the smallest singular value of A exceeds tol there
-    is nothing to remove.  Otherwise an oblique spectral projector is built
-    from the left/right eigenvectors of the weighted similarity matrix.
-    """
-    if smallest_singular_value(op) >= tol:
-        return state
-    try:
-        vals, vl, vr = sla.eig(op.weighted_dense(), left=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-    sel = np.abs(vals) < tol
-    if not np.any(sel):
-        return state
-    sw = np.sqrt(op.weights)
-    z = sw * np.concatenate((state.y, state.psi))
-    v = vr[:, sel]
-    wl = vl[:, sel]
-    coeff = np.linalg.solve(wl.conj().T @ v, wl.conj().T @ z)
-    z = z - v @ coeff
-    z = z / sw
-    n = op.xgrid.x.size
-    return StateVector(y=z[:n], psi=z[n:])
-
-
-def _mode_vector(op: SystemOperator, lam: complex) -> StateVector:
-    """Eigenvector of A for its eigenvalue lam, from O(n + m) work.
-
-    In the symmetrized field coordinates u = h^{1/2} y an eigenpair obeys
-    (lam - iT) u = -G(lam) u_b e_b, with G the relaxation sum of
-    ``resolvent._Characteristic``, and psi_k = eta_k y_b / (lam + xi_k^2).
-    So u is proportional to (lam - iT)^{-1} e_b.  That solve is singular to
-    working precision when lam sits within rounding of a field frequency
-    i ell_k of small boundary weight, so u is split along the unit
-    eigenvector q_k of the nearest frequency (inverse iteration; its
-    boundary entry s = q_k[b] is resolved even where ``field_spectrum``
-    reads weight 0): u = q_k - G s r / (1 + G r_b), with r = (lam - iT)^{-1}
-    (e_b - s q_k) taken off q_k, one complex tridiagonal solve.  Within
-    _NUDGE of i ell_k that solve is made that far from it along the real
-    axis, which moves r by about _NUDGE over the gap to the other frequencies.
-    """
-    spectrum = op.field_spectrum
-    b = op.boundary_index
-    k = int(np.argmin(np.abs(lam - 1j * spectrum.ell)))
-    q = _field_eigenvector(op.l_diag, spectrum.off, spectrum.ell[k], b)
-    s = q[b]
-    rhs = -s * q.astype(np.complex128)
-    rhs[b] += 1.0
-    nudge = _NUDGE * max(np.abs(spectrum.ell).max(), 1.0)
-    shift = lam if abs(lam - 1j * spectrum.ell[k]) > nudge else 1j * spectrum.ell[k] + nudge
-    off = -1j * spectrum.off
-    try:
-        _kernels.TridiagFactor(off, shift - 1j * op.l_diag, off).solve_in_place(rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalError(f"eigenvector solve failed: {exc}", {"eigenvalue": lam}) from exc
-    r = rhs - np.dot(q, rhs) * q
-    xi2 = op.xigrid.xi**2
-    g = op.zeta / op.xgrid.h[b] * np.dot(op.xigrid.w * op.xigrid.eta**2, 1.0 / (lam + xi2))
-    u = q - (g * s / (1.0 + g * r[b])) * r
-    y = u / np.sqrt(op.xgrid.h)
-    return StateVector(y=y, psi=op.xigrid.eta * y[b] / (lam + xi2))
-
-
 def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVector:
     """Slowest-decaying resolved eigenmode: the largest Re lambda among the
     eigenvalues of modulus above _RESOLVED_EIGENVALUE.
@@ -208,10 +139,13 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
     frequency: its boundary weight is about 1e-17 at nx=400 and it does not
     feel the damping.  On P' every field mode is coupled and the mode is the
     relaxation root next to -xi_min^2, with |lambda| just above
-    _RESOLVED_EIGENVALUE.  The eigenvector is built without a dense matrix
-    (``_mode_vector``) and its eigen-residual checked.  If `report` is a
-    dict, the mode's eigenvalue, boundary weight, field energy share and
-    residual and the census counts and wall time are stored in it.
+    _RESOLVED_EIGENVALUE.  The eigenvector comes from _INVERSE_STEPS steps
+    of inverse iteration with the shifted solver of ``resolvent`` taken at
+    lam - A, O(n + m) each and no dense matrix, from the all-ones vector and
+    normalized in the weighted norm at each step; its eigen-residual is
+    checked.  If `report` is a dict, the mode's eigenvalue, boundary weight,
+    field energy share and residual and the census counts and wall time are
+    stored in it.
     """
     clock = time.perf_counter()
     census = damped_eigenvalues(op)
@@ -222,7 +156,14 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
     top = vals.real.max()
     tied = vals[vals.real >= top - 64.0 * np.finfo(float).eps * abs(top)]
     lam = complex(tied[np.argmin(np.abs(tied))])
-    mode = _mode_vector(op, lam)
+    system = _ShiftedSystem(op, -1j * lam)  # i (-i lam) - A = lam - A
+    sw = np.sqrt(op.weights)
+    z = np.ones(op.dimension, dtype=np.complex128)
+    for _ in range(_INVERSE_STEPS):
+        z = system.solve(z)
+        z /= np.linalg.norm(sw * z)
+    n = op.xgrid.x.size
+    mode = StateVector(y=z[:n], psi=z[n:])
     resid = _mode_residual(op, mode, lam)
     if resid > 1e-6:
         raise NumericalError(
@@ -236,7 +177,8 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
             "boundary_weight": 0.5 * op.xgrid.h[b] * abs(mode.y[b]) ** 2 / energy(field, op),
             "field_energy_share": energy(field, op) / energy(mode, op),
             "residual": resid,
-            "census": {"found": int(np.count_nonzero(census.converged[-census.expected:])),
+            "census": {"found": int(census.values.size
+                                    - np.count_nonzero(op.field_spectrum.weight == 0.0)),
                        "expected": census.expected, "unconverged": census.unconverged,
                        "recovered": census.recovered,
                        "max_newton_iterations": int(census.iterations.max())},
@@ -262,14 +204,13 @@ def prepare_initial_state(
 
     The smooth bump x^2 (1-x)^2 has vanishing flux at both ends, so it is
     compatible with the damped boundary row for either variant; it is
-    projected off the modes with |eigenvalue| < _RESOLVED_EIGENVALUE, which
-    a damped operator does not have at the default grids (the guard's
-    lambda=0 solve reads sigma_min(A) above the threshold and the projection
-    is skipped).  The lowest-mode preset returns the resolved eigenmode with
-    the largest Re lambda, ties at rounding going to the smallest |lambda|
-    (see ``_lowest_mode``).  If `report` is a dict, what the preparation
-    measured is stored in it: for the bump sigma_min(A) and whether the
-    projection ran, for the lowest mode what ``_lowest_mode`` reports.
+    returned as it is, since a damped operator has no kernel to remove.  The
+    lowest-mode preset returns the resolved eigenmode with the largest
+    Re lambda, ties at rounding going to the smallest |lambda| (see
+    ``_lowest_mode``).  If `report` is a dict, what the preparation measured
+    is stored in it: for the bump sigma_min(A), one resolvent solve at
+    lambda = 0, which reads the slowest relaxation rate (about xi_min^2);
+    for the lowest mode what ``_lowest_mode`` reports.
     """
     preset = InitialPreset(preset)
     if preset is InitialPreset.LOWEST_MODE:
@@ -278,11 +219,8 @@ def prepare_initial_state(
         x = op.xgrid.x
         y = (x**2 * (1.0 - x) ** 2).astype(complex)
         state = StateVector(y=y, psi=np.zeros(op.xigrid.xi.size, dtype=complex))
-        sigma = smallest_singular_value(op)
-        if sigma < _RESOLVED_EIGENVALUE:
-            state = project_out_near_kernel(op, state)
         if report is not None:
-            report.update({"sigma_min": sigma, "projected": bool(sigma < _RESOLVED_EIGENVALUE)})
+            report["sigma_min"] = smallest_singular_value(op)
     e0 = energy(state, op)
     if e0 <= 0.0:
         raise NumericalError("prepared state has zero energy")

@@ -175,25 +175,6 @@ class SystemOperator:
         ell, weight = _kernels.boundary_weights(self.l_diag, off, self.boundary_index)
         return FieldSpectrum(ell=ell, weight=weight, off=off)
 
-    def dense(self) -> np.ndarray:
-        n = self.xgrid.x.size
-        m = self.xigrid.xi.size
-        a = np.zeros((n + m, n + m), dtype=np.complex128)
-        idx = np.arange(n)
-        a[idx, idx] = 1j * self.l_diag
-        a[idx[:-1], idx[:-1] + 1] = 1j * self.l_sup
-        a[idx[1:], idx[1:] - 1] = 1j * self.l_sub
-        b = self.boundary_index
-        a[b, n:] += -(self.zeta / self.xgrid.h[b]) * self.xigrid.w * self.xigrid.eta
-        a[n:, b] += self.xigrid.eta
-        a[n + np.arange(m), n + np.arange(m)] = -self.xigrid.xi**2
-        return a
-
-    def weighted_dense(self) -> np.ndarray:
-        """Similarity W^(1/2) A W^(-1/2), whose Euclidean geometry is the H one."""
-        sw = np.sqrt(self.weights)
-        return self.dense() * (sw[:, None] / sw[None, :])
-
 
 def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> SystemOperator:
     """Build the discrete generator for either variant, damped with spec.zeta.

@@ -98,16 +98,16 @@ class _ShiftedSystem:
 
     The relaxation rows are eliminated exactly; what remains is the field
     tridiagonal with the boundary impedance zeta/h_b * sum w eta^2/(i lam + xi^2)
-    added at the damped cell.  A solve leaves its input unchanged and
-    returns a fresh array; the field part is solved in place in its leading
-    n entries.
+    added at the damped cell.  `lam` may be complex: lam = -i z gives
+    z - A, as inverse iteration at an eigenvalue z needs.  A solve leaves
+    its input unchanged and returns a fresh array; the field part is solved
+    in place in its leading n entries.
     """
 
-    def __init__(self, op: SystemOperator, lam: float):
+    def __init__(self, op: SystemOperator, lam: complex):
         if op.zeta <= 0.0:
             raise ConfigurationError("resolvent analysis requires a damped operator (zeta > 0)")
         self.op = op
-        self.lam = float(lam)
         self.n = op.xgrid.x.size
         self.b = op.boundary_index
         xi2 = op.xigrid.xi**2
@@ -648,16 +648,15 @@ class DampedEigenvalues(NamedTuple):
 
     ``values`` holds all n + m eigenvalues: first i ell_k for the field
     modes of weight 0 (decoupled, so exact), then the K + m roots of
-    1 + F G, K being the number of coupled field modes.  ``converged`` and
-    ``iterations`` are per value (decoupled modes: True and 0).  A census
-    is only returned complete, so every flag is True.  ``unconverged``
-    counts the Newton starts that did not converge (starts that converge
-    to a root another start found are merged, not counted), and
-    ``recovered`` the roots that deflated Newton found after them.
+    1 + F G, K being the number of coupled field modes; a census is only
+    returned complete.  ``iterations`` are the Newton iterations per value
+    (decoupled modes: 0).  ``unconverged`` counts the Newton starts that
+    did not converge (starts that converge to a root another start found
+    are merged, not counted), and ``recovered`` the roots that deflated
+    Newton found after them.
     """
 
     values: np.ndarray
-    converged: np.ndarray
     iterations: np.ndarray
     expected: int
     unconverged: int
@@ -878,7 +877,6 @@ def damped_eigenvalues(op) -> DampedEigenvalues:
     decoupled = 1j * op.field_spectrum.ell[~char.coupled]
     return DampedEigenvalues(
         values=np.concatenate((decoupled, roots)),
-        converged=np.ones(decoupled.size + roots.size, dtype=bool),
         iterations=np.concatenate((np.zeros(decoupled.size, dtype=np.int64), iters)),
         expected=expected,
         unconverged=unconverged,
@@ -966,11 +964,14 @@ def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> Resolven
 
     The fitted `exponent` is the log-log slope (so a 1/|lambda| blow-up reads
     as -1).  Lambda values may be negative (the operator is not symmetric in
-    the sign); the grid must be sorted by |lambda| within one sign.
+    the sign); the grid must be sorted by |lambda| within one sign.  A lambda
+    that is zero or not finite raises ParameterError.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size < 2:
         raise ParameterError("lambdas must be a 1-d array with >= 2 entries")
+    if not np.all(np.isfinite(lambdas) & (lambdas != 0.0)):
+        raise ParameterError(f"lambdas must be finite and nonzero, got {lambdas}")
     if regime is None:
         regime = (
             ScanRegime.NEAR_ZERO if np.max(np.abs(lambdas)) <= 1.0 else ScanRegime.HIGH_FREQUENCY

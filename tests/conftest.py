@@ -28,16 +28,38 @@ def make_operator(
     return assemble_operator(spec, xg, xig)
 
 
+def dense(op) -> np.ndarray:
+    """The assembled generator A as a dense (n + m) x (n + m) array."""
+    n = op.xgrid.x.size
+    m = op.xigrid.xi.size
+    a = np.zeros((n + m, n + m), dtype=np.complex128)
+    idx = np.arange(n)
+    a[idx, idx] = 1j * op.l_diag
+    a[idx[:-1], idx[:-1] + 1] = 1j * op.l_sup
+    a[idx[1:], idx[1:] - 1] = 1j * op.l_sub
+    b = op.boundary_index
+    a[b, n:] += -(op.zeta / op.xgrid.h[b]) * op.xigrid.w * op.xigrid.eta
+    a[n:, b] += op.xigrid.eta
+    a[n + np.arange(m), n + np.arange(m)] = -op.xigrid.xi**2
+    return a
+
+
+def weighted_dense(op) -> np.ndarray:
+    """Similarity W^(1/2) A W^(-1/2), whose Euclidean geometry is the H one."""
+    sw = np.sqrt(op.weights)
+    return dense(op) * (sw[:, None] / sw[None, :])
+
+
 def resolvent_norm_dense(op, lam: float) -> float:
     """Dense full-SVD oracle for ||(i lam - A)^{-1}|| on small instances."""
-    a = op.weighted_dense()
+    a = weighted_dense(op)
     s = np.linalg.svd(1j * lam * np.eye(a.shape[0]) - a, compute_uv=False)
     return float(1.0 / s[-1])
 
 
 def eigvals_dense(op) -> np.ndarray:
     """Dense-eig oracle for the eigenvalues of A on small instances."""
-    return np.linalg.eigvals(op.weighted_dense())
+    return np.linalg.eigvals(weighted_dense(op))
 
 
 def field_eigenbasis(l_sub, l_diag, l_sup, h):

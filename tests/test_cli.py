@@ -118,8 +118,8 @@ class TestSimulate:
         ) == 0
         report = json.loads((out / "manifest.json").read_text())["diagnostics"]["initial_state"]
         if y0 == "smooth-bump":
-            assert set(report) == {"sigma_min", "projected"}
-            assert report["sigma_min"] > 0.0 and report["projected"] is False
+            assert set(report) == {"sigma_min"}
+            assert report["sigma_min"] > 0.0
             return
         assert set(report) == {"eigenvalue", "boundary_weight", "field_energy_share",
                                "residual", "census", "census_s"}
@@ -142,6 +142,14 @@ class TestSimulate:
                     "--out", out)
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("t_final,dt", [("nan", "0.01"), ("inf", "0.01"), ("1.0", "inf")])
+    def test_non_finite_time_is_a_usage_error(self, tmp_path, capsys, t_final, dt):
+        code = run_cli("simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                       "--nx", 32, "--nxi", 16, "--t-final", t_final, "--dt", dt,
+                       "--out", tmp_path / "sim")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_fit_window_is_used(self, tmp_path):
         out = tmp_path / "sim"
@@ -259,6 +267,27 @@ class TestScan:
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
         assert fit["regime"] == "high_frequency"
+
+    @pytest.mark.parametrize("bounds", [("0", "0.1"), ("1e-4", "0"), ("nan", "0.1"),
+                                        ("1e-4", "nan"), ("inf", "0.1"), ("1e-4", "inf"),
+                                        ("-1e-3", "0.1"), ("1e-4", "-0.1")])
+    def test_bad_lambda_bounds_are_refused_before_any_work(self, tmp_path, bounds):
+        out = tmp_path / "scan"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                    "--nx", 32, "--nxi", 24, f"--lambda-min={bounds[0]}",
+                    f"--lambda-max={bounds[1]}", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_negative_lambda_range(self, tmp_path):
+        out = tmp_path / "scan"
+        assert run_cli("scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                       "--nx", 32, "--nxi", 24, "--points", 8, "--lambda-min=-1e-4",
+                       "--lambda-max=-1e-1", "--out", out) == 0
+        rows = csv.DictReader(io.StringIO((out / "scan.csv").read_text()))
+        lams = [float(r["lambda"]) for r in rows]
+        assert len(lams) == 8 and all(v < 0 for v in lams)
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         from fracdamp import cli

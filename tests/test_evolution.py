@@ -12,7 +12,6 @@ from fracdamp.evolution import (
     EnergyTrace,
     fit_decay_exponent,
     prepare_initial_state,
-    project_out_near_kernel,
     simulate,
 )
 from fracdamp.model import StateVector, Variant, energy, weighted_norm
@@ -73,6 +72,12 @@ class TestSimulate:
     def test_sample_stride_must_be_a_positive_integer(self, small_op, rng, stride):
         with pytest.raises(ParameterError, match="sample_stride"):
             simulate(small_op, random_state(small_op, rng), 0.1, 0.01, sample_stride=stride)
+
+    @pytest.mark.parametrize("t_final,dt", [(math.nan, 0.01), (math.inf, 0.01), (1.0, math.inf),
+                                            (1.0, math.nan), (1e300, 1e-300)])
+    def test_non_finite_times_are_refused(self, small_op, rng, t_final, dt):
+        with pytest.raises(ParameterError, match="finite"):
+            simulate(small_op, random_state(small_op, rng), t_final, dt)
 
     def test_field_block_not_h_self_adjoint_is_refused(self, small_op, rng):
         op = replace(small_op, l_sub=1.1 * small_op.l_sub)
@@ -162,24 +167,6 @@ class TestPrepare:
         assert dpoly(1.0) == 0.0
         assert np.all(state.psi == 0)
 
-    def test_projection_idempotent(self, small_op, rng):
-        state = random_state(small_op, rng)
-        once = project_out_near_kernel(small_op, state, tol=1e-8)
-        twice = project_out_near_kernel(small_op, once, tol=1e-8)
-        np.testing.assert_allclose(twice.y, once.y, rtol=0, atol=1e-12 * np.abs(once.y).max())
-        np.testing.assert_allclose(twice.psi, once.psi, rtol=0, atol=1e-12 * np.abs(once.psi).max())
-
-    def test_projection_with_forced_threshold_idempotent(self, rng):
-        # a threshold above the slowest relaxation rate forces the dense
-        # spectral-projector path
-        op = make_operator(nx=32, nxi=32, xi_min=1e-2, xi_max=1e2)
-        state = random_state(op, rng)
-        tol = 5e-4  # above xi_min^2 = 1e-4
-        once = project_out_near_kernel(op, state, tol=tol)
-        twice = project_out_near_kernel(op, once, tol=tol)
-        scale = np.abs(once.y).max()
-        np.testing.assert_allclose(twice.y, once.y, rtol=0, atol=1e-12 * scale)
-
     def test_lowest_mode_is_eigenmode(self):
         op = make_operator(nx=32, nxi=24, xi_min=1e-2, xi_max=1e2)
         state = prepare_initial_state(op, "lowest-mode")
@@ -247,8 +234,31 @@ class TestPrepare:
     def test_smooth_bump_report(self, small_op):
         report = {}
         prepare_initial_state(small_op, report=report)
-        assert report["projected"] is False
+        assert set(report) == {"sigma_min"}
         assert report["sigma_min"] >= 0.5 * small_op.xigrid.xi_min**2
+
+    def test_smooth_bump_is_returned_as_it_is_when_sigma_min_is_tiny(self, monkeypatch):
+        # at xi_min = 7e-5 the lambda=0 solve reads sigma_min(A) ~ xi_min^2,
+        # below 1e-8; the slowest relaxation mode is not a kernel, so the
+        # bump comes back as it is, with no dense eigensolve
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve while preparing the smooth bump")
+
+        for module, name in ((scipy.linalg, "eig"), (scipy.linalg, "eigvals"),
+                             (np.linalg, "eig"), (np.linalg, "eigvals")):
+            monkeypatch.setattr(module, name, refuse)
+        op = make_operator(nx=100, nxi=64, xi_min=7e-5, xi_max=1e4)
+        report = {}
+        state = prepare_initial_state(op, report=report)
+        x = op.xgrid.x
+        bump = StateVector(y=x**2 * (1.0 - x) ** 2, psi=np.zeros(op.xigrid.xi.size))
+        np.testing.assert_allclose(state.y, bump.y / math.sqrt(energy(bump, op)),
+                                   rtol=1e-15, atol=0)
+        assert np.all(state.psi == 0)
+        assert set(report) == {"sigma_min"}
+        assert 0.0 < report["sigma_min"] < 1e-8
 
 
 class TestDecayFit:

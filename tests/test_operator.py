@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import make_operator, random_state, resolvent_norm_dense
+from conftest import dense, make_operator, random_state, resolvent_norm_dense
 from fracdamp.errors import ConfigurationError, ParameterError, ShapeError
 from fracdamp.model import (
     PowerLawKappa,
@@ -171,9 +171,8 @@ class TestApply:
 
     def test_dense_matches_apply(self, small_op, rng):
         state = random_state(small_op, rng)
-        dense = small_op.dense()
         z = np.concatenate((state.y, state.psi))
-        ref = dense @ z
+        ref = dense(small_op) @ z
         out = small_op.apply(state)
         np.testing.assert_allclose(np.concatenate((out.y, out.psi)), ref, rtol=1e-12)
 
