@@ -7,12 +7,16 @@ the frequencies and boundary weights come from ``boundary_weights`` and the
 initial field's coordinates from ``field_modes``, each a few passes of one
 pivot recurrence over all modes at once (``_sweep``, O(n) memory).  No solve
 and no operator apply per step: the steps between two samples are advanced
-in blocks of up to _MARCH_BLOCK, each two matrix products and one scaling.
-The convolution is one real FFT product through ``numpy.fft``; it serves
-both the closed-form kernel and the forced relaxation modes, whose flux is
-the same causal convolution with the quadrature kernel's cell integrals.
-The resolvent needs the same frequencies and boundary weights; the
-tridiagonal LU wrapper serves its shifted solves.
+in blocks of up to _MARCH_BLOCK, each two matrix products and one scaling,
+and the sampled states are read out _READOUT_BATCH at a time, three
+matrix-vector products per batch.  The convolution is one real FFT product through
+``numpy.fft``; it serves both the closed-form kernel and the forced
+relaxation modes, whose flux is the same causal convolution with the
+quadrature kernel's cell integrals.  ``diffusive.evolve_psi_forced``
+builds those over n lags of m modes from two factored exponential tables,
+m (B + n/B) exponentials with B = ceil(sqrt(n)) and O(m sqrt(n) + n)
+memory.  The resolvent needs the same frequencies and boundary weights;
+the tridiagonal LU wrapper serves its shifted solves.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ _SELF_ADJOINT_TOL = 1e-12
 #: block matrices of a march hold 4 * _MARCH_BLOCK * (K + m) complex entries
 #: per distinct block length, K being the field modes marched.
 _MARCH_BLOCK = 32
+
+#: Sampled states of a march read out together: E, D and the boundary sum of
+#: each batch are three matrix-vector products.
+_READOUT_BATCH = 16
 
 #: Smallest weight q_k[row]^2 at which ``field_modes`` reads a mode at an end
 #: row; the relative error of a weight w there is about eps / w.
@@ -327,10 +335,16 @@ def midpoint_march(
     N = K + m coordinates (``_march_block``).  The energy is |alpha|^2/2
     plus the psi part plus ``uncoupled_energy``, since the modes are
     orthonormal.  Samples are taken at the step indices listed in
-    ``sample_steps`` (sorted, starting at 0 and ending at n_steps).
-    Returns the sampled energy E, dissipation rate D and boundary sum
-    w.(eta psi), and the final modes psi; the final field stays in mode
-    coordinates and is not returned.
+    ``sample_steps`` (sorted, starting at 0 and ending at n_steps); the
+    sampled states are kept in a buffer of _READOUT_BATCH rows, and each
+    full buffer, or the last partial one, is read out at once: E and D each
+    by one real product of the squared real and imaginary parts with a
+    readout row, the boundary sums by one complex product.  Matrix-vector
+    products only: a product with both readout rows at once would be a
+    BLAS gemm, whose packing buffers add about 0.4 MB of resident memory
+    to a march.  Returns the sampled energy E, dissipation rate D and
+    boundary sum w.(eta psi), and the final modes psi; the final field
+    stays in mode coordinates and is not returned.
     """
     n = ell.size
     c = 0.5 * dt
@@ -369,13 +383,14 @@ def midpoint_march(
     readout[0, : 2 * n] = 0.5
     readout[0, 2 * n :] = np.repeat(0.5 * zeta * w, 2)
     readout[1, 2 * n :] = np.repeat(-zeta * w * xi2, 2)
-    ed = np.zeros((n_samp, 2))
-    squares = np.empty(2 * scale.size)
+    ed = np.zeros((2, n_samp))
+    batch_len = min(n_samp, _READOUT_BATCH)
+    states = np.empty((batch_len, scale.size), dtype=np.complex128)
+    weta_c = weta.astype(np.complex128)  # np.dot with out= takes one dtype
 
     u = np.empty(scale.size, dtype=np.complex128)
     u[:n] = alpha0
     u[n:] = psi0
-    psi = u[n:]
     tmp = np.empty_like(u)
     blocks = {}
 
@@ -393,9 +408,14 @@ def midpoint_march(
             u -= tmp
             done += length
         if k < n_samp:
-            np.square(u.view(np.float64), out=squares)
-            np.dot(readout, squares, out=ed[k])
-            s_out[k] = np.dot(weta, psi)
-    e_out, d_out = ed.T.copy()
+            j = k % batch_len
+            states[j] = u
+            if j == batch_len - 1 or k == n_samp - 1:
+                np.dot(states[: j + 1, n:], weta_c, out=s_out[k - j : k + 1])
+                squares = states[: j + 1].view(np.float64)
+                np.square(squares, out=squares)  # in place: the states are read
+                np.dot(squares, readout[0], out=ed[0, k - j : k + 1])
+                np.dot(squares, readout[1], out=ed[1, k - j : k + 1])
+    e_out, d_out = ed
     e_out += uncoupled_energy
-    return e_out, d_out, s_out, psi.copy()
+    return e_out, d_out, s_out, u[n:].copy()

@@ -51,6 +51,16 @@ def _blas_threads() -> dict:
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
 
+def _json_default(value):
+    """JSON for the numpy scalars and complex numbers of diagnostics: a
+    complex value as [re, im], a numpy scalar as the Python number."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
                     diagnostics=None) -> None:
     manifest = {
@@ -68,7 +78,7 @@ def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -224,6 +234,8 @@ def _cmd_scan(args, parser) -> int:
     if not all(math.isfinite(v) and v != 0.0 for v in (lo, hi)) or (lo > 0) != (hi > 0):
         parser.error("--lambda-min and --lambda-max must be finite, nonzero and of one sign, "
                      f"got {lo:g} and {hi:g}")
+    if args.points < 2:
+        parser.error(f"--points must be at least 2, got {args.points}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)
@@ -277,6 +289,9 @@ def _cmd_scan(args, parser) -> int:
 
 
 def _cmd_verify_kernel(args, parser) -> int:
+    if not all(math.isfinite(v) and v > 0.0 for v in (args.tau_min, args.tau_max)):
+        parser.error("--tau-min and --tau-max must be finite and positive, "
+                     f"got {args.tau_min:g} and {args.tau_max:g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)
@@ -299,6 +314,8 @@ def _cmd_verify_kernel(args, parser) -> int:
 def _cmd_oracle_compare(args, parser) -> int:
     from .bessel import analytic_resolvent_P
 
+    if not (math.isfinite(args.lam) and args.lam > 0.0):
+        parser.error(f"--lambda must be finite and positive, got {args.lam:g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

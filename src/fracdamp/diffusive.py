@@ -177,8 +177,14 @@ def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0
     integrals K[m] = zeta sum_k w_k eta_k^2 exp(-xi_k^2 m dt) g_k,
     g_k = (1 - exp(-xi_k^2 dt))/xi_k^2, so it goes through the same FFT
     product as ``direct_fractional_integral``; the final modes are
-    psi_k = g_k eta_k sum_j exp(-xi_k^2 (n-1-j) dt) s_avg[j].  One mode at a
-    time, so the work arrays stay O(n_steps).
+    psi_k = g_k eta_k sum_j exp(-xi_k^2 (n-1-j) dt) s_avg[j].
+
+    Over the n = len(s_avg) lags j = aB + b, B = ceil(sqrt(n)), the decay
+    factors as exp(-xi_k^2 aB dt) exp(-xi_k^2 b dt): a coarse m x ceil(n/B)
+    and a fine m x B table, m (B + n/B) exponentials in place of m n.  The
+    kernel is then one product of the two tables, and the final modes one
+    product of the fine table with the reversed signal laid out as
+    ceil(n/B) x B rows; the work arrays are O(m sqrt(n) + n).
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got dt={dt}")
@@ -189,17 +195,19 @@ def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0
         raise GridError("boundary_signal must be a 1-d series with >= 2 samples")
     zeta, _ = derive_constants(grid.beta, rho)
     s_avg = 0.5 * (s[:-1] + s[1:])
-    s_rev = s_avg[::-1].copy()
-    lags = dt * np.arange(s_avg.size)
+    n = s_avg.size
+    fine_len = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    coarse_len = -(-n // fine_len)
     xi2 = grid.xi**2
     gain = -np.expm1(-xi2 * dt) / xi2  # expm1 avoids cancellation for tiny xi^2*dt
-    kernel = np.zeros(s_avg.size)
-    decay = np.empty(s_avg.size)
-    psi = np.empty(xi2.size)
-    for k in range(xi2.size):
-        np.multiply(lags, -xi2[k], out=decay)
-        np.exp(decay, out=decay)  # decay[m] = exp(-xi_k^2 m dt)
-        psi[k] = gain[k] * grid.eta[k] * np.dot(decay, s_rev)
-        decay *= zeta * grid.w[k] * grid.eta[k] ** 2 * gain[k]
-        kernel += decay
+    fine = np.exp(np.outer(-xi2, dt * np.arange(fine_len)))  # exp(-xi_k^2 b dt)
+    coarse = np.exp(np.outer(-xi2, dt * fine_len * np.arange(coarse_len)))  # exp(-xi_k^2 aB dt)
+    # s_rev[aB + b], the reversed signal zero-padded to coarse_len rows of fine_len
+    s_rev = np.zeros(coarse_len * fine_len)
+    s_rev[:n] = s_avg[::-1]
+    partial = fine @ s_rev.reshape(coarse_len, fine_len).T  # (m, coarse_len)
+    psi = gain * grid.eta * np.einsum("ka,ka->k", coarse, partial)
+    coarse *= (zeta * grid.w * grid.eta**2 * gain)[:, None]
+    kernel = (coarse.T @ fine).ravel()[:n]  # K[aB + b]
+    del fine, coarse, partial, s_rev  # the FFT's arrays set the peak memory
     return psi, _kernels.frac_conv(s_avg, kernel)

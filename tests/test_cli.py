@@ -49,6 +49,19 @@ class TestVerifyKernel:
         assert run_cli("verify-kernel", "--beta", 0.5, "--rho", 0,
                        "--out", tmp_path / "rho0") == 2
 
+    @pytest.mark.parametrize("flag, value", [("--tau-min", "0"), ("--tau-min", "nan"),
+                                             ("--tau-min", "-1e-2"), ("--tau-min", "inf"),
+                                             ("--tau-max", "0"), ("--tau-max", "nan"),
+                                             ("--tau-max", "inf")])
+    def test_bad_tau_bounds_are_refused_before_any_work(self, tmp_path, flag, value):
+        # tau-min 0 reached np.geomspace (raw ValueError, exit 1) and nan ran
+        # to a threshold failure (exit 4)
+        out = tmp_path / "kernel"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify-kernel", "--beta", 0.5, f"{flag}={value}", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_small_run_writes_artifacts(self, tmp_path):
@@ -289,6 +302,16 @@ class TestScan:
         lams = [float(r["lambda"]) for r in rows]
         assert len(lams) == 8 and all(v < 0 for v in lams)
 
+    @pytest.mark.parametrize("points", [-3, 0, 1])
+    def test_fewer_than_two_points_are_refused_before_any_work(self, tmp_path, points):
+        # -3 reached np.geomspace (raw ValueError, exit 1)
+        out = tmp_path / "scan"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                    "--nx", 32, "--nxi", 24, f"--points={points}", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         from fracdamp import cli
         from fracdamp.errors import NumericalError
@@ -326,6 +349,29 @@ class TestOracleCompare:
             run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5,
                     "--lambda", 1e-3, "--nx-list", "fifty", "--out", tmp_path / "x")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_bad_lambda_is_refused_before_any_work(self, tmp_path, lam):
+        # nan ran the solves and failed writing the error manifest (exit 1)
+        out = tmp_path / "oc"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5, f"--lambda={lam}",
+                    "--nx-list", "50,100", "--nxi", 64, "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_manifest_takes_complex_and_numpy_diagnostics(self, tmp_path):
+        from fracdamp.cli import _write_manifest
+
+        diagnostics = {"shift": np.complex128(1e-3 + 2j), "eigenvalue": -0.5j,
+                       "sigma": np.float64(0.25), "count": np.int64(7), "ok": np.bool_(True)}
+        _write_manifest(tmp_path, "oracle-compare", {"lambda": 1e-3}, [],
+                        error={"message": "m", **diagnostics}, diagnostics=diagnostics)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        want = {"shift": [1e-3, 2.0], "eigenvalue": [0.0, -0.5], "sigma": 0.25, "count": 7,
+                "ok": True}
+        assert manifest["diagnostics"] == want
+        assert manifest["error"] == {"message": "m", **want}
 
 
 def _csv_writer_bytes(header, rows):
@@ -373,6 +419,24 @@ class TestCsvArtifacts:
         values = [[float(lam), float(l2), float(linf), int(nx)] for lam, l2, linf, nx in rows]
         assert [row[3] for row in values] == [50, 100]
         assert got == _csv_writer_bytes(header, values)
+
+    def test_row_template_bytes_are_the_per_value_format(self, tmp_path):
+        # one "%.17g" template per row against format(v, ".17g") per value:
+        # the edge values, ints, bools and random doubles over many decades
+        from fracdamp._csv import write_csv
+
+        rng = np.random.default_rng(0)
+        doubles = rng.standard_normal(3000) * 10.0 ** rng.uniform(-320, 307, 3000)
+        edges = np.concatenate((self.VALUES, [np.finfo(float).tiny / 3, -5e-324,
+                                              np.finfo(float).max, 2.0**53 + 2]))
+        floats = np.concatenate((doubles, np.resize(edges, 3000)))
+        ints = rng.integers(-2**62, 2**62, floats.size)
+        bools = rng.random(floats.size) < 0.5
+        write_csv(tmp_path / "rows.csv", ["f", "g", "i", "b"], [floats, floats[::-1], ints, bools])
+        want = _csv_writer_bytes(["f", "g", "i", "b"],
+                                 zip(floats.tolist(), floats[::-1].tolist(), ints.tolist(),
+                                     bools.tolist()))
+        assert (tmp_path / "rows.csv").read_bytes() == want
 
 
 class TestPackageSurface:

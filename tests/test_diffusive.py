@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdamp import _kernels
 from fracdamp.diffusive import (
     build_xi_quadrature,
     direct_fractional_integral,
@@ -30,6 +31,25 @@ def _psi_march_oracle(grid, signal, dt, rho=1.0):
         psi = decay * psi + gain * eta * s
         flux[n + 1] = zeta * np.dot(grid.w * eta, psi)
     return psi, flux
+
+
+def _psi_mode_oracle(grid, signal, dt, rho=1.0):
+    """The forced modes one mode at a time: each mode's decay exp(-xi_k^2 j dt)
+    at every lag j, dotted with the reversed mean signal for the final mode
+    and summed into the kernel's cell integrals, whose causal convolution
+    with the mean signal (``frac_conv``) is the flux."""
+    zeta, _ = derive_constants(grid.beta, rho)
+    xi2, eta = grid.xi**2, grid.eta
+    gain = -np.expm1(-xi2 * dt) / xi2
+    s_avg = 0.5 * (signal[:-1] + signal[1:])
+    lags = dt * np.arange(s_avg.size)
+    kernel = np.zeros(s_avg.size)
+    psi = np.empty(xi2.size)
+    for k in range(xi2.size):
+        decay = np.exp(-xi2[k] * lags)
+        psi[k] = gain[k] * eta[k] * np.dot(decay, s_avg[::-1])
+        kernel += zeta * grid.w[k] * eta[k] ** 2 * gain[k] * decay
+    return psi, _kernels.frac_conv(s_avg, kernel)
 
 
 class TestXiGrid:
@@ -238,6 +258,26 @@ class TestEvolvePsiForced:
         assert flux[0] == 0.0
         np.testing.assert_allclose(flux, want_flux, rtol=0, atol=1e-12 * np.abs(want_flux).max())
         np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-12 * np.abs(want_psi).max())
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 15, 16, 17, 20000])
+    @pytest.mark.parametrize("kind", ["zero", "sign-changing"])
+    def test_factored_tables_match_the_per_mode_loop(self, n_steps, kind):
+        # squares, their neighbours and a partial last row of the lag table;
+        # on the default grid xi^2 dt runs from 1e-11 to 1e5, so the tables'
+        # rows of the fast modes underflow to 0
+        grid = build_xi_quadrature(0.5)
+        dt = 1e-3
+        assert (grid.xi[0] ** 2 * dt, grid.xi[-1] ** 2 * dt) == pytest.approx((1e-11, 1e5))
+        t = dt * np.arange(n_steps + 1)
+        signal = np.zeros_like(t) if kind == "zero" else np.sin(3.0 * t + 0.4) - 0.3
+        psi, flux = evolve_psi_forced(grid, signal, dt, rho=1.3)
+        want_psi, want_flux = _psi_mode_oracle(grid, signal, dt, rho=1.3)
+        assert flux.shape == want_flux.shape and psi.shape == want_psi.shape
+        if kind == "zero":
+            assert np.all(psi == 0.0) and np.all(flux == 0.0)
+            return
+        np.testing.assert_allclose(flux, want_flux, rtol=0, atol=1e-13 * np.abs(want_flux).max())
+        np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-13 * np.abs(want_psi).max())
 
     def test_complex_signal_refused(self):
         grid = build_xi_quadrature(0.5, 64)

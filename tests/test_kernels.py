@@ -80,6 +80,17 @@ class TestNumpyKernels:
     def test_midpoint_march_matches_dense_oracle(self):
         _assert_matches_dense_oracle(_march_args())
 
+    @pytest.mark.parametrize("extra", [-_kernels._READOUT_BATCH + 1, -1, 0, 1,
+                                       _kernels._READOUT_BATCH + 1])
+    def test_sample_counts_around_the_readout_batch_match_dense_oracle(self, extra):
+        # 1, batch - 1, batch, batch + 1 and 2 batch + 1 samples: a lone
+        # sample, a partial batch, a full one and a batch's last sample alone
+        count = _kernels._READOUT_BATCH + extra
+        args = list(_march_args())
+        args[-1] = 2 * np.arange(count, dtype=np.int64)
+        args[-2] = int(args[-1][-1])
+        _assert_matches_dense_oracle(tuple(args))
+
     @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
     def test_split_sample_intervals_match_dense_oracle(self, variant):
         _assert_matches_dense_oracle(_operator_march_args(variant))
