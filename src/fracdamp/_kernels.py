@@ -1,22 +1,14 @@
 """Hot numerical kernels, one numpy/LAPACK implementation each.
 
-Two inner loops dominate runtime: the implicit-midpoint time march and the
-singular-kernel convolution.  The time march steps only the field modes that
-reach the damped cell, in their eigen-coordinates, and forms no n x n array:
-the frequencies and boundary weights come from ``boundary_weights`` and the
-initial field's coordinates from ``field_modes``, each a few passes of one
-pivot recurrence over all modes at once (``_sweep``, O(n) memory).  No solve
-and no operator apply per step: the steps between two samples are advanced
-in blocks of up to _MARCH_BLOCK, each two matrix products and one scaling,
-and the sampled states are read out _READOUT_BATCH at a time, three
-matrix-vector products per batch.  The convolution is one real FFT product through
-``numpy.fft``; it serves both the closed-form kernel and the forced
-relaxation modes, whose flux is the same causal convolution with the
-quadrature kernel's cell integrals.  ``diffusive.evolve_psi_forced``
-builds those over n lags of m modes from two factored exponential tables,
-m (B + n/B) exponentials with B = ceil(sqrt(n)) and O(m sqrt(n) + n)
-memory.  The resolvent needs the same frequencies and boundary weights;
-the tridiagonal LU wrapper serves its shifted solves.
+The field spectrum (``field_spectrum``: frequencies, boundary weights and
+coupled modes from a few passes of one pivot recurrence, ``_sweep``, in
+O(n) memory) serves the time march, the resolvent and the eigenvalue
+census.  The implicit-midpoint march (``midpoint_march``) steps the field
+modes that reach the damped cell in their eigen-coordinates
+(``field_modes``) by blocks of matrix products, with no n x n array.
+The singular-kernel convolution (``frac_conv``) is one real FFT product,
+for the closed-form kernel and the forced relaxation modes of
+``diffusive.evolve_psi_forced``; ``TridiagFactor`` serves shifted solves.
 """
 
 from __future__ import annotations
@@ -43,8 +35,8 @@ _MARCH_BLOCK = 32
 #: each batch are three matrix-vector products.
 _READOUT_BATCH = 16
 
-#: Smallest weight q_k[row]^2 at which ``field_modes`` reads a mode at an end
-#: row; the relative error of a weight w there is about eps / w.
+#: Smallest weight q_k[row]^2 at which ``field_spectrum`` reads a mode at an
+#: end row; the relative error of a weight w there is about eps / w.
 _RESOLVED_WEIGHT = 1e-6
 
 _TINY = np.finfo(float).tiny
@@ -185,103 +177,129 @@ def _sweep(el, mu, derivative=False, ratio=False, z=None):
     ref = el.ref.tolist()
     piv = ref[0] + mu
     m = np.empty_like(x)
+    # views made once: the loop is a few ufunc calls per row
+    t, head, tail, m1 = x[0], x[:nb], x[nb:], m[1:2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(1, n):
+        for c, r, zi in zip(coef, ref[1:], [None] * (n - 1) if z is None else zz[1:]):
             # (t, p', rho, r) <- (g t, e^2 p' / p, e rho, e r) / p + (mu, 1, 0, z_i)
-            np.divide(coef[i - 1], piv, out=m)
+            np.divide(c, piv, out=m)
             if derivative:
-                m[1] /= piv
+                m1 /= piv
             x *= m
-            x[:nb] += add
-            if z is not None:
-                x[nb:] += zz[i]
-            np.add(x[0], ref[i], out=piv)
+            head += add
+            if zi is not None:
+                tail += zi
+            np.add(t, r, out=piv)
     return piv, x
 
 
-def boundary_weights(d, off, b):
-    """Eigenvalues ell of the symmetric tridiagonal T = (d, off) and the squares
-    w_k = q_k[b]^2 of its orthonormal eigenvectors at the end row b, in O(n) memory.
+class FieldSpectrum(NamedTuple):
+    """The field modes as the march, the resolvent and the census read them.
 
-    ell comes from LAPACK dsterf.  With b eliminated last, the last pivot
-    p(z) of the LDL^T factorization of z - T is det(z - T)/det(z - T_b), T_b
-    being T without row and column b, so at an eigenvalue w_k = 1/p'(ell_k).
-    One pivot recurrence (``_sweep``) carries p and p' for all n eigenvalues
-    at once (O(n^2) time); one Newton step ell_k - p w_k refines each
-    eigenvalue and a second pass gives the weights.  Where ell_k is also, to
-    rounding, an eigenvalue of T_b, p is 0/0 and the residual |p w_k| of the
-    second pass stays above rounding: such a mode does not reach row b, its
-    weight is 0 and it keeps its dsterf eigenvalue.
+    ``ell`` are the eigenvalues of the symmetrized field tridiagonal T with
+    off-diagonal ``off``, ``weight`` the boundary weights q_k[b]^2 of its
+    orthonormal eigenvectors q_k at the damped row b, and ``coupled`` marks
+    the weights >= eps (they sum to 1).  A mode is read at b or, where
+    ``far``, at the other end row; ``entry`` is q_k there, with q_k[b] >= 0.
+    """
+
+    ell: np.ndarray
+    weight: np.ndarray
+    coupled: np.ndarray
+    far: np.ndarray
+    entry: np.ndarray
+    off: np.ndarray
+
+
+def field_spectrum(d, off, b):
+    """The ``FieldSpectrum`` of T = (d, off) with damped end row b, in O(n) memory.
+
+    ell comes from LAPACK dsterf.  With an end row r eliminated last, the
+    last pivot p(z) of the LDL^T factorization of z - T is
+    det(z - T)/det(z - T_r), so q_k[r]^2 = 1/p'(ell_k).  One pivot
+    recurrence (``_sweep``) with b last carries p and p' for all n
+    eigenvalues at once (O(n^2) time); one Newton step refines each
+    eigenvalue and a second pass gives the weights.  Where ell_k is also,
+    to rounding, an eigenvalue of T without row b, p is 0/0 and its
+    residual stays above rounding: the mode is not resolved at b.  Below
+    _RESOLVED_WEIGHT a weight read at b loses its accuracy; such a mode, or
+    one not resolved at b, is read from the other end row a when its weight
+    there is at least _RESOLVED_WEIGHT and larger.  One pass with a last
+    gives q_k[a]^2 and rho_k = q_k[b] / q_k[a], a product of multipliers
+    that keeps its relative accuracy however small q_k[b] is: the weight is
+    q_k[a]^2 rho_k^2, the entry q_k[a] takes the sign of rho_k, and the
+    Newton step at a refines the frequency of a mode not resolved at b.
     """
     ell, info = _lapack.dsterf(d, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
-    el = _elimination(d, off, b)
+    near = _elimination(d, off, b)
     rounding = 64.0 * np.finfo(float).eps * np.abs(ell).max(initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        piv, x = _sweep(el, ell, derivative=True)
+        piv, x = _sweep(near, ell, derivative=True)
         step = piv / x[1]
         refined = np.where(np.abs(step) <= 1e6 * rounding, ell - step, ell)
-        piv, x = _sweep(el, refined, derivative=True)
+        piv, x = _sweep(near, refined, derivative=True)
         w = 1.0 / x[1]
         resolved = (np.abs(piv * w) <= rounding) & np.isfinite(w)
-    # a mode that does not reach row b keeps its dsterf eigenvalue
-    return np.where(resolved, refined, ell), np.where(resolved, w, 0.0)
-
-
-def field_modes(d, off, b, ell, weight, z):
-    """The field modes a march carries: frequencies, boundary entries
-    s_k = q_k[b] > 0 and coordinates c_k = q_k . z of the vector z, for the
-    eigenvalues ell and weights of ``boundary_weights`` at the end row b,
-    with the remainder ||z||^2 - sum |c_k|^2 that the modes left out hold;
-    O(n) memory and two passes of ``_sweep``.
-
-    A mode of positive weight takes c_k = r_b(ell_k) s_k from the residue of
-    z at b.  Below _RESOLVED_WEIGHT the weight at b, near 0/0, loses its
-    accuracy, and such a mode, or one of weight 0, is read from the other end
-    row a instead when its weight there is at least _RESOLVED_WEIGHT and
-    larger: one Newton step there refines its frequency, and the weight
-    q_k[a]^2, the ratio rho_k = q_k[b] / q_k[a] and the residue at a give
-    s_k = |q_k[a] rho_k| and c_k, its sign turned to s_k > 0.  The ratio is
-    a product of multipliers and keeps its relative accuracy however small
-    q_k[b] is.  The march carries the modes of positive weight and those
-    whose boundary term s_k |c_k| is above eps ||z||; the others do not
-    meet the damping to rounding.  A remainder below -n eps ||z||^2, more
-    than the rounding of n coordinates, raises NumericalError (P and P' up
-    to n = 3200 read at least -0.05 n eps ||z||^2).
-    """
-    n = d.size
-    norm2 = float(np.vdot(z, z).real)
-    freq = ell.copy()
-    s = np.sqrt(weight)
-    c = np.zeros(n, dtype=np.complex128)
-    near = weight > 0.0
-    _, x = _sweep(_elimination(d, off, b), ell[near], z=z)
-    c[near] = s[near] * (x[1] + 1j * x[2])
+    ell = np.where(resolved, refined, ell)
+    weight = np.where(resolved, w, 0.0)
+    far = np.zeros(d.size, dtype=bool)
+    entry = np.sqrt(weight)
     weak = np.flatnonzero(weight < _RESOLVED_WEIGHT)
     if weak.size:
-        rounding = 64.0 * np.finfo(float).eps * np.abs(ell).max(initial=0.0)
-        piv, (_, dpiv, rho, r_re, r_im) = _sweep(
-            _elimination(d, off, n - 1 - b), ell[weak], derivative=True, ratio=True, z=z
+        piv, (_, dpiv, rho) = _sweep(
+            _elimination(d, off, d.size - 1 - b), ell[weak], derivative=True, ratio=True
         )
         with np.errstate(over="ignore", invalid="ignore"):
             w_a = 1.0 / dpiv
             step = piv * w_a
             better = ((w_a >= np.maximum(weight[weak], _RESOLVED_WEIGHT))
                       & (np.abs(step) <= rounding) & np.isfinite(rho) & (rho != 0.0))
-        idx, s_a, rho = weak[better], np.sqrt(w_a[better]), rho[better]
-        freq[idx] -= step[better]
-        s[idx] = s_a * np.abs(rho)
-        c[idx] = np.sign(rho) * s_a * (r_re[better] + 1j * r_im[better])
-    carried = near | (s * np.abs(c) > np.finfo(float).eps * math.sqrt(norm2))
+        idx, w_a, rho = weak[better], w_a[better], rho[better]
+        # a resolved mode keeps the step at b: on random tridiagonals it lands
+        # about 1 ulp from the eigenvalue, the step at a about 2
+        ell[idx] -= np.where(resolved[idx], 0.0, step[better])
+        weight[idx] = w_a * rho * rho
+        entry[idx] = np.copysign(np.sqrt(w_a), rho)
+        far[idx] = True
+    return FieldSpectrum(ell, weight, weight >= np.finfo(float).eps, far, entry, off)
+
+
+def field_modes(d, spectrum, b, z):
+    """The field modes a march carries: frequencies, boundary entries
+    s_k = q_k[b] > 0 and coordinates c_k = q_k . z of the vector z, for the
+    ``FieldSpectrum`` of the field tridiagonal with diagonal d and damped
+    end row b, with the remainder ||z||^2 - sum |c_k|^2 that the modes left
+    out hold; O(n) memory and one pass of ``_sweep`` per end row.
+
+    c_k = r(ell_k) q_k[end] is the residue of z at the end row the mode is
+    read from.  The march carries the coupled modes and those whose
+    boundary term s_k |c_k| is above eps ||z||, which needs s_k > eps; the
+    others do not meet the damping to rounding and are not swept.  A
+    remainder below -n eps ||z||^2, more than the rounding of n
+    coordinates, raises NumericalError (P and P' up to n = 3200 read at
+    least -0.05 n eps ||z||^2).
+    """
+    n = d.size
+    eps = np.finfo(float).eps
+    norm2 = float(np.vdot(z, z).real)
+    s = np.sqrt(spectrum.weight)
+    c = np.zeros(n, dtype=np.complex128)
+    for far, last in ((False, b), (True, n - 1 - b)):
+        idx = np.flatnonzero((spectrum.far == far) & (s > eps))
+        if idx.size:
+            _, x = _sweep(_elimination(d, spectrum.off, last), spectrum.ell[idx], z=z)
+            c[idx] = spectrum.entry[idx] * (x[1] + 1j * x[2])
+    carried = spectrum.coupled | (s * np.abs(c) > eps * math.sqrt(norm2))
     c = c[carried]
     remainder = norm2 - float(np.vdot(c, c).real)
-    if not (np.isfinite(remainder) and remainder >= -n * np.finfo(float).eps * norm2):
+    if not (np.isfinite(remainder) and remainder >= -n * eps * norm2):
         raise NumericalError(
             "field coordinates hold more than the norm of the field",
             {"remainder": remainder, "norm_squared": norm2, "modes": int(c.size)},
         )
-    return freq[carried], s[carried], c, remainder
+    return spectrum.ell[carried], s[carried], c, remainder
 
 
 def _march_block(scale, left, right, k):
@@ -312,39 +330,32 @@ def midpoint_march(
     """Implicit-midpoint march of the coupled (y, psi) system on the field modes
     that reach the damped cell.
 
-    The field modes are the eigenpairs (ell_k, q_k) of the field tridiagonal
-    in the h inner product.  The march takes K of them, as ``field_modes``
-    returns them: frequencies ell, boundary entries s_k = q_k[b] and the
-    coordinates alpha0_k = q_k . h^{1/2} y0 of the initial field, with the
-    cell width h_b at the damped cell b.  A mode left out does not meet the
-    damping: it only rotates, and its energy stays in the constant
-    ``uncoupled_energy``, added to every E.  With c = dt/2 the midpoint map
-    is u' = 2v - u where (I - cA) v = u.  The
-    psi block of that solve is diagonal and is eliminated exactly, leaving
-    the field matrix 1/2 - (ic/2) L plus gmod at the damped cell, halved so
-    that the solve returns 2v.  In the mode coordinates alpha that matrix is
+    The march takes K field modes as ``field_modes`` returns them:
+    frequencies ell, boundary entries s_k = q_k[b] and the coordinates
+    alpha0_k = q_k . h^{1/2} y0 of the initial field, with the cell width
+    h_b at the damped cell b.  A mode left out only rotates; its energy is
+    the constant ``uncoupled_energy``, added to every E.  With c = dt/2 the
+    midpoint map is u' = 2v - u where (I - cA) v = u.  The psi block of
+    that solve is diagonal and is eliminated exactly, leaving the field
+    matrix 1/2 - (ic/2) L plus gmod at the damped cell, halved so that the
+    solve returns 2v.  In the mode coordinates alpha that matrix is
     diag(1/l) + gmod s s^T with l = 1/(1/2 - ic ell/2), so Sherman-Morrison
     solves it in closed form; its denominator 1 + gmod s.(l s) has real
     part >= 1.  The step on u = (alpha, psi) is then a diagonal map plus a
-    rank-two term: alpha is rotated by the unit-modulus l - 1 and psi scaled
-    by its relaxation factor, and both are corrected along fixed vectors by
-    multiples of the two products p.alpha (p = l s) and q.psi (psi's share of
-    the boundary right-hand side).  No solve and no operator apply: the
-    steps between two samples are taken in blocks of at most _MARCH_BLOCK,
-    each one (2k x N) product, one scaling and one (N x 2k) product on the
-    N = K + m coordinates (``_march_block``).  The energy is |alpha|^2/2
-    plus the psi part plus ``uncoupled_energy``, since the modes are
-    orthonormal.  Samples are taken at the step indices listed in
-    ``sample_steps`` (sorted, starting at 0 and ending at n_steps); the
-    sampled states are kept in a buffer of _READOUT_BATCH rows, and each
-    full buffer, or the last partial one, is read out at once: E and D each
-    by one real product of the squared real and imaginary parts with a
-    readout row, the boundary sums by one complex product.  Matrix-vector
-    products only: a product with both readout rows at once would be a
-    BLAS gemm, whose packing buffers add about 0.4 MB of resident memory
-    to a march.  Returns the sampled energy E, dissipation rate D and
-    boundary sum w.(eta psi), and the final modes psi; the final field
-    stays in mode coordinates and is not returned.
+    rank-two term: alpha is rotated by the unit-modulus l - 1 and psi
+    scaled by its relaxation factor, and both are corrected along fixed
+    vectors by multiples of p.alpha (p = l s) and q.psi (psi's share of the
+    boundary right-hand side).  The steps between two samples are taken in
+    blocks of at most _MARCH_BLOCK, each one (2k x N) product, one scaling
+    and one (N x 2k) product on the N = K + m coordinates
+    (``_march_block``).  Samples are taken at the sorted step indices
+    ``sample_steps`` (from 0 to n_steps) and read out _READOUT_BATCH at a
+    time: E and D each by one real product of the squared real and
+    imaginary parts with a readout row, the boundary sums by one complex
+    product.  Matrix-vector products only: a BLAS gemm's packing buffers
+    would add about 0.4 MB of resident memory to a march.  Returns the
+    sampled energy E, dissipation rate D and boundary sum w.(eta psi), and
+    the final modes psi.
     """
     n = ell.size
     c = 0.5 * dt

@@ -213,8 +213,8 @@ def analytic_resolvent_P(
     term uses trapezoid quadrature on that grid.
     """
     nu = _nu_alpha(alpha)
-    if lam <= 0:
-        raise ParameterError(f"lambda must be positive, got lambda={lam}")
+    if not 0.0 < lam < math.inf:  # written so that nan fails it
+        raise ParameterError(f"lambda must be finite and positive, got lambda={lam}")
     mu = 1j * math.sqrt(lam)
     x = np.asarray(x, dtype=float)
     f1 = np.zeros_like(x, dtype=np.complex128) if f1 is None else np.asarray(f1, dtype=np.complex128)
@@ -261,8 +261,8 @@ def analytic_case_Pprime_poweralpha(
     determines A.  The bracket plays the role of the connection determinant.
     """
     nu = _nu_alpha(alpha)
-    if lam <= 0:
-        raise ParameterError(f"lambda must be positive, got lambda={lam}")
+    if not 0.0 < lam < math.inf:  # written so that nan fails it
+        raise ParameterError(f"lambda must be finite and positive, got lambda={lam}")
     mu = 1j * math.sqrt(lam)
     x = np.asarray(x, dtype=float)
     f1 = np.zeros_like(x, dtype=np.complex128) if f1 is None else np.asarray(f1, dtype=np.complex128)

@@ -292,6 +292,8 @@ def _cmd_verify_kernel(args, parser) -> int:
     if not all(math.isfinite(v) and v > 0.0 for v in (args.tau_min, args.tau_max)):
         parser.error("--tau-min and --tau-max must be finite and positive, "
                      f"got {args.tau_min:g} and {args.tau_max:g}")
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)

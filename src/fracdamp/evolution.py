@@ -73,18 +73,18 @@ def simulate(
 ) -> EnergyTrace:
     """March Y' = A Y and record the decimated energy trace.
 
-    The march steps the field modes that reach the damped cell (see
-    ``_kernels.midpoint_march``).  They, and the initial field's coordinates
-    along them, come from the frequencies and boundary weights of
-    ``op.field_spectrum`` through ``_kernels.field_modes``, with no n x n
-    array; the energy of the modes left out is the trace's
-    ``uncoupled_energy``.  A field block that is not self-adjoint in the h
-    inner product raises NumericalError.  The trace contains E, the
-    discrete dissipation rate D (exact energy derivative at the sample), and
-    the boundary damping flux read from the coupling row.  Samples are
-    taken every ``sample_stride`` steps (a positive integer; by default the
-    stride that keeps about 2000 samples) and at the last step.  A t_final
-    or dt that is not positive and finite raises ParameterError.
+    The march steps the field modes that reach the damped cell, with no
+    n x n array (``_kernels.field_modes`` and ``midpoint_march``): the
+    coupled modes of ``op.field_spectrum`` and any decoupled one (weight
+    below eps) whose boundary term is above rounding.  The energy of the
+    modes left out is the trace's ``uncoupled_energy``.  A field block that
+    is not self-adjoint in the h inner product raises NumericalError.  The
+    trace contains E, the discrete dissipation rate D (exact energy
+    derivative at the sample), and the boundary damping flux read from the
+    coupling row.  Samples are taken every ``sample_stride`` steps (a
+    positive integer; by default the stride that keeps about 2000 samples)
+    and at the last step.  A t_final or dt that is not positive and finite
+    raises ParameterError.
     """
     # written so that nan fails it; t_final/dt overflows for a tiny dt
     if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf and t_final / dt < math.inf):
@@ -108,9 +108,7 @@ def simulate(
         raise NumericalError(f"field eigenvalues failed: {exc}") from exc
     b = op.boundary_index
     h = op.xgrid.h
-    ell, s, alpha0, remainder = _kernels.field_modes(
-        op.l_diag, spectrum.off, b, spectrum.ell, spectrum.weight, np.sqrt(h) * y0.y
-    )
+    ell, s, alpha0, remainder = _kernels.field_modes(op.l_diag, spectrum, b, np.sqrt(h) * y0.y)
     e_out, d_out, s_out, _ = _kernels.midpoint_march(
         ell, s, h[b], op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
         alpha0, y0.psi, 0.5 * remainder, float(dt), n_steps, steps,
@@ -131,21 +129,17 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
 
     The eigenvalues come from the secular census
     (``resolvent.damped_eigenvalues``), which resolves real parts far below
-    eps |lambda|: a field mode of weight 0 has Re lambda = 0 exactly, a
-    coupled root Re lambda < 0.  Values within 64 eps of the largest real
-    part, relative to it, are tied, and the tie goes to the smallest
-    |lambda|.  On variant P the largest real part is the 0 of the field
-    modes of weight 0, so the mode is the one of them with the smallest
-    frequency: its boundary weight is about 1e-17 at nx=400 and it does not
-    feel the damping.  On P' every field mode is coupled and the mode is the
-    relaxation root next to -xi_min^2, with |lambda| just above
-    _RESOLVED_EIGENVALUE.  The eigenvector comes from _INVERSE_STEPS steps
-    of inverse iteration with the shifted solver of ``resolvent`` taken at
-    lam - A, O(n + m) each and no dense matrix, from the all-ones vector and
-    normalized in the weighted norm at each step; its eigen-residual is
-    checked.  If `report` is a dict, the mode's eigenvalue, boundary weight,
+    eps |lambda|: a decoupled field mode (weight below eps) has Re lambda = 0
+    exactly, a coupled root Re lambda < 0.  Values within 64 eps of the
+    largest real part, relative to it, are tied, and the tie goes to the
+    smallest |lambda|: on P a decoupled field mode, on P' the relaxation
+    root next to -xi_min^2 (see the README).  The eigenvector comes from
+    _INVERSE_STEPS steps of inverse iteration with the shifted solver of
+    ``resolvent`` taken at lam - A, O(n + m) each and no dense matrix, from
+    the all-ones vector and normalized in the weighted norm at each step;
+    its eigen-residual is checked.  If `report` is a dict, the mode's eigenvalue, boundary weight,
     field energy share and residual and the census counts and wall time are
-    stored in it.
+    stored in it; the census's ``found`` leaves out the decoupled modes.
     """
     clock = time.perf_counter()
     census = damped_eigenvalues(op)
@@ -178,7 +172,7 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
             "field_energy_share": energy(field, op) / energy(mode, op),
             "residual": resid,
             "census": {"found": int(census.values.size
-                                    - np.count_nonzero(op.field_spectrum.weight == 0.0)),
+                                    - np.count_nonzero(~op.field_spectrum.coupled)),
                        "expected": census.expected, "unconverged": census.unconverged,
                        "recovered": census.recovered,
                        "max_newton_iterations": int(census.iterations.max())},
@@ -207,7 +201,8 @@ def prepare_initial_state(
     returned as it is, since a damped operator has no kernel to remove.  The
     lowest-mode preset returns the resolved eigenmode with the largest
     Re lambda, ties at rounding going to the smallest |lambda| (see
-    ``_lowest_mode``).  If `report` is a dict, what the preparation measured
+    ``_lowest_mode``); on variant P that is a decoupled field mode (weight
+    below eps).  If `report` is a dict, what the preparation measured
     is stored in it: for the bump sigma_min(A), one resolvent solve at
     lambda = 0, which reads the slowest relaxation rate (about xi_min^2);
     for the lowest mode what ``_lowest_mode`` reports.

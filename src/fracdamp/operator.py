@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -95,20 +95,6 @@ def _fv_tridiag(kappa: Callable, xgrid: XGrid, dirichlet_left: bool):
     return sub, diag, sup
 
 
-class FieldSpectrum(NamedTuple):
-    """The field block as the resolvent needs it, O(n) numbers.
-
-    ``ell`` are the frequencies of L, ``weight`` the squares s_k^2 of the
-    damped cell's row S[b, :] of its h-orthonormal eigenbasis, and ``off``
-    the off-diagonal of the symmetrized tridiagonal D^{1/2} L D^{-1/2}
-    (diagonal ``l_diag``).
-    """
-
-    ell: np.ndarray
-    weight: np.ndarray
-    off: np.ndarray
-
-
 @dataclass(frozen=True)
 class SystemOperator:
     """Assembled discrete generator with its weighted inner product.
@@ -166,14 +152,16 @@ class SystemOperator:
         )
 
     @cached_property
-    def field_spectrum(self) -> FieldSpectrum:
-        """ell and the boundary weights s_k^2, computed once and kept.
+    def relaxation_weights(self) -> np.ndarray:
+        """a_k^2 = zeta w_k eta_k^2 / h_b, the relaxation modes' squared couplings."""
+        return self.zeta * self.xigrid.w * self.xigrid.eta**2 / self.xgrid.h[self.boundary_index]
 
-        From ``_kernels.boundary_weights``: O(n) memory, no n x n basis.
-        """
+    @cached_property
+    def field_spectrum(self) -> _kernels.FieldSpectrum:
+        """The field modes, their boundary weights and which are coupled, once
+        per operator (``_kernels.field_spectrum``: O(n) memory, no n x n basis)."""
         off = _kernels.symmetrized_offdiagonal(self.l_sub, self.l_sup, self.xgrid.h)
-        ell, weight = _kernels.boundary_weights(self.l_diag, off, self.boundary_index)
-        return FieldSpectrum(ell=ell, weight=weight, off=off)
+        return _kernels.field_spectrum(self.l_diag, off, self.boundary_index)
 
 
 def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> SystemOperator:

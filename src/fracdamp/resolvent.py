@@ -114,14 +114,12 @@ class _ShiftedSystem:
         denom = 1j * lam + xi2
         if np.any(np.abs(denom) == 0.0):
             raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(denom))]))
-        eta = op.xigrid.eta
-        fold = op.zeta / op.xgrid.h[self.b]
-        g = fold * np.dot(op.xigrid.w * eta * eta, 1.0 / denom)
         # per-shift constants of the elimination, so a solve is one zgttrs,
         # one dot product and three in-place vector operations
         self._inv_denom = 1.0 / denom
-        self._couple = fold * op.xigrid.w * eta * self._inv_denom
-        self._eta = eta
+        self._eta = op.xigrid.eta
+        g = np.dot(op.relaxation_weights, self._inv_denom)
+        self._couple = (op.zeta / op.xgrid.h[self.b]) * op.xigrid.w * self._eta * self._inv_denom
 
         d = (1j * lam - 1j * op.l_diag).astype(np.complex128)
         d[self.b] += g
@@ -196,9 +194,9 @@ class ShiftReport:
 class _Root(NamedTuple):
     """sigma_min of a secular problem and what its singular vector needs.
 
-    Either ``free``, the index of a mode of weight 0 whose exact singular
-    value it is, or the bordered poles and the null vector (t, tau) of the
-    bordered secular matrix at sigma.
+    Either ``free``, the index of a decoupled mode (weight 0 here) whose
+    exact singular value it is, or the bordered poles and the null vector
+    (t, tau) of the bordered secular matrix at sigma.
     """
 
     sigma: float
@@ -228,14 +226,14 @@ class _Secular:
     +r_k of [[0, delta_k], [conj delta_k, 0]] becomes a row
     (x_k/sqrt 2)(e_p + (delta_k/r_k) e_p+2) with diagonal -(sigma - r_k),
     and neg of the bordered matrix replaces their share of the count.
-    Modes of weight 0 are exact singular values r_k and enter the count
-    only.
+    Modes of weight 0 (decoupled) are exact singular values r_k and enter
+    the count only.
     """
 
     def __init__(self, delta, x2, n_field):
         self.delta = delta
         r = np.abs(delta)
-        coupled = x2 >= np.finfo(float).tiny
+        coupled = x2 > 0.0
         self.free = np.flatnonzero(~coupled)
         self.free_r = np.sort(r[self.free])
         idx = np.flatnonzero(coupled)
@@ -398,7 +396,7 @@ class _Secular:
             if has_root_below(c):
                 break
             if c == points.size - 1:
-                # none below the cap: a mode of weight 0 is the smallest
+                # none below the cap: a decoupled mode is the smallest
                 k = self.free[int(np.argmin(np.abs(self.delta[self.free])))]
                 return _Root(float(np.abs(self.delta[k])), free=int(k))
             lo_c, step = c, 2 * step
@@ -544,6 +542,14 @@ def _field_vector(spectrum, l_diag, b, lam, sigma, t, u_field, bordered):
     return z
 
 
+def _secular(op, lam: float) -> _Secular:
+    """i lam - A as ``_Secular`` takes it, the decoupled field modes with weight 0."""
+    spectrum = op.field_spectrum
+    delta = np.concatenate((1j * (lam - spectrum.ell), op.xigrid.xi**2 + 1j * lam))
+    x2 = np.concatenate((np.where(spectrum.coupled, spectrum.weight, 0.0), op.relaxation_weights))
+    return _Secular(delta, x2, spectrum.ell.size)
+
+
 def _shift(op, lam: float) -> ShiftReport:
     """The resolvent norm at i lam with what it measured; see resolvent_norm."""
     sys_ = _shifted_system(op, lam)
@@ -551,9 +557,7 @@ def _shift(op, lam: float) -> ShiftReport:
     n = spectrum.ell.size
     b = op.boundary_index
     xi2 = op.xigrid.xi**2
-    a2 = op.zeta * op.xigrid.w * op.xigrid.eta**2 / op.xgrid.h[b]
-    delta = np.concatenate((1j * (lam - spectrum.ell), xi2 + 1j * lam))
-    sec = _Secular(delta, np.concatenate((spectrum.weight, a2)), n)
+    sec = _secular(op, lam)
     root = sec.smallest()
     sigma = root.sigma
     if not sigma > 0.0:
@@ -647,13 +651,13 @@ class DampedEigenvalues(NamedTuple):
     """The eigenvalues of A and how the secular census found them.
 
     ``values`` holds all n + m eigenvalues: first i ell_k for the field
-    modes of weight 0 (decoupled, so exact), then the K + m roots of
-    1 + F G, K being the number of coupled field modes; a census is only
-    returned complete.  ``iterations`` are the Newton iterations per value
-    (decoupled modes: 0).  ``unconverged`` counts the Newton starts that
-    did not converge (starts that converge to a root another start found
-    are merged, not counted), and ``recovered`` the roots that deflated
-    Newton found after them.
+    modes that are decoupled (weight below eps, so exact), then the K + m
+    roots of 1 + F G, K being the number of coupled field modes; a census
+    is only returned complete.  ``iterations`` are the Newton iterations
+    per value (decoupled modes: 0).  ``unconverged`` counts the Newton
+    starts that did not converge (starts that converge to a root another
+    start found are merged, not counted), and ``recovered`` the roots that
+    deflated Newton found after them.
     """
 
     values: np.ndarray
@@ -687,23 +691,23 @@ class _Characteristic:
 
     In the weighted field eigenbasis z - A is diag(z - i ell, z + xi^2)
     plus the rank-two coupling e_s e_a^T - e_a e_s^T of ``_Secular``, so
-    with the field weights s_k^2 and the relaxation weights a_k^2 =
-    zeta w_k eta_k^2 / h_b
+    with the field weights s_k^2 and the relaxation weights a_k^2
+    (``op.relaxation_weights``)
         F(z) = sum s_k^2 / (z - i ell_k),   G(z) = sum a_k^2 / (z + xi_k^2).
-    Only coupled modes (weight > 0) are poles.  Newton runs on the forms
-    that stay regular at the poles a root sits next to: 1/F + G near the
-    field poles and in the open band, 1/G + F next to a relaxation pole.
+    Only the coupled field modes of ``op.field_spectrum`` are poles; a
+    decoupled one (weight below eps) is an exact eigenvalue.  Newton runs
+    on the forms that stay regular at the poles a root sits next to:
+    1/F + G near the field poles and in the open band, 1/G + F next to a
+    relaxation pole.
     """
 
     def __init__(self, op):
         spectrum = op.field_spectrum
-        b = op.boundary_index
-        self.coupled = spectrum.weight > 0.0
-        self.ell = spectrum.ell[self.coupled]
-        self.s2 = spectrum.weight[self.coupled]
+        self.ell = spectrum.ell[spectrum.coupled]
+        self.s2 = spectrum.weight[spectrum.coupled]
         self.field_poles = 1j * self.ell
         self.relax_poles = (-op.xigrid.xi**2).astype(np.complex128)
-        self.a2 = op.zeta * op.xigrid.w * op.xigrid.eta**2 / op.xgrid.h[b]
+        self.a2 = op.relaxation_weights
 
     def terms(self, z):
         """F, F', G, G' at each z."""
@@ -831,17 +835,17 @@ def _distinct(z):
 def damped_eigenvalues(op) -> DampedEigenvalues:
     """All eigenvalues of A, from the secular form of its characteristic polynomial.
 
-    A field mode of weight 0 in ``op.field_spectrum`` is an exact
-    eigenvalue i ell_k.  The other K + m eigenvalues are the roots of
-    1 + F G (see ``_Characteristic``), found by safeguarded Newton from
-    three families of starts: next to each coupled field pole, next to
-    each relaxation pole, and one bracketed on the real axis in each gap
-    between consecutive relaxation poles.  Converged roots are merged;
-    roots still missing (such as the continuation of a zero field
+    A decoupled field mode of ``op.field_spectrum`` (weight below eps) is
+    taken as the exact eigenvalue i ell_k.  The other K + m eigenvalues are
+    the roots of 1 + F G (see ``_Characteristic``), found by safeguarded
+    Newton from three families of starts: next to each coupled field pole,
+    next to each relaxation pole, and one bracketed on the real axis in
+    each gap between consecutive relaxation poles.  Converged roots are
+    merged; roots still missing (such as the continuation of a zero field
     frequency into the relaxation band) are recovered one at a time by
     Newton with the found roots divided out.  Each evaluation costs
-    O(n + m); no dense matrix is formed.  Unless K + m distinct converged roots result,
-    NumericalError is raised with the census counts.
+    O(n + m); no dense matrix is formed.  Unless K + m distinct converged
+    roots result, NumericalError is raised with the census counts.
     """
     if op.zeta <= 0.0:
         raise ConfigurationError("the eigenvalue census requires a damped operator (zeta > 0)")
@@ -874,7 +878,7 @@ def damped_eigenvalues(op) -> DampedEigenvalues:
             {"found": int(roots.size), "expected": expected, "unconverged": unconverged,
              "recovered": recovered, "max_newton_iterations": int(iterations.max(initial=0))},
         )
-    decoupled = 1j * op.field_spectrum.ell[~char.coupled]
+    decoupled = 1j * op.field_spectrum.ell[~op.field_spectrum.coupled]
     return DampedEigenvalues(
         values=np.concatenate((decoupled, roots)),
         iterations=np.concatenate((np.zeros(decoupled.size, dtype=np.int64), iters)),

@@ -77,8 +77,8 @@ def march_args(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2, y0, psi0, dt, n_st
     of the rest."""
     l_diag = np.asarray(l_diag)
     off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
-    ell, weight = _kernels.boundary_weights(l_diag, off, b)
-    ell, s, alpha0, remainder = _kernels.field_modes(l_diag, off, b, ell, weight, np.sqrt(h) * y0)
+    spectrum = _kernels.field_spectrum(l_diag, off, b)
+    ell, s, alpha0, remainder = _kernels.field_modes(l_diag, spectrum, b, np.sqrt(h) * y0)
     return (ell, s, h[b], zeta, w, eta, xi2, alpha0, psi0, 0.5 * remainder, dt, n_steps, steps)
 
 

@@ -241,12 +241,23 @@ class TestAnalyticResolventP:
         with pytest.raises(NearSingularError):
             _check_determinant(complex("nan"), 1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, math.nan, math.inf])
+    def test_lambda_not_finite_and_positive_is_a_parameter_error(self, lam):
+        # nan passed a lam <= 0 guard and failed later as NearSingularError
+        with pytest.raises(ParameterError):
+            analytic_resolvent_P(lam, build_x_grid(32).x, None, 1.0, 0.5, 0.5, 1.0)
+
 
 class TestAnalyticPprimePower:
     def test_zero_data(self):
         x = build_x_grid(32).x
         res = analytic_case_Pprime_poweralpha(1e-3, x, None, 0.0, 0.5, 0.5, 1.0)
         assert np.all(res.y == 0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, math.nan, math.inf])
+    def test_lambda_not_finite_and_positive_is_a_parameter_error(self, lam):
+        with pytest.raises(ParameterError):
+            analytic_case_Pprime_poweralpha(lam, build_x_grid(32).x, None, 1.0, 0.5, 0.5, 1.0)
 
     def test_dirichlet_at_origin_by_construction(self):
         x = build_x_grid(64).x

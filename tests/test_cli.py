@@ -62,6 +62,16 @@ class TestVerifyKernel:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [-1, 0])
+    def test_fewer_than_one_point_is_refused_before_any_work(self, tmp_path, points):
+        # -1 reached np.geomspace (raw ValueError, exit 1) and 0 ran on an
+        # empty tau grid to a threshold failure (exit 4)
+        out = tmp_path / "kernel"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify-kernel", "--beta", 0.5, f"--points={points}", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_small_run_writes_artifacts(self, tmp_path):

@@ -101,7 +101,7 @@ class TestSimulate:
         assert np.all(np.diff(trace.E) <= 1e-12 * trace.E[0])
 
     def test_uncoupled_energy_is_held_by_modes_off_the_damped_cell(self, rng):
-        # on P at nx=100 40 field modes read weight 0 in field_spectrum; the
+        # on P at nx=100 40 field modes are decoupled in field_spectrum; the
         # energy the march leaves out lies in those modes, and it includes
         # every mode whose boundary entry is below 1e-20
         from conftest import field_eigenbasis
@@ -112,11 +112,32 @@ class TestSimulate:
         _, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
         energies = 0.5 * np.abs(basis.T @ (np.sqrt(op.xgrid.h) * state.y)) ** 2
         b = op.boundary_index
-        weight_zero = energies[op.field_spectrum.weight == 0.0].sum()
+        decoupled = energies[~op.field_spectrum.coupled].sum()
         unreached = energies[np.abs(basis[b]) < 1e-20].sum()
         assert unreached > 0.0
         rounding = 1e-12 * trace.E[0]
-        assert unreached - rounding <= trace.uncoupled_energy <= weight_zero + rounding
+        assert unreached - rounding <= trace.uncoupled_energy <= decoupled + rounding
+
+    @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
+    def test_march_count_and_census_read_one_coupled_mask(self, variant, rng):
+        # the census finds a root for each coupled field mode, the count
+        # takes every other field mode as an exact singular value, and the
+        # march carries every coupled mode
+        op = make_operator(variant, nx=100, nxi=64)
+        spectrum = op.field_spectrum
+        coupled = spectrum.coupled
+        if variant is Variant.P:
+            assert 0 < np.count_nonzero(coupled) < coupled.size
+        census = resolvent_module.damped_eigenvalues(op)
+        assert census.expected == np.count_nonzero(coupled) + op.xigrid.xi.size
+        secular = resolvent_module._secular(op, 0.3)
+        assert np.array_equal(secular.free, np.flatnonzero(~coupled))
+        state = random_state(op, rng)
+        trace = simulate(op, state, 0.1, 0.01)
+        freq, *_ = _kernels.field_modes(op.l_diag, spectrum, op.boundary_index,
+                                        np.sqrt(op.xgrid.h) * state.y)
+        assert trace.coupled_modes == freq.size
+        assert np.all(np.isin(spectrum.ell[coupled], freq))
 
     def test_energy_monotone_and_dissipation_sign(self, small_op, rng):
         state = random_state(small_op, rng)
@@ -208,8 +229,8 @@ class TestPrepare:
 
     @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
     def test_lowest_mode_residual_at_the_benchmark_grid(self, variant):
-        # nx=400, nxi=200 and xi in [1e-4, 1e4]: on P most field modes read
-        # weight 0 in field_spectrum, yet their boundary entries are about 1e-8
+        # nx=400, nxi=200 and xi in [1e-4, 1e4]: on P most field modes are
+        # decoupled in field_spectrum, yet their boundary entries reach 1e-8
         from fracdamp.diffusive import build_xi_quadrature
         from fracdamp.model import PowerLawKappa, ProblemSpec
         from fracdamp.operator import assemble_operator, build_x_grid

@@ -95,15 +95,15 @@ class TestNumpyKernels:
     def test_split_sample_intervals_match_dense_oracle(self, variant):
         _assert_matches_dense_oracle(_operator_march_args(variant))
 
-    def test_weight_zero_field_modes_match_dense_oracle(self):
+    def test_decoupled_field_modes_match_dense_oracle(self):
         # on P at nx=100, nxi=64, 40 of the 100 field modes do not reach the
         # damped cell: the march leaves them out and keeps their energy as a
         # constant, which the dense map has to agree with
         args = _operator_march_args(Variant.P, nx=100, nxi=64)
         l_sub, l_diag, l_sup, h, b = args[:5]
         off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
-        _, weight = _kernels.boundary_weights(np.asarray(l_diag), off, b)
-        assert np.count_nonzero(weight == 0.0) > 0
+        spectrum = _kernels.field_spectrum(np.asarray(l_diag), off, b)
+        assert np.count_nonzero(~spectrum.coupled) > 0
         _assert_matches_dense_oracle(args)
 
     @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
@@ -173,13 +173,41 @@ class TestFieldEigenbasis:
         b = op.boundary_index
         ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
         off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
-        got_ell, weight = _kernels.boundary_weights(np.asarray(op.l_diag), off, b)
+        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), off, b)
+        got_ell, weight = spectrum.ell, spectrum.weight
         scale = np.abs(ell).max()
         np.testing.assert_allclose(got_ell, ell, rtol=0, atol=1e-13 * scale)
         # relative accuracy where the mode reaches the damped cell, absolute
         # (to rounding) where it does not
         np.testing.assert_allclose(weight, basis[b] ** 2, rtol=1e-8, atol=1e-14)
         assert weight.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant, alpha, g, nx",
+        [(Variant.P, 0.5, 1.0, 24), (Variant.P, 0.5, 1.0, 100), (Variant.P, 0.9, 1.0, 24),
+         (Variant.P, 0.9, 1.0, 100), (Variant.PPRIME, 0.5, 1.0, 100),
+         (Variant.PPRIME, 1.5, 2.0, 100)],
+    )
+    def test_field_spectrum_weights_and_coupling_match_dense_oracle(self, variant, alpha, g, nx):
+        # on P most weights lie far below 1e-6 and are read from the other end
+        # row; every weight that can couple is accurate, and the coupled mask
+        # is the oracle's wherever the oracle weight is not within a factor 2
+        # of eps
+        op = make_operator(variant=variant, alpha=alpha, nx=nx, g=g)
+        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag),
+                                           _kernels.symmetrized_offdiagonal(
+                                               op.l_sub, op.l_sup, op.xgrid.h),
+                                           op.boundary_index)
+        np.testing.assert_allclose(spectrum.ell, ell, rtol=0, atol=1e-13 * np.abs(ell).max())
+        want = basis[op.boundary_index] ** 2
+        eps = np.finfo(float).eps
+        above = spectrum.weight >= eps
+        np.testing.assert_allclose(spectrum.weight[above], want[above], rtol=1e-8, atol=0)
+        clear = (want > 2.0 * eps) | (want < 0.5 * eps)
+        assert np.array_equal(spectrum.coupled[clear], want[clear] >= eps)
+        if variant is Variant.P:
+            assert np.any(spectrum.far & spectrum.coupled)
 
     @pytest.mark.parametrize(
         "variant, alpha, g, nx",
@@ -191,15 +219,13 @@ class TestFieldEigenbasis:
         b = op.boundary_index
         ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
         off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
-        spec_ell, weight = _kernels.boundary_weights(np.asarray(op.l_diag), off, b)
+        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), off, b)
         rng = np.random.default_rng(7)
         z = rng.standard_normal(ell.size) + 1j * rng.standard_normal(ell.size)
-        freq, s, c, remainder = _kernels.field_modes(
-            np.asarray(op.l_diag), off, b, spec_ell, weight, z
-        )
-        # every mode of positive weight is carried, and each carried mode is
-        # one eigenpair of the dense basis
-        assert np.count_nonzero(weight) <= freq.size <= ell.size
+        freq, s, c, remainder = _kernels.field_modes(np.asarray(op.l_diag), spectrum, b, z)
+        # every coupled mode is carried, and each carried mode is one
+        # eigenpair of the dense basis
+        assert np.count_nonzero(spectrum.coupled) <= freq.size <= ell.size
         idx = np.abs(freq[:, None] - ell[None, :]).argmin(axis=1)
         assert np.unique(idx).size == idx.size
         scale = np.abs(ell).max()
@@ -226,8 +252,8 @@ class TestFieldEigenbasis:
         # ||z||^2 - sum |c_k|^2 turns negative far beyond rounding
         op = make_operator(variant=Variant.PPRIME, nx=48)
         spectrum = op.field_spectrum
+        spectrum = spectrum._replace(weight=4.0 * spectrum.weight, entry=2.0 * spectrum.entry)
         z = np.sqrt(op.xgrid.h) * (1.0 + op.xgrid.x)
         with pytest.raises(NumericalError, match="norm") as info:
-            _kernels.field_modes(np.asarray(op.l_diag), spectrum.off, op.boundary_index,
-                                 spectrum.ell, 4.0 * spectrum.weight, z)
+            _kernels.field_modes(np.asarray(op.l_diag), spectrum, op.boundary_index, z)
         assert info.value.diagnostics["remainder"] < 0.0

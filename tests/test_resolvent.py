@@ -37,10 +37,11 @@ def _modal_matrix(delta, x2, n_field):
 
 
 def _modal_problem(op, lam):
+    # as _shift poses it: the decoupled field modes enter with weight 0
     spectrum = op.field_spectrum
-    a2 = op.zeta * op.xigrid.w * op.xigrid.eta**2 / op.xgrid.h[op.boundary_index]
     delta = np.concatenate((1j * (lam - spectrum.ell), op.xigrid.xi**2 + 1j * lam))
-    return delta, np.concatenate((spectrum.weight, a2)), spectrum.ell.size
+    x2 = np.concatenate((np.where(spectrum.coupled, spectrum.weight, 0.0), op.relaxation_weights))
+    return delta, x2, spectrum.ell.size
 
 
 class TestStubOperators:
@@ -81,11 +82,12 @@ class TestStubOperators:
             )
 
     def test_spectral_collision(self):
-        # a field mode that does not reach the damped cell (weight 0) is an
-        # undamped eigenvalue i*ell_k: the shift lam = ell_k is singular
+        # a field mode that does not reach the damped cell (decoupled, weight
+        # below eps) is an undamped eigenvalue i*ell_k: the shift lam = ell_k
+        # is singular
         op = make_operator(nx=100, nxi=60, xi_min=1e-4, xi_max=1e4)
         spectrum = op.field_spectrum
-        k = int(np.flatnonzero(spectrum.weight == 0.0)[0])
+        k = int(np.flatnonzero(~spectrum.coupled)[0])
         lam = float(spectrum.ell[k])
         with pytest.raises(SpectralCollisionError) as exc:
             resolvent_norm(op, lam)
@@ -193,7 +195,7 @@ class TestAssembledNorms:
         # coefficients, damping, grids and shifts drawn at random, lam = ell_k
         # among them; the oracle is the largest singular value of the
         # inverse built column by column from shifted solves.  A shift at an
-        # undamped (weight 0) field frequency is a collision.
+        # undamped (decoupled) field frequency is a collision.
         from fracdamp.diffusive import build_xi_quadrature
         from fracdamp.operator import assemble_operator, build_x_grid
 
@@ -220,7 +222,7 @@ class TestAssembledNorms:
                                     for j in range(n_all)], axis=1)
                 oracle = np.linalg.svd(inverse, compute_uv=False)[0]
                 assert resolvent_norm(op, lam) == pytest.approx(oracle, rel=1e-8), lam
-            undamped = spectrum.ell[spectrum.weight == 0.0]
+            undamped = spectrum.ell[~spectrum.coupled]
             if undamped.size:
                 with pytest.raises(SpectralCollisionError):
                     resolvent_norm(op, float(undamped[0]))
@@ -243,6 +245,18 @@ class TestAssembledNorms:
         scale = max(np.abs(z.y).max(), np.abs(z.psi).max())
         assert np.abs(res_y).max() < 1e-10 * scale
         assert np.abs(res_p).max() < 1e-10 * scale
+
+    def test_shifted_solves_need_no_field_spectrum(self, rng):
+        # the relaxation weights a_k^2 of the boundary impedance are formed
+        # without the field eigensolve, which oracle-compare never needs
+        op = make_operator(nx=40, nxi=24)
+        solve_resolvent(op, 3e-2, rng.standard_normal(40), rng.standard_normal(24))
+        assert "field_spectrum" not in vars(op)
+        np.testing.assert_allclose(
+            op.relaxation_weights,
+            op.zeta * op.xigrid.w * op.xigrid.eta**2 / op.xgrid.h[op.boundary_index],
+            rtol=1e-15,
+        )
 
     def test_undamped_operator_rejected(self):
         op = replace(make_operator(), zeta=0.0)
@@ -310,7 +324,7 @@ class TestDampedEigenvalues:
         # alpha=1.5 the zero field frequency continues into the band
         op = make_operator(variant, alpha=alpha, beta=beta, nx=100, g=g)
         census = damped_eigenvalues(op)
-        coupled = int(np.count_nonzero(op.field_spectrum.weight))
+        coupled = int(np.count_nonzero(op.field_spectrum.coupled))
         assert census.expected == coupled + op.xigrid.xi.size
         assert census.values.size == op.dimension
         assert self._match(eigvals_dense(op), census.values) <= 1e-9
