@@ -63,6 +63,7 @@ def _json_default(value):
 
 def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
                     diagnostics=None) -> None:
+    out.mkdir(parents=True, exist_ok=True)  # an error manifest may be the first file
     manifest = {
         "command": command,
         "config": config,
@@ -101,11 +102,10 @@ def _problem_from_args(args, parser) -> ProblemSpec:
             samples = json.load(fh)
         doc["kappa_samples"] = {"x": samples["x"], "values": samples["values"]}
         doc.pop("alpha", None)
-    for name in ("beta", "rho", "gamma"):
+    for name in ("beta", "rho"):
         val = getattr(args, name, None)
         if val is not None:
             doc[name] = val
-    doc.setdefault("gamma", 0.0)
     doc.setdefault("rho", 1.0)
     if "variant" not in doc or "beta" not in doc:
         parser.error("a problem needs at least --problem and --beta (or --config)")
@@ -150,7 +150,6 @@ def _add_problem_flags(p):
                    help="JSON file with tabulated coefficient {x: [...], values: [...]}")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--config", default=None, metavar="FILE",
                    help="problem JSON; explicit flags override its entries")
     p.add_argument("--nx", type=int, default=400)
@@ -163,7 +162,6 @@ def _add_problem_flags(p):
 
 def _cmd_simulate(args, parser) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = _problem_from_args(args, parser)
     xg, xig, grade = _grids_from_args(args, spec)
     dt = args.dt if args.dt is not None else args.t_final / 2e4
@@ -200,6 +198,7 @@ def _cmd_simulate(args, parser) -> int:
         _write_manifest(out, "simulate", config, [], error={"message": str(exc), **exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
+    out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
     fit_doc = {
         "window": [lo, hi],
@@ -237,7 +236,6 @@ def _cmd_scan(args, parser) -> int:
     if args.points < 2:
         parser.error(f"--points must be at least 2, got {args.points}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)
     regime = ScanRegime.NEAR_ZERO if args.regime == "low" else ScanRegime.HIGH_FREQUENCY
     spec = _problem_from_args(args, parser)
@@ -255,6 +253,7 @@ def _cmd_scan(args, parser) -> int:
         _write_manifest(out, "scan", config, [], error={"message": str(exc), **exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
+    out.mkdir(parents=True, exist_ok=True)
     scan.to_csv(out / "scan.csv")
     fit_doc = {
         "regime": scan.regime.value,
@@ -295,20 +294,21 @@ def _cmd_verify_kernel(args, parser) -> int:
     if args.points < 1:
         parser.error(f"--points must be at least 1, got {args.points}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     grid = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)
     taus = np.geomspace(args.tau_min, args.tau_max, args.points)
     check = kernel_check(grid, args.rho, taus)
+    out.mkdir(parents=True, exist_ok=True)
     check.to_csv(out / "kernel.csv")
     config = {"beta": args.beta, "rho": args.rho, "nxi": args.nxi,
               "xi_min": args.xi_min, "xi_max": args.xi_max,
               "tau_min": args.tau_min, "tau_max": args.tau_max, "points": args.points}
-    _write_manifest(out, "verify-kernel", config, [out / "kernel.csv"])
-    if not math.isfinite(check.max_rel_error) or check.max_rel_error > 1e-4:
-        print(
-            f"kernel check failed: max rel error {check.max_rel_error:.3e} > 1e-4",
-            file=sys.stderr,
-        )
+    error = None
+    if not check.max_rel_error <= 1e-4:  # nan fails it
+        error = {"message": f"kernel check failed: max rel error {check.max_rel_error:.3e} > 1e-4",
+                 "max_rel_error": check.max_rel_error}
+    _write_manifest(out, "verify-kernel", config, [out / "kernel.csv"], error=error)
+    if error is not None:
+        print(error["message"], file=sys.stderr)
         return THRESHOLD_EXIT
     return 0
 
@@ -319,7 +319,6 @@ def _cmd_oracle_compare(args, parser) -> int:
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         parser.error(f"--lambda must be finite and positive, got {args.lam:g}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         nx_list = [int(v) for v in args.nx_list.split(",")]
     except ValueError:
@@ -353,6 +352,7 @@ def _cmd_oracle_compare(args, parser) -> int:
                         error={"message": str(exc), **exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
+    out.mkdir(parents=True, exist_ok=True)
     _csv.write_csv(out / "oracle.csv", ["lambda", "l2_error", "linf_error", "nx"], zip(*rows))
     orders = []
     for k in range(1, len(errors)):

@@ -1,8 +1,8 @@
 """Relaxation-mode quadrature realizing the singular damping kernel.
 
-The memory kernel rho*tau**(-beta)*exp(-gamma*tau)/Gamma(1-beta) is written
-exactly as zeta * integral of |xi|**(2*beta-1) * exp(-(xi^2+gamma)*tau) over
-the real xi axis, which turns the convolution damping into local-in-time
+The memory kernel rho*tau**(-beta)/Gamma(1-beta), untempered, is written
+exactly as zeta * integral of |xi|**(2*beta-1) * exp(-xi^2*tau) over the
+real xi axis, which turns the convolution damping into local-in-time
 relaxation modes psi(xi,t).  This module builds the xi quadrature, checks it
 against the closed-form kernel, and provides a direct convolution oracle and
 the forced modes, whose flux is the same convolution with the quadrature
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from . import _kernels
 from ._csv import write_csv
@@ -83,21 +82,18 @@ def build_xi_quadrature(
     return XiGrid(xi=xi, w=w, eta=eta, beta=beta, xi_min=float(xi_min), xi_max=float(xi_max))
 
 
-def kernel_value(grid: XiGrid, tau: float, rho: float, gamma: float = 0.0) -> float:
-    """Quadrature value zeta * sum w_k eta_k^2 exp(-(xi_k^2+gamma) tau)."""
-    if tau <= 0.0:
-        raise ParameterError(f"tau must be positive, got tau={tau}")
+def kernel_value(grid: XiGrid, tau: float, rho: float) -> float:
+    """Quadrature value zeta * sum w_k eta_k^2 exp(-xi_k^2 tau)."""
+    if not 0.0 < tau < math.inf:  # false for nan
+        raise ParameterError(f"tau must be finite and positive, got tau={tau}")
     zeta, _ = derive_constants(grid.beta, rho)
-    val = zeta * np.dot(grid.w * grid.eta**2, np.exp(-grid.xi**2 * tau))
-    if gamma:
-        val *= math.exp(-gamma * tau)
-    return float(val)
+    return float(zeta * np.dot(grid.w * grid.eta**2, np.exp(-grid.xi**2 * tau)))
 
 
-def kernel_exact(tau, beta: float, rho: float, gamma: float = 0.0):
-    """Closed form rho * tau^(-beta) * exp(-gamma tau) / Gamma(1-beta)."""
+def kernel_exact(tau, beta: float, rho: float):
+    """Closed form rho * tau^(-beta) / Gamma(1-beta)."""
     tau = np.asarray(tau, dtype=float)
-    return rho * tau ** (-beta) * np.exp(-gamma * tau) / math.gamma(1.0 - beta)
+    return rho * tau ** (-beta) / math.gamma(1.0 - beta)
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,10 @@ class KernelCheck:
                   [self.tau, self.quadrature_value, self.exact_value, self.rel_error])
 
 
-def kernel_check(grid: XiGrid, rho: float, taus, gamma: float = 0.0) -> KernelCheck:
+def kernel_check(grid: XiGrid, rho: float, taus) -> KernelCheck:
     taus = np.asarray(taus, dtype=float)
-    quad = np.array([kernel_value(grid, t, rho, gamma) for t in taus])
-    exact = kernel_exact(taus, grid.beta, rho, gamma)
+    quad = np.array([kernel_value(grid, t, rho) for t in taus])
+    exact = kernel_exact(taus, grid.beta, rho)
     rel = np.abs(quad - exact) / np.abs(exact)
     lo, hi = grid.resolved_tau_window
     mask = (taus >= lo) & (taus <= hi)
@@ -134,8 +130,8 @@ def kernel_check(grid: XiGrid, rho: float, taus, gamma: float = 0.0) -> KernelCh
     )
 
 
-def direct_fractional_integral(w, t_grid, beta: float, gamma: float = 0.0) -> np.ndarray:
-    """Convolution oracle: (1/Gamma(1-beta)) int_0^t (t-s)^-beta e^{-gamma(t-s)} w(s) ds.
+def direct_fractional_integral(w, t_grid, beta: float) -> np.ndarray:
+    """Convolution oracle: (1/Gamma(1-beta)) int_0^t (t-s)^-beta w(s) ds.
 
     Product-rectangle rule: w is piecewise constant per cell (cell value =
     mean of the endpoint samples) and the singular kernel is integrated
@@ -143,8 +139,6 @@ def direct_fractional_integral(w, t_grid, beta: float, gamma: float = 0.0) -> np
     """
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0,1), got beta={beta}")
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be >= 0, got gamma={gamma}")
     w = np.asarray(w, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size != w.size or t.size < 2:
@@ -154,14 +148,8 @@ def direct_fractional_integral(w, t_grid, beta: float, gamma: float = 0.0) -> np
         raise GridError("direct_fractional_integral requires a uniform time grid")
     n = t.size - 1
     m = np.arange(1, n + 1, dtype=float)
-    if gamma == 0.0:
-        lag = dt ** (1.0 - beta) * (m ** (1.0 - beta) - (m - 1.0) ** (1.0 - beta))
-        lag /= math.exp(gammaln(2.0 - beta))
-    else:
-        # int_a^b tau^-beta e^-gamma tau dtau / Gamma(1-beta), via the
-        # regularized lower incomplete gamma function.
-        edges = gammainc(1.0 - beta, gamma * dt * np.arange(0, n + 1))
-        lag = gamma ** (beta - 1.0) * np.diff(edges)
+    lag = dt ** (1.0 - beta) * (m ** (1.0 - beta) - (m - 1.0) ** (1.0 - beta))
+    lag /= math.gamma(2.0 - beta)
     w_avg = 0.5 * (w[:-1] + w[1:])
     return _kernels.frac_conv(w_avg, lag)
 

@@ -171,16 +171,15 @@ def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
 class ProblemSpec:
     """Immutable problem description.
 
-    gamma is carried for the kernel oracle only; every stability-facing
-    operation (operator assembly, simulation, resolvent scans) requires
-    gamma = 0.
+    The damping kernel is rho*tau**(-beta)/Gamma(1-beta), untempered; a
+    JSON document may still carry "gamma": 0, and from_json refuses any
+    other value.
     """
 
     variant: Variant
     kappa: KappaSpec
     beta: float
     rho: float
-    gamma: float = 0.0
 
     def __post_init__(self):
         try:
@@ -191,8 +190,6 @@ class ProblemSpec:
             raise ParameterError(f"beta must lie in (0,1), got beta={self.beta}")
         if not (self.rho > 0.0):
             raise ParameterError(f"rho must be positive, got rho={self.rho}")
-        if self.gamma < 0.0:
-            raise ParameterError(f"gamma must be >= 0, got gamma={self.gamma}")
         if self.variant is Variant.P:
             if not isinstance(self.kappa, PowerLawKappa) or not (0.0 < self.kappa.alpha < 1.0):
                 raise ConfigurationError(
@@ -227,12 +224,7 @@ class ProblemSpec:
     # -- serialization (derived fields are always recomputed) ---------------
 
     def to_json(self) -> dict:
-        doc = {
-            "variant": self.variant.value,
-            "beta": self.beta,
-            "rho": self.rho,
-            "gamma": self.gamma,
-        }
+        doc = {"variant": self.variant.value, "beta": self.beta, "rho": self.rho}
         if isinstance(self.kappa, PowerLawKappa):
             doc["alpha"] = self.kappa.alpha
         else:
@@ -244,6 +236,9 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProblemSpec":
+        if doc.get("gamma", 0) != 0:
+            raise ConfigurationError(
+                f"the damping kernel is untempered; 'gamma' must be 0, got {doc['gamma']!r}")
         if "alpha" in doc and "kappa_samples" in doc:
             raise ConfigurationError("give either 'alpha' or 'kappa_samples', not both")
         if "alpha" in doc:
@@ -258,7 +253,6 @@ class ProblemSpec:
             kappa=kappa,
             beta=float(doc["beta"]),
             rho=float(doc["rho"]),
-            gamma=float(doc.get("gamma", 0.0)),
         )
 
 

@@ -171,11 +171,6 @@ def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> System
     zeta=0.0) is the same system with the damping severed (exactly
     conservative).
     """
-    if spec.gamma != 0.0:
-        raise ConfigurationError(
-            "operator assembly requires gamma=0 (exponential kernel tempering is "
-            "supported by the kernel oracle only)"
-        )
     if abs(xigrid.beta - spec.beta) > 1e-12:
         raise ConfigurationError(
             f"xi-grid was built for beta={xigrid.beta}, problem has beta={spec.beta}"

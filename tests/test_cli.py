@@ -39,11 +39,16 @@ class TestVerifyKernel:
         assert run_cli("verify-kernel", "--beta", 0.9, "--out", tmp_path / "b9") == 0
 
     def test_unresolved_grid_fails_threshold(self, tmp_path, capsys):
+        out = tmp_path / "bad"
         code = run_cli(
             "verify-kernel", "--beta", 0.5, "--nxi", 16, "--xi-min", 0.05,
-            "--xi-max", 20, "--out", tmp_path / "bad",
+            "--xi-max", 20, "--out", out,
         )
         assert code == 4
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert set(error) == {"message", "max_rel_error"}
+        assert error["max_rel_error"] > 1e-4
+        assert error["message"] in capsys.readouterr().err
 
     def test_nonpositive_rho_is_usage_error(self, tmp_path):
         assert run_cli("verify-kernel", "--beta", 0.5, "--rho", 0,
@@ -392,6 +397,38 @@ def _csv_writer_bytes(header, rows):
     for row in rows:
         writer.writerow([format(v, ".17g") for v in row])
     return buf.getvalue().encode()
+
+
+_PROBLEM = ("--problem", "P", "--alpha", 0.5, "--beta", 0.5)
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--alpha", 0.5, "--beta", 0.5, "--t-final", 1.0),
+    ("simulate", "--config", "tempered.json", "--nx", 32, "--nxi", 16, "--t-final", 1.0),
+    ("scan", "--config", "tempered.json", "--nx", 32, "--nxi", 16),
+    ("simulate", *_PROBLEM, "--gamma", 0.0, "--t-final", 1.0),
+    ("scan", *_PROBLEM, "--gamma", 0.0),
+    ("scan", *_PROBLEM, "--nx", 8),
+    ("simulate", *_PROBLEM, "--nx", 32, "--nxi", 16, "--t-final", "nan"),
+    ("verify-kernel", "--beta", 0.5, "--nxi", 8),
+    ("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3, "--nx-list", "100,x"),
+    ("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3, "--nx-list", "32,8"),
+], ids=["no-problem", "simulate-gamma", "scan-gamma", "simulate-gamma-flag",
+        "scan-gamma-flag", "scan-nx", "simulate-t-final", "kernel-nxi", "oracle-nx-list",
+        "oracle-nx"])
+def test_usage_error_leaves_no_directory(tmp_path, monkeypatch, args):
+    # each command made --out before it checked its arguments, problem and
+    # grids, and left it empty on exit 2; --gamma is no longer a flag
+    monkeypatch.chdir(tmp_path)
+    Path("tempered.json").write_text(json.dumps(
+        {"variant": "P", "alpha": 0.5, "beta": 0.5, "rho": 1.0, "gamma": 0.5}))
+    out = tmp_path / "run"
+    try:
+        code = run_cli(*args, "--out", out)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
 
 
 class TestCsvArtifacts:

@@ -141,14 +141,17 @@ class TestProblemSpec:
         with pytest.raises(ParameterError, match="alpha"):
             bessel._nu_alpha(1.5)
 
-    def test_gamma_negative_rejected(self):
-        with pytest.raises(ParameterError, match="gamma"):
-            ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0, gamma=-1.0)
+    @pytest.mark.parametrize("gamma", [0.5, -1.0, math.nan, "0.5"])
+    def test_json_nonzero_gamma_refused(self, gamma):
+        # the kernel is untempered: a tempered request fails, never runs untempered
+        doc = {"variant": "P", "alpha": 0.5, "beta": 0.5, "rho": 1.0, "gamma": gamma}
+        with pytest.raises(ConfigurationError, match="gamma"):
+            ProblemSpec.from_json(doc)
 
     def test_json_round_trip_power(self):
         spec = ProblemSpec(variant=Variant.PPRIME, kappa=PowerLawKappa(1.5), beta=0.3, rho=2.0)
         doc = spec.to_json()
-        assert set(doc) == {"variant", "alpha", "beta", "rho", "gamma"}
+        assert set(doc) == {"variant", "alpha", "beta", "rho"}
         back = ProblemSpec.from_json(json.loads(json.dumps(doc)))
         assert back == spec
 
@@ -160,7 +163,7 @@ class TestProblemSpec:
             rho=1.5,
         )
         doc = spec.to_json()
-        assert set(doc) == {"variant", "kappa_samples", "beta", "rho", "gamma"}
+        assert set(doc) == {"variant", "kappa_samples", "beta", "rho"}
         back = ProblemSpec.from_json(doc)
         assert back.m_kappa == pytest.approx(spec.m_kappa)
         np.testing.assert_allclose(back.kappa.values, spec.kappa.values)

@@ -78,13 +78,6 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(1.5), beta=0.5, rho=1.0)
 
-    def test_gamma_nonzero_rejected(self):
-        spec = ProblemSpec(
-            variant=Variant.P, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0, gamma=0.5
-        )
-        with pytest.raises(ConfigurationError):
-            assemble_operator(spec, build_x_grid(32), build_xi_quadrature(0.5, 32))
-
     def test_beta_mismatch_rejected(self):
         spec = ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0)
         with pytest.raises(ConfigurationError):
