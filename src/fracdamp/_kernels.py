@@ -9,17 +9,55 @@ modes that reach the damped cell in their eigen-coordinates
 The singular-kernel convolution (``frac_conv``) is one real FFT product,
 for the closed-form kernel and the forced relaxation modes of
 ``diffusive.evolve_psi_forced``; ``TridiagFactor`` serves shifted solves.
+The LAPACK routines of the package all come from ``_lapack`` (below).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by file path.
+
+    ``from scipy.linalg import lapack`` runs the whole ``scipy.linalg``
+    package (with scipy's array-API layer, numpy.testing and numpy.f2py),
+    about 0.25 s on a 2-vCPU Xeon VM; the extension next to ``import scipy``
+    loads in a few ms.  It is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack`` hands out
+    the same routines.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}", name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+#: dsterf, zgttrf, zgttrs (here) and zheev, dgtsv (``resolvent``)
+_lapack = _load_flapack()
 
 #: Largest relative defect |h_i l_sup_i - h_{i+1} l_sub_i| / max|h_i l_sup_i|
 #: of a field tridiagonal accepted as self-adjoint in the h inner product

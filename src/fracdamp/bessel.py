@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import NearSingularError, ParameterError
 from .model import nu_of_alpha
@@ -24,6 +23,14 @@ from .model import nu_of_alpha
 _Z_MAX = 20.0
 _SERIES_TOL = 1e-17
 _SERIES_CAP = 200
+
+
+def _gamma(x):
+    """scipy.special.gamma, imported at first use: scipy.special is most of
+    the import time of the package, and only this oracle needs it."""
+    from scipy.special import gamma
+
+    return gamma(x)
 
 
 def leading_coefficients(nu: float):

@@ -83,24 +83,30 @@ def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
         fh.write("\n")
 
 
-def _load_config_file(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json_object(parser, flag: str, path) -> dict:
+    """The JSON object in the file given to `flag`; a file that cannot be
+    read or holds anything else is a usage error."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read {flag} {path}: {exc}")
+    if not isinstance(doc, dict):
+        parser.error(f"{flag} {path} does not hold a JSON object")
+    return doc
 
 
 def _problem_from_args(args, parser) -> ProblemSpec:
     doc = {}
     if getattr(args, "config", None):
-        doc = _load_config_file(args.config)
+        doc = _load_json_object(parser, "--config", args.config)
     if args.problem is not None:
         doc["variant"] = args.problem
     if getattr(args, "alpha", None) is not None:
         doc["alpha"] = args.alpha
         doc.pop("kappa_samples", None)
     if getattr(args, "kappa", None) is not None:
-        with open(args.kappa) as fh:
-            samples = json.load(fh)
-        doc["kappa_samples"] = {"x": samples["x"], "values": samples["values"]}
+        doc["kappa_samples"] = _load_json_object(parser, "--kappa", args.kappa)
         doc.pop("alpha", None)
     for name in ("beta", "rho"):
         val = getattr(args, name, None)

@@ -241,19 +241,20 @@ class ProblemSpec:
                 f"the damping kernel is untempered; 'gamma' must be 0, got {doc['gamma']!r}")
         if "alpha" in doc and "kappa_samples" in doc:
             raise ConfigurationError("give either 'alpha' or 'kappa_samples', not both")
-        if "alpha" in doc:
-            kappa = PowerLawKappa(alpha=float(doc["alpha"]))
-        elif "kappa_samples" in doc:
-            ks = doc["kappa_samples"]
-            kappa = TabulatedKappa(x=np.asarray(ks["x"], float), values=np.asarray(ks["values"], float))
-        else:
+        if "alpha" not in doc and "kappa_samples" not in doc:
             raise ConfigurationError("problem JSON needs 'alpha' or 'kappa_samples'")
-        return cls(
-            variant=Variant(doc["variant"]),
-            kappa=kappa,
-            beta=float(doc["beta"]),
-            rho=float(doc["rho"]),
-        )
+        try:
+            variant, beta, rho = doc["variant"], float(doc["beta"]), float(doc["rho"])
+            if "alpha" in doc:
+                alpha = float(doc["alpha"])
+            else:
+                x, values = (np.asarray(doc["kappa_samples"][k], float) for k in ("x", "values"))
+        except KeyError as exc:
+            raise ConfigurationError(f"problem JSON needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"problem JSON has a malformed value: {exc}") from None
+        kappa = PowerLawKappa(alpha) if "alpha" in doc else TabulatedKappa(x, values)
+        return cls(variant=variant, kappa=kappa, beta=beta, rho=rho)
 
 
 @dataclass(frozen=True)

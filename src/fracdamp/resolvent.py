@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from . import bessel
 from ._csv import write_csv
-from ._kernels import TridiagFactor
+from ._kernels import TridiagFactor, _lapack
 from .errors import (
     ConfigurationError,
     FitDataError,

@@ -413,15 +413,32 @@ _PROBLEM = ("--problem", "P", "--alpha", 0.5, "--beta", 0.5)
     ("verify-kernel", "--beta", 0.5, "--nxi", 8),
     ("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3, "--nx-list", "100,x"),
     ("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3, "--nx-list", "32,8"),
+    ("simulate", "--config", "variant-q.json", "--t-final", 1.0),
+    ("scan", "--config", "beta-x.json"),
+    ("simulate", "--config", "malformed.json", "--t-final", 1.0),
+    ("simulate", "--config", "list.json", "--t-final", 1.0),
+    ("simulate", "--config", "missing.json", "--t-final", 1.0),
+    ("simulate", "--problem", "Pprime", "--beta", 0.5, "--kappa", "missing.json",
+     "--t-final", 1.0),
+    ("scan", "--problem", "Pprime", "--beta", 0.5, "--kappa", "no-values.json"),
 ], ids=["no-problem", "simulate-gamma", "scan-gamma", "simulate-gamma-flag",
         "scan-gamma-flag", "scan-nx", "simulate-t-final", "kernel-nxi", "oracle-nx-list",
-        "oracle-nx"])
+        "oracle-nx", "config-variant", "config-beta", "config-malformed", "config-list",
+        "config-missing", "kappa-missing", "kappa-no-values"])
 def test_usage_error_leaves_no_directory(tmp_path, monkeypatch, args):
     # each command made --out before it checked its arguments, problem and
-    # grids, and left it empty on exit 2; --gamma is no longer a flag
+    # grids, and left it empty on exit 2; --gamma is no longer a flag.  A
+    # problem file that cannot be read, is not a JSON object or holds a bad
+    # value is a usage error too, not a traceback
     monkeypatch.chdir(tmp_path)
-    Path("tempered.json").write_text(json.dumps(
-        {"variant": "P", "alpha": 0.5, "beta": 0.5, "rho": 1.0, "gamma": 0.5}))
+    spec = {"variant": "P", "alpha": 0.5, "beta": 0.5, "rho": 1.0}
+    for name, doc in (("tempered.json", {**spec, "gamma": 0.5}),
+                      ("variant-q.json", {**spec, "variant": "Q"}),
+                      ("beta-x.json", {**spec, "beta": "x"}),
+                      ("list.json", [spec]),
+                      ("no-values.json", {"x": [0.25, 0.5, 1.0]})):
+        Path(name).write_text(json.dumps(doc))
+    Path("malformed.json").write_text('{"variant": "P", "alpha": 0.5,')
     out = tmp_path / "run"
     try:
         code = run_cli(*args, "--out", out)
@@ -501,11 +518,36 @@ class TestPackageSurface:
         assert len(fracdamp.__all__) == len(set(fracdamp.__all__))
         assert all(hasattr(fracdamp, name) for name in fracdamp.__all__)
 
-    def test_cli_import_leaves_scipy_sparse_out(self):
+    def test_cli_import_leaves_scipy_sparse_out(self, tmp_path):
+        # import and the README decay and scan runs load scipy's LAPACK
+        # extension alone, not the scipy.linalg package or scipy.special;
+        # the Bessel oracle loads scipy.special when it is first called
         src = str(Path(fracdamp.__file__).parent.parent)
-        code = "import sys, fracdamp.cli; print('scipy.sparse' in sys.modules)"
+        code = """
+import json, sys
+import fracdamp.cli
+
+def loaded():
+    names = ("scipy.sparse", "scipy.linalg", "scipy.linalg._flapack", "scipy.special")
+    return [name for name in names if name in sys.modules]
+
+seen = {"import": loaded()}
+decay = ["simulate", "--problem", "P", "--alpha", "0.5", "--beta", "0.5", "--rho", "1",
+         "--nx", "400", "--nxi", "200", "--t-final", "200", "--dt", "0.005"]
+scan = ["scan", "--problem", "Pprime", "--alpha", "0.5", "--beta", "0.5", "--nx", "800",
+        "--nxi", "200", "--lambda-min", "1e-4", "--lambda-max", "1e-1", "--points", "25"]
+for name, args in (("decay", decay), ("scan", scan)):
+    assert fracdamp.cli.main([*args, "--out", sys.argv[1] + "/" + name]) == 0
+    seen[name] = loaded()
+fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], None, 0.0, 0.5, 0.5, 1.0)
+seen["oracle"] = loaded()
+print(json.dumps(seen))
+"""
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.strip() == "False"
+        seen = json.loads(out.stdout)
+        lapack_only = ["scipy.linalg._flapack"]
+        assert seen == {"import": lapack_only, "decay": lapack_only, "scan": lapack_only,
+                        "oracle": [*lapack_only, "scipy.special"]}

@@ -93,7 +93,10 @@ class TestSimulate:
             raise AssertionError("dense field eigenbasis in the march")
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        # the package calls LAPACK through the extension module it loads,
+        # not through scipy.linalg.lapack's names
         monkeypatch.setattr(lapack, "dstemr", refuse)
+        monkeypatch.setattr(_kernels._lapack, "dstemr", refuse)
         op = make_operator(variant, nx=48, nxi=32)
         state = random_state(op, rng)
         trace = simulate(op, state, 0.5, 0.01)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -257,3 +261,33 @@ class TestFieldEigenbasis:
         with pytest.raises(NumericalError, match="norm") as info:
             _kernels.field_modes(np.asarray(op.l_diag), spectrum, op.boundary_index, z)
         assert info.value.diagnostics["remainder"] < 0.0
+
+
+class TestLapackLoader:
+    def test_routines_are_scipy_linalg_lapacks(self):
+        # a fresh interpreter: the package loads the extension by file path,
+        # and a later import of scipy.linalg hands out the same routines
+        code = """
+import sys
+from fracdamp import _kernels
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg.lapack as lapack
+names = ("dsterf", "zgttrf", "zgttrs", "zheev", "dgtsv")
+print(all(getattr(_kernels._lapack, name) is getattr(lapack, name) for name in names))
+"""
+        src = os.path.dirname(os.path.dirname(_kernels.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "True"
+
+    def test_missing_extension_names_the_directory_searched(self, tmp_path, monkeypatch):
+        import scipy
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        with pytest.raises(ImportError) as info:
+            _kernels._load_flapack()
+        assert str(tmp_path / "linalg") in str(info.value)
+        assert "scipy.linalg._flapack" not in sys.modules

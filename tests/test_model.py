@@ -148,6 +148,20 @@ class TestProblemSpec:
         with pytest.raises(ConfigurationError, match="gamma"):
             ProblemSpec.from_json(doc)
 
+    @pytest.mark.parametrize("change, match", [
+        ({"variant": "Q"}, "variant"),
+        ({"beta": "x"}, "malformed"),
+        ({"alpha": None}, "malformed"),
+        ({"rho": [1.0]}, "malformed"),
+        ({"kappa_samples": {"x": [0.25, 0.5, 1.0]}, "variant": "Pprime"}, "'values'"),
+    ], ids=["variant", "beta", "alpha", "rho", "kappa-samples"])
+    def test_json_malformed_value_is_a_configuration_error(self, change, match):
+        doc = {"variant": "P", "alpha": 0.5, "beta": 0.5, "rho": 1.0, **change}
+        if "kappa_samples" in change:
+            del doc["alpha"]
+        with pytest.raises(ConfigurationError, match=match):
+            ProblemSpec.from_json(doc)
+
     def test_json_round_trip_power(self):
         spec = ProblemSpec(variant=Variant.PPRIME, kappa=PowerLawKappa(1.5), beta=0.3, rho=2.0)
         doc = spec.to_json()
