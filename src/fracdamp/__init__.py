@@ -14,7 +14,7 @@ from .evolution import fit_decay_exponent, prepare_initial_state, simulate
 from .model import PowerLawKappa, ProblemSpec, StateVector, Variant
 from .operator import assemble_operator, build_x_grid, default_grading
 from .resolvent import (
-    ScanRegime,
+    MIN_SCAN_POINTS,
     forcing_integral,
     scan_resolvent,
     solve_resolvent,
@@ -24,10 +24,10 @@ from .resolvent import (
 # what the command line uses, plus the state type its functions exchange
 __all__ = [
     "FracdampError",
+    "MIN_SCAN_POINTS",
     "NumericalError",
     "PowerLawKappa",
     "ProblemSpec",
-    "ScanRegime",
     "StateVector",
     "Variant",
     "analytic_resolvent_P",

@@ -38,11 +38,11 @@ def leading_coefficients(nu: float):
     return 2.0 ** (-nu) / _gamma(1.0 + nu), 2.0**nu / _gamma(1.0 - nu)
 
 
-def bessel_j(nu: float, z, *, tol: float = _SERIES_TOL, max_terms: int = _SERIES_CAP):
+def bessel_j(nu: float, z, *, max_terms: int = _SERIES_CAP):
     """First-kind Bessel function by power series, principal branch of (z/2)^nu.
 
     Valid for nu > -1 and |z| <= 20; terms are added until they fall below
-    `tol` relative to the running sum (cap `max_terms`).
+    _SERIES_TOL relative to the running sum (cap `max_terms`).
     """
     if nu <= -1.0:
         raise ParameterError(f"series evaluation requires nu > -1, got nu={nu}")
@@ -60,7 +60,7 @@ def bessel_j(nu: float, z, *, tol: float = _SERIES_TOL, max_terms: int = _SERIES
     for m in range(1, max_terms + 1):
         term = term * q / (m * (nu + m))
         total += term
-        if np.all(np.abs(term) <= tol * np.abs(total)):
+        if np.all(np.abs(term) <= _SERIES_TOL * np.abs(total)):
             break
     out = np.empty_like(total)
     nz = z != 0

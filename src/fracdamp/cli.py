@@ -27,9 +27,9 @@ from .evolution import fit_decay_exponent, prepare_initial_state, simulate
 from .model import PowerLawKappa, ProblemSpec, Variant
 from .operator import assemble_operator, build_x_grid, default_grading
 from .resolvent import (
+    MIN_SCAN_POINTS,
     forcing_integral,
     scan_resolvent,
-    ScanRegime,
     solve_resolvent,
     theoretical_exponents,
 )
@@ -37,6 +37,8 @@ from .resolvent import (
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 THRESHOLD_EXIT = 4
+#: the lambda bounds of each --regime, where --lambda-min/--lambda-max are not given
+_SCAN_WINDOW = {"low": (1e-4, 1e-1), "high": (1e1, 1e4)}
 
 
 def _content_hash(doc: dict) -> str:
@@ -235,26 +237,27 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    lo, hi = args.lambda_min, args.lambda_max
+    lo, hi = _SCAN_WINDOW[args.regime]
+    lo = lo if args.lambda_min is None else args.lambda_min
+    hi = hi if args.lambda_max is None else args.lambda_max
     if not all(math.isfinite(v) and v != 0.0 for v in (lo, hi)) or (lo > 0) != (hi > 0):
         parser.error("--lambda-min and --lambda-max must be finite, nonzero and of one sign, "
                      f"got {lo:g} and {hi:g}")
-    if args.points < 2:
-        parser.error(f"--points must be at least 2, got {args.points}")
+    if args.points < MIN_SCAN_POINTS:
+        parser.error(f"--points must be at least {MIN_SCAN_POINTS}, got {args.points}")
     out = Path(args.out)
-    lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)
-    regime = ScanRegime.NEAR_ZERO if args.regime == "low" else ScanRegime.HIGH_FREQUENCY
+    lams = np.geomspace(lo, hi, args.points)
     spec = _problem_from_args(args, parser)
     xg, xig, grade = _grids_from_args(args, spec)
     config = _grid_config(args, spec, grade)
-    config.update({"points": args.points, "lambda_min": args.lambda_min,
-                   "lambda_max": args.lambda_max, "regime": args.regime})
+    config.update({"points": args.points, "lambda_min": lo, "lambda_max": hi,
+                   "regime": args.regime})
     clock = time.perf_counter()
     op = assemble_operator(spec, xg, xig)
     assembly_s = time.perf_counter() - clock
     prediction = theoretical_exponents(spec)
     try:
-        scan = scan_resolvent(op, lams, regime)
+        scan = scan_resolvent(op, lams)
     except NumericalError as exc:
         _write_manifest(out, "scan", config, [], error={"message": str(exc), **exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -262,7 +265,8 @@ def _cmd_scan(args, parser) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scan.to_csv(out / "scan.csv")
     fit_doc = {
-        "regime": scan.regime.value,
+        # the label is read from the lambdas scanned, not from --regime
+        "regime": "near_zero" if np.max(np.abs(lams)) <= 1.0 else "high_frequency",
         "exponent": scan.fit.exponent,
         "r_squared": scan.fit.r_squared,
         "window": [float(scan.lam[scan.fit.window[0]]), float(scan.lam[scan.fit.window[1]])],
@@ -394,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="resolvent-norm scan + power-law fit")
     _add_problem_flags(p)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1e-4)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=1e-1)
+    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
+    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
     p.add_argument("--points", type=int, default=25)
-    p.add_argument("--regime", choices=["low", "high"], default="low")
+    p.add_argument("--regime", choices=["low", "high"], default="low",
+                   help="the default lambda window: low [1e-4, 1e-1], high [10, 1e4]")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scan)
 

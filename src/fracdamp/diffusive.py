@@ -86,7 +86,7 @@ def kernel_value(grid: XiGrid, tau: float, rho: float) -> float:
     """Quadrature value zeta * sum w_k eta_k^2 exp(-xi_k^2 tau)."""
     if not 0.0 < tau < math.inf:  # false for nan
         raise ParameterError(f"tau must be finite and positive, got tau={tau}")
-    zeta, _ = derive_constants(grid.beta, rho)
+    zeta = derive_constants(grid.beta, rho)
     return float(zeta * np.dot(grid.w * grid.eta**2, np.exp(-grid.xi**2 * tau)))
 
 
@@ -181,7 +181,7 @@ def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0
     s = np.asarray(boundary_signal, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise GridError("boundary_signal must be a 1-d series with >= 2 samples")
-    zeta, _ = derive_constants(grid.beta, rho)
+    zeta = derive_constants(grid.beta, rho)
     s_avg = 0.5 * (s[:-1] + s[1:])
     n = s_avg.size
     fine_len = math.isqrt(n - 1) + 1  # ceil(sqrt(n))

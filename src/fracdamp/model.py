@@ -49,24 +49,13 @@ def nu_of_alpha(alpha: float) -> float:
     return (1.0 - alpha) / (2.0 - alpha)
 
 
-def derive_constants(beta: float, rho: float, alpha: Optional[float] = None):
-    """Derived damping constants (zeta, nu_alpha).
-
-    zeta = rho*sin(beta*pi)/pi is the diffusive weight; nu_alpha =
-    (1-alpha)/(2-alpha) is the fractional order of the power-law resolvent
-    basis and is only defined for alpha in (0,1).
-    """
+def derive_constants(beta: float, rho: float) -> float:
+    """The diffusive weight zeta = rho*sin(beta*pi)/pi of the damping."""
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0,1), got beta={beta}")
     if not (rho > 0.0):
         raise ParameterError(f"rho must be positive, got rho={rho}")
-    nu_alpha = None
-    if alpha is not None:
-        if not (0.0 < alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0,1), got alpha={alpha}")
-        nu_alpha = nu_of_alpha(alpha)
-    zeta = rho * math.sin(beta * math.pi) / math.pi
-    return zeta, nu_alpha
+    return rho * math.sin(beta * math.pi) / math.pi
 
 
 @dataclass(frozen=True)
@@ -204,14 +193,7 @@ class ProblemSpec:
 
     @property
     def zeta(self) -> float:
-        return derive_constants(self.beta, self.rho)[0]
-
-    @property
-    def nu_alpha(self) -> Optional[float]:
-        a = self.alpha
-        if a is None or not (0.0 < a < 1.0):
-            return None
-        return nu_of_alpha(a)
+        return derive_constants(self.beta, self.rho)
 
     @property
     def m_kappa(self) -> float:

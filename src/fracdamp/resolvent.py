@@ -21,7 +21,6 @@ secular function, without a dense matrix (``damped_eigenvalues``).
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass
@@ -43,11 +42,6 @@ from .model import ProblemSpec, Variant, nu_of_alpha
 from .operator import SystemOperator
 
 
-class ScanRegime(str, enum.Enum):
-    NEAR_ZERO = "near_zero"
-    HIGH_FREQUENCY = "high_frequency"
-
-
 @dataclass(frozen=True)
 class ScanFit:
     exponent: float
@@ -67,7 +61,6 @@ class ResolventScan:
 
     lam: np.ndarray
     norm: np.ndarray
-    regime: ScanRegime
     fit: ScanFit
     shifts: Tuple[ShiftReport, ...] = ()
     stage_s: Optional[dict] = None
@@ -621,10 +614,10 @@ def resolvent_norm(op, lam: float, *, report: Optional[list] = None) -> float:
     return shift.norm
 
 
-def smallest_singular_value(op, lam: float = 0.0) -> float:
-    """sigma_min(i lam - A) in the weighted geometry (1/resolvent norm)."""
+def smallest_singular_value(op) -> float:
+    """sigma_min(A) in the weighted geometry (1/resolvent norm at lambda = 0)."""
     try:
-        return 1.0 / resolvent_norm(op, lam)
+        return 1.0 / resolvent_norm(op, 0.0)
     except SpectralCollisionError:
         return 0.0
 
@@ -929,8 +922,14 @@ def _fit_line(x, y):
     return float(slope), float(intercept), float(r2)
 
 
-def _stable_window_fit(logx, logy, min_points: int = 8, slope_band: float = 0.10):
-    """Longest contiguous sub-window whose local slope varies < slope_band.
+#: Fewest lambdas a scan takes, and the fewest points a fitted window holds.
+MIN_SCAN_POINTS = 8
+#: A window's local slopes stay within this share of their mean (floor 0.1).
+_SLOPE_BAND = 0.10
+
+
+def _stable_window_fit(logx, logy):
+    """Longest contiguous sub-window whose local slope varies < _SLOPE_BAND.
 
     The band is relative to the window-mean slope, with an absolute floor of
     0.1 slope units so that flat curves (norms saturating to a constant)
@@ -941,15 +940,15 @@ def _stable_window_fit(logx, logy, min_points: int = 8, slope_band: float = 0.10
     length that admits a window.
     """
     n = logx.size
-    if n < min_points:
-        raise FitDataError(f"need >= {min_points} scan points, got {n}")
+    if n < MIN_SCAN_POINTS:
+        raise FitDataError(f"need >= {MIN_SCAN_POINTS} scan points, got {n}")
     slopes = np.diff(logy) / np.diff(logx)
-    for length in range(n, min_points - 1, -1):
+    for length in range(n, MIN_SCAN_POINTS - 1, -1):
         best = None
         for i in range(n - length + 1):
             sl = slopes[i : i + length - 1]
             m = sl.mean()
-            if np.max(np.abs(sl - m)) < slope_band * max(abs(m), 0.1):
+            if np.max(np.abs(sl - m)) < _SLOPE_BAND * max(abs(m), 0.1):
                 spread = float(np.std(sl))
                 if best is None or spread < best[0]:
                     best = (spread, i)
@@ -958,27 +957,26 @@ def _stable_window_fit(logx, logy, min_points: int = 8, slope_band: float = 0.10
             slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
             return i0, i1, slope, r2
     raise FitDataError(
-        "fewer than 8 usable points: no sub-window with stable local slope"
+        f"fewer than {MIN_SCAN_POINTS} usable points: no sub-window with stable local slope"
     )
 
 
-def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> ResolventScan:
+def scan_resolvent(op, lambdas) -> ResolventScan:
     """Norms over a log-spaced |lambda| grid plus an automatic power-law fit.
 
     The fitted `exponent` is the log-log slope (so a 1/|lambda| blow-up reads
     as -1).  Lambda values may be negative (the operator is not symmetric in
     the sign); the grid must be sorted by |lambda| within one sign.  A lambda
-    that is zero or not finite raises ParameterError.
+    that is zero or not finite, or fewer than MIN_SCAN_POINTS of them, raise
+    ParameterError before any norm is computed.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1 or lambdas.size < 2:
-        raise ParameterError("lambdas must be a 1-d array with >= 2 entries")
+    if lambdas.ndim != 1:
+        raise ParameterError("lambdas must be a 1-d array")
     if not np.all(np.isfinite(lambdas) & (lambdas != 0.0)):
         raise ParameterError(f"lambdas must be finite and nonzero, got {lambdas}")
-    if regime is None:
-        regime = (
-            ScanRegime.NEAR_ZERO if np.max(np.abs(lambdas)) <= 1.0 else ScanRegime.HIGH_FREQUENCY
-        )
+    if lambdas.size < MIN_SCAN_POINTS:
+        raise ParameterError(f"a scan needs >= {MIN_SCAN_POINTS} lambdas, got {lambdas.size}")
     clock = time.perf_counter()
     op.field_spectrum  # the field eigensolve, once per operator
     stage_s = {"eigensolve": time.perf_counter() - clock}
@@ -994,7 +992,7 @@ def scan_resolvent(op, lambdas, regime: Optional[ScanRegime] = None) -> Resolven
     residual = float(np.abs(y - (slope * x + intercept)).max())
     stage_s["fit"] = time.perf_counter() - clock
     return ResolventScan(
-        lam=lambdas, norm=norms, regime=ScanRegime(regime),
+        lam=lambdas, norm=norms,
         fit=ScanFit(exponent=slope, r_squared=r2, window=(i0, i1), max_residual=residual),
         shifts=tuple(reports), stage_s=stage_s,
     )

@@ -296,6 +296,28 @@ class TestScan:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["regime"] == "high_frequency"
 
+    @pytest.mark.parametrize("regime,window,label", [
+        ("high", (10.0, 1e4), "high_frequency"), ("low", (1e-4, 1e-1), "near_zero")])
+    def test_regime_picks_the_default_window(self, tmp_path, regime, window, label):
+        out = tmp_path / "scan"
+        assert run_cli("scan", *_PROBLEM, "--nx", 32, "--nxi", 24, "--points", 8,
+                       "--regime", regime, "--out", out) == 0
+        rows = list(csv.DictReader(io.StringIO((out / "scan.csv").read_text())))
+        assert (float(rows[0]["lambda"]), float(rows[-1]["lambda"])) == window
+        assert json.loads((out / "fit.json").read_text())["regime"] == label
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["lambda_min"], config["lambda_max"]) == window
+        assert config["regime"] == regime
+
+    def test_label_is_read_from_the_lambdas_scanned(self, tmp_path):
+        # --regime low said "near_zero" whatever the bounds: the label now
+        # follows |lambda|, and --regime only picks the default window
+        out = tmp_path / "scan"
+        assert run_cli("scan", *_PROBLEM, "--nx", 32, "--nxi", 24, "--points", 8,
+                       "--regime", "low", "--lambda-min", 10, "--lambda-max", 1e3,
+                       "--out", out) == 0
+        assert json.loads((out / "fit.json").read_text())["regime"] == "high_frequency"
+
     @pytest.mark.parametrize("bounds", [("0", "0.1"), ("1e-4", "0"), ("nan", "0.1"),
                                         ("1e-4", "nan"), ("inf", "0.1"), ("1e-4", "inf"),
                                         ("-1e-3", "0.1"), ("1e-4", "-0.1")])
@@ -317,9 +339,10 @@ class TestScan:
         lams = [float(r["lambda"]) for r in rows]
         assert len(lams) == 8 and all(v < 0 for v in lams)
 
-    @pytest.mark.parametrize("points", [-3, 0, 1])
-    def test_fewer_than_two_points_are_refused_before_any_work(self, tmp_path, points):
-        # -3 reached np.geomspace (raw ValueError, exit 1)
+    @pytest.mark.parametrize("points", [-3, 0, 1, 2, 7])
+    def test_fewer_than_min_scan_points_are_refused_before_any_work(self, tmp_path, points):
+        # -3 reached np.geomspace (raw ValueError, exit 1); 2 to 7 passed a
+        # check of 2, computed every norm, then failed the fit's minimum of 8
         out = tmp_path / "scan"
         with pytest.raises(SystemExit) as exc:
             run_cli("scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,

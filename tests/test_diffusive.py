@@ -19,7 +19,7 @@ def _psi_march_oracle(grid, signal, dt, rho=1.0):
     """The forced relaxation march one time step at a time: every mode
     advanced by the exponential integrator under the per-step mean signal,
     the flux zeta sum w eta psi read after each step."""
-    zeta, _ = derive_constants(grid.beta, rho)
+    zeta = derive_constants(grid.beta, rho)
     xi2, eta = grid.xi**2, grid.eta
     decay = np.exp(-xi2 * dt)
     gain = -np.expm1(-xi2 * dt) / xi2
@@ -37,7 +37,7 @@ def _psi_mode_oracle(grid, signal, dt, rho=1.0):
     at every lag j, dotted with the reversed mean signal for the final mode
     and summed into the kernel's cell integrals, whose causal convolution
     with the mean signal (``frac_conv``) is the flux."""
-    zeta, _ = derive_constants(grid.beta, rho)
+    zeta = derive_constants(grid.beta, rho)
     xi2, eta = grid.xi**2, grid.eta
     gain = -np.expm1(-xi2 * dt) / xi2
     s_avg = 0.5 * (signal[:-1] + signal[1:])

@@ -24,24 +24,22 @@ from fracdamp.model import (
     derive_constants,
     energy,
     inner_product,
+    nu_of_alpha,
     tabulate_kappa,
 )
 
 
 class TestDeriveConstants:
     def test_half_half(self):
-        zeta, nu = derive_constants(0.5, 1.0, alpha=0.5)
-        assert zeta == pytest.approx(1.0 / math.pi, abs=1e-15)
-        assert nu == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert derive_constants(0.5, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_quarter(self):
-        zeta, nu = derive_constants(0.25, 2.0)
+        zeta = derive_constants(0.25, 2.0)
         assert zeta == pytest.approx(2.0 * math.sin(math.pi / 4.0) / math.pi, abs=1e-15)
         assert zeta == pytest.approx(0.4501582, abs=1e-7)
-        assert nu is None
 
     def test_beta_to_one_limit(self):
-        zeta, _ = derive_constants(1.0 - 1e-12, 1.0)
+        zeta = derive_constants(1.0 - 1e-12, 1.0)
         assert 0.0 < zeta < 1e-11
 
     @pytest.mark.parametrize(
@@ -50,8 +48,6 @@ class TestDeriveConstants:
             (dict(beta=0.0, rho=1.0), "beta"),
             (dict(beta=1.0, rho=1.0), "beta"),
             (dict(beta=0.5, rho=0.0), "rho"),
-            (dict(beta=0.5, rho=1.0, alpha=1.0), "alpha"),
-            (dict(beta=0.5, rho=1.0, alpha=-0.1), "alpha"),
         ],
     )
     def test_out_of_range_names_parameter(self, kwargs, name):
@@ -63,7 +59,7 @@ class TestDeriveConstants:
         # relaxation-mode kernel reproduce the singular kernel exactly.
         for beta in np.arange(0.1, 0.95, 0.1):
             for rho in (0.5, 1.0, 3.0):
-                zeta, _ = derive_constants(float(beta), rho)
+                zeta = derive_constants(float(beta), rho)
                 value = zeta * math.gamma(beta) * math.gamma(1.0 - beta)
                 assert value == pytest.approx(rho, rel=1e-12)
 
@@ -124,22 +120,15 @@ class TestProblemSpec:
     def test_derived_fields(self):
         spec = ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(0.5), beta=0.5, rho=2.0)
         assert spec.zeta == pytest.approx(2.0 / math.pi)
-        assert spec.nu_alpha == pytest.approx(1.0 / 3.0)
         assert spec.m_kappa == 0.5
         assert spec.zeta > 0.0
 
-    def test_nu_alpha_one_formula_and_each_guard(self):
+    def test_nu_alpha_one_formula_and_one_guard(self):
         for a in (0.1, 1.0 / 3.0, 0.5, 0.9):
-            spec = ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(a), beta=0.5, rho=1.0)
-            want = (1.0 - a) / (2.0 - a)
-            assert spec.nu_alpha == derive_constants(0.5, 1.0, a)[1] == bessel._nu_alpha(a) == want
-        # outside (0,1): the property reads None, the other two raise
-        spec = ProblemSpec(variant=Variant.PPRIME, kappa=PowerLawKappa(1.5), beta=0.5, rho=1.0)
-        assert spec.nu_alpha is None
-        with pytest.raises(ParameterError, match="alpha"):
-            derive_constants(0.5, 1.0, 1.5)
-        with pytest.raises(ParameterError, match="alpha"):
-            bessel._nu_alpha(1.5)
+            assert nu_of_alpha(a) == bessel._nu_alpha(a) == (1.0 - a) / (2.0 - a)
+        for a in (0.0, 1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ParameterError, match="alpha"):
+                bessel._nu_alpha(a)
 
     @pytest.mark.parametrize("gamma", [0.5, -1.0, math.nan, "0.5"])
     def test_json_nonzero_gamma_refused(self, gamma):

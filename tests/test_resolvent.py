@@ -9,7 +9,7 @@ from fracdamp.errors import FitDataError, ParameterError, SpectralCollisionError
 from fracdamp.model import PowerLawKappa, ProblemSpec, StateVector, Variant
 from fracdamp import resolvent as resolvent_module
 from fracdamp.resolvent import (
-    ScanRegime,
+    MIN_SCAN_POINTS,
     _Secular,
     _ShiftedSystem,
     _fit_line,
@@ -449,6 +449,21 @@ class TestScans:
         with pytest.raises(ParameterError):
             scan_resolvent(make_operator(nx=32, nxi=16), np.array([0.1]))
 
+    def test_too_few_lambdas_are_refused_before_any_norm(self, monkeypatch):
+        calls = []
+
+        def counting_norm(op, lam, *, report=None):
+            calls.append(lam)
+            return 1.0
+
+        monkeypatch.setattr(resolvent_module, "resolvent_norm", counting_norm)
+        lams = np.geomspace(1e-3, 1e-1, MIN_SCAN_POINTS - 1)
+        with pytest.raises(ParameterError, match=f">= {MIN_SCAN_POINTS} lambdas"):
+            scan_resolvent(make_operator(nx=32, nxi=16), lams)
+        assert calls == []
+        scan_resolvent(make_operator(nx=32, nxi=16), np.geomspace(1e-3, 1e-1, MIN_SCAN_POINTS))
+        assert len(calls) == MIN_SCAN_POINTS
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
     def test_scan_refuses_zero_and_non_finite_lambda(self, bad):
         with pytest.raises(ParameterError, match="finite and nonzero"):
@@ -501,7 +516,6 @@ class TestScans:
     def test_variant_p_near_zero_slope(self):
         op = make_operator(nx=120, nxi=80, xi_min=1e-4, xi_max=1e4)
         scan = scan_resolvent(op, np.geomspace(1e-4, 1e-1, 13))
-        assert scan.regime is ScanRegime.NEAR_ZERO
         assert scan.fit.exponent == pytest.approx(-1.0, abs=0.1)
 
     def test_exponent_stable_under_refinement(self):
