@@ -264,23 +264,27 @@ def _cmd_scan(args, parser) -> int:
         return NUMERICAL_EXIT
     out.mkdir(parents=True, exist_ok=True)
     scan.to_csv(out / "scan.csv")
+    fit = scan.fit
     fit_doc = {
         # the label is read from the lambdas scanned, not from --regime
         "regime": "near_zero" if np.max(np.abs(lams)) <= 1.0 else "high_frequency",
-        "exponent": scan.fit.exponent,
-        "r_squared": scan.fit.r_squared,
-        "window": [float(scan.lam[scan.fit.window[0]]), float(scan.lam[scan.fit.window[1]])],
+        "exponent": None if fit is None else fit.exponent,
+        "r_squared": None if fit is None else fit.r_squared,
+        "window": None if fit is None else [float(scan.lam[i]) for i in fit.window],
         "theta_theoretical": prediction.theta,
         "upsilon_theoretical": prediction.upsilon,
         "decay_exponent_predicted": prediction.decay_exponent,
     }
+    if scan.fit_error:
+        fit_doc["error"] = scan.fit_error
     with open(out / "fit.json", "w") as fh:
         json.dump(fit_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     # per shift: the field share of the top singular vector of the
     # resolvent, |lambda|*||R|| - 1 (about 0 on the relaxation floor), the
-    # singular-value counts spent and the certificate gap; for the fit: its
-    # window's indices, R^2 and the largest |log norm - line| inside it
+    # singular-value counts spent and the certificate gap; for the fit (null
+    # without one): its window's indices, R^2 and the largest
+    # |log norm - line| inside it
     diagnostics = {
         "shifts": [
             {"lambda": r.lam, "field_share": r.field_share,
@@ -288,8 +292,9 @@ def _cmd_scan(args, parser) -> int:
              "count_evaluations": r.evaluations, "certificate_gap": r.certificate_gap}
             for r in scan.shifts
         ],
-        "fit": {"window_index": list(scan.fit.window), "r_squared": scan.fit.r_squared,
-                "max_abs_residual": scan.fit.max_residual},
+        "fit": None if fit is None else {"window_index": list(fit.window),
+                                         "r_squared": fit.r_squared,
+                                         "max_abs_residual": fit.max_residual},
         "stage_s": {"assembly": assembly_s, **scan.stage_s},
     }
     _write_manifest(out, "scan", config, [out / "scan.csv", out / "fit.json"],

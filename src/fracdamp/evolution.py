@@ -138,8 +138,9 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
     ``resolvent`` taken at lam - A, O(n + m) each and no dense matrix, from
     the all-ones vector and normalized in the weighted norm at each step;
     its eigen-residual is checked.  If `report` is a dict, the mode's eigenvalue, boundary weight,
-    field energy share and residual and the census counts and wall time are
-    stored in it; the census's ``found`` leaves out the decoupled modes.
+    field energy share, residual and relative residual (over max(|lambda|,
+    max |ell_k|)) and the census counts and wall time are stored in it; the
+    census's ``found`` leaves out the decoupled modes.
     """
     clock = time.perf_counter()
     census = damped_eigenvalues(op)
@@ -171,6 +172,10 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
             "boundary_weight": 0.5 * op.xgrid.h[b] * abs(mode.y[b]) ** 2 / energy(field, op),
             "field_energy_share": energy(field, op) / energy(mode, op),
             "residual": resid,
+            # the residual on the scale of the operator, whose rounding floor
+            # grows with max |ell|
+            "relative_residual": resid / max(abs(lam),
+                                             float(np.abs(op.field_spectrum.ell).max())),
             "census": {"found": int(census.values.size
                                     - np.count_nonzero(~op.field_spectrum.coupled)),
                        "expected": census.expected, "unconverged": census.unconverged,

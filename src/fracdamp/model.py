@@ -45,7 +45,7 @@ class BoundaryClass(str, enum.Enum):
 
 def nu_of_alpha(alpha: float) -> float:
     """nu_alpha = (1-alpha)/(2-alpha), the Bessel order of the power-law
-    resolvent basis; callers check that alpha lies in (0,1)."""
+    resolvent basis; ``bessel._nu_alpha`` checks that alpha lies in (0,1)."""
     return (1.0 - alpha) / (2.0 - alpha)
 
 

@@ -54,14 +54,16 @@ class ScanFit:
 class ResolventScan:
     """A scan's norms and fit, with what each shift measured.
 
-    ``shifts`` holds one ShiftReport per lambda and ``stage_s`` the wall
-    times of the field eigensolve, the shifts and the fit; both are
-    telemetry, not part of ``to_csv``.
+    ``fit`` is None when no window of the norms can be fitted, and
+    ``fit_error`` then says why.  ``shifts`` holds one ShiftReport per
+    lambda and ``stage_s`` the wall times of the field eigensolve, the
+    shifts and the fit; both are telemetry, not part of ``to_csv``.
     """
 
     lam: np.ndarray
     norm: np.ndarray
-    fit: ScanFit
+    fit: Optional[ScanFit]
+    fit_error: Optional[str] = None
     shifts: Tuple[ShiftReport, ...] = ()
     stage_s: Optional[dict] = None
 
@@ -965,7 +967,8 @@ def scan_resolvent(op, lambdas) -> ResolventScan:
     """Norms over a log-spaced |lambda| grid plus an automatic power-law fit.
 
     The fitted `exponent` is the log-log slope (so a 1/|lambda| blow-up reads
-    as -1).  Lambda values may be negative (the operator is not symmetric in
+    as -1); norms with no stable window are returned with no fit and the
+    fit's message.  Lambda values may be negative (the operator is not symmetric in
     the sign); the grid must be sorted by |lambda| within one sign.  A lambda
     that is zero or not finite, or fewer than MIN_SCAN_POINTS of them, raise
     ParameterError before any norm is computed.
@@ -986,16 +989,19 @@ def scan_resolvent(op, lambdas) -> ResolventScan:
     stage_s["shifts"] = time.perf_counter() - clock
     clock = time.perf_counter()
     logx, logy = np.log(np.abs(lambdas)), np.log(norms)
-    i0, i1, slope, r2 = _stable_window_fit(logx, logy)
-    x, y = logx[i0 : i1 + 1], logy[i0 : i1 + 1]
-    _, intercept, _ = _fit_line(x, y)
-    residual = float(np.abs(y - (slope * x + intercept)).max())
+    fit, fit_error = None, None
+    try:
+        i0, i1, slope, r2 = _stable_window_fit(logx, logy)
+    except FitDataError as exc:
+        fit_error = str(exc)  # the norms stand without a fit
+    else:
+        x, y = logx[i0 : i1 + 1], logy[i0 : i1 + 1]
+        _, intercept, _ = _fit_line(x, y)
+        residual = float(np.abs(y - (slope * x + intercept)).max())
+        fit = ScanFit(exponent=slope, r_squared=r2, window=(i0, i1), max_residual=residual)
     stage_s["fit"] = time.perf_counter() - clock
-    return ResolventScan(
-        lam=lambdas, norm=norms,
-        fit=ScanFit(exponent=slope, r_squared=r2, window=(i0, i1), max_residual=residual),
-        shifts=tuple(reports), stage_s=stage_s,
-    )
+    return ResolventScan(lam=lambdas, norm=norms, fit=fit, fit_error=fit_error,
+                         shifts=tuple(reports), stage_s=stage_s)
 
 
 def theoretical_exponents(spec: ProblemSpec) -> ExponentPrediction:

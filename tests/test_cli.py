@@ -150,11 +150,12 @@ class TestSimulate:
             assert report["sigma_min"] > 0.0
             return
         assert set(report) == {"eigenvalue", "boundary_weight", "field_energy_share",
-                               "residual", "census", "census_s"}
+                               "residual", "relative_residual", "census", "census_s"}
         assert len(report["eigenvalue"]) == 2 and report["eigenvalue"][0] < 0.0
         assert 0.0 <= report["boundary_weight"] <= 1.0
         assert 0.0 <= report["field_energy_share"] <= 1.0
         assert report["residual"] <= 1e-8
+        assert report["relative_residual"] <= 64 * np.finfo(float).eps
         census = report["census"]
         assert set(census) == {"found", "expected", "unconverged", "recovered",
                                "max_newton_iterations"}
@@ -338,6 +339,25 @@ class TestScan:
         rows = csv.DictReader(io.StringIO((out / "scan.csv").read_text()))
         lams = [float(r["lambda"]) for r in rows]
         assert len(lams) == 8 and all(v < 0 for v in lams)
+
+    def test_unfitted_scan_keeps_its_norms(self, tmp_path):
+        # on lambda < 0 the geometric grid hits and misses the resonances, so
+        # no window has a stable slope; all 25 norms were computed, then the
+        # run exited 2 and wrote nothing
+        out = tmp_path / "scan"
+        assert run_cli("scan", *_PROBLEM, "--nx", 100, "--nxi", 64, "--lambda-min=-10",
+                       "--lambda-max=-1e4", "--out", out) == 0
+        norms = np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1)
+        assert norms.shape == (25, 2) and np.all(np.isfinite(norms[:, 1]) & (norms[:, 1] > 0))
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["exponent"] is fit["r_squared"] is fit["window"] is None
+        assert "no sub-window with stable local slope" in fit["error"]
+        assert fit["regime"] == "high_frequency"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "error" not in manifest
+        assert manifest["outputs"] == ["fit.json", "scan.csv"]
+        assert manifest["diagnostics"]["fit"] is None
+        assert len(manifest["diagnostics"]["shifts"]) == 25
 
     @pytest.mark.parametrize("points", [-3, 0, 1, 2, 7])
     def test_fewer_than_min_scan_points_are_refused_before_any_work(self, tmp_path, points):

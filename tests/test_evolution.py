@@ -244,6 +244,9 @@ class TestPrepare:
         report = {}
         prepare_initial_state(op, "lowest-mode", report=report)
         assert report["residual"] <= 1e-8
+        # the absolute residual's rounding floor grows with max |ell| (2.5e-11
+        # here, 3.2e-9 at nx=3200); relative to it the residual is at eps
+        assert report["relative_residual"] <= 64 * np.finfo(float).eps
         census = report["census"]
         assert census["found"] == census["expected"]
 

@@ -491,6 +491,21 @@ class TestScans:
         assert scan.fit.exponent == pytest.approx(0.0, abs=1e-6)
         assert scan.fit.r_squared == 1.0
 
+    def test_scan_without_a_stable_window_keeps_its_norms(self, monkeypatch):
+        # local slopes alternating between +1 and -1: no window of 8 points
+        lams = np.geomspace(1e-3, 1e-1, 12)
+        zigzag = dict(zip(lams, np.where(np.arange(12) % 2 == 0, 1.0, 2.0)))
+
+        def zigzag_norm(op, lam, *, report=None):
+            return zigzag[lam]
+
+        monkeypatch.setattr(resolvent_module, "resolvent_norm", zigzag_norm)
+        scan = scan_resolvent(make_operator(nx=32, nxi=16), lams)
+        assert scan.fit is None
+        assert "no sub-window with stable local slope" in scan.fit_error
+        np.testing.assert_array_equal(scan.norm, [zigzag[v] for v in lams])
+        assert set(scan.stage_s) == {"eigensolve", "shifts", "fit"}
+
     def test_scans_repeat_exactly(self):
         lams = np.geomspace(1e-4, 1e-1, 13)
         first = scan_resolvent(make_operator(nx=64, nxi=32), lams)
