@@ -172,8 +172,7 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
             "boundary_weight": 0.5 * op.xgrid.h[b] * abs(mode.y[b]) ** 2 / energy(field, op),
             "field_energy_share": energy(field, op) / energy(mode, op),
             "residual": resid,
-            # the residual on the scale of the operator, whose rounding floor
-            # grows with max |ell|
+            # the absolute residual's rounding floor grows with max |ell|
             "relative_residual": resid / max(abs(lam),
                                              float(np.abs(op.field_spectrum.ell).max())),
             "census": {"found": int(census.values.size

@@ -959,7 +959,7 @@ def _stable_window_fit(logx, logy):
             slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
             return i0, i1, slope, r2
     raise FitDataError(
-        f"fewer than {MIN_SCAN_POINTS} usable points: no sub-window with stable local slope"
+        f"no sub-window of {MIN_SCAN_POINTS} or more points with stable local slope"
     )
 
 
@@ -968,10 +968,10 @@ def scan_resolvent(op, lambdas) -> ResolventScan:
 
     The fitted `exponent` is the log-log slope (so a 1/|lambda| blow-up reads
     as -1); norms with no stable window are returned with no fit and the
-    fit's message.  Lambda values may be negative (the operator is not symmetric in
-    the sign); the grid must be sorted by |lambda| within one sign.  A lambda
-    that is zero or not finite, or fewer than MIN_SCAN_POINTS of them, raise
-    ParameterError before any norm is computed.
+    fit's message.  Lambda values may be negative (the operator is not
+    symmetric in the sign); the grid must be sorted by |lambda| within one
+    sign.  A lambda that is zero or not finite, or fewer than MIN_SCAN_POINTS
+    of them, raise ParameterError before any norm is computed.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1:

@@ -286,11 +286,14 @@ class TestScan:
         assert fit["theta_theoretical"] == 1.5
         assert fit["decay_exponent_predicted"] == pytest.approx(2.0 / 1.5)
 
-    def test_high_regime_scan(self, tmp_path):
+    @pytest.mark.parametrize("regime", ["high", "low"])
+    def test_high_lambdas_are_labelled_high_frequency(self, tmp_path, regime):
+        # the label is read from the lambdas scanned: --regime low said
+        # "near_zero" whatever the bounds
         out = tmp_path / "scanh"
         code = run_cli(
             "scan", "--problem", "Pprime", "--alpha", 0.5, "--beta", 0.5,
-            "--nx", 100, "--nxi", 48, "--points", 10, "--regime", "high",
+            "--nx", 100, "--nxi", 48, "--points", 10, "--regime", regime,
             "--lambda-min", 10, "--lambda-max", 1e3, "--out", out,
         )
         assert code == 0
@@ -309,15 +312,6 @@ class TestScan:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["lambda_min"], config["lambda_max"]) == window
         assert config["regime"] == regime
-
-    def test_label_is_read_from_the_lambdas_scanned(self, tmp_path):
-        # --regime low said "near_zero" whatever the bounds: the label now
-        # follows |lambda|, and --regime only picks the default window
-        out = tmp_path / "scan"
-        assert run_cli("scan", *_PROBLEM, "--nx", 32, "--nxi", 24, "--points", 8,
-                       "--regime", "low", "--lambda-min", 10, "--lambda-max", 1e3,
-                       "--out", out) == 0
-        assert json.loads((out / "fit.json").read_text())["regime"] == "high_frequency"
 
     @pytest.mark.parametrize("bounds", [("0", "0.1"), ("1e-4", "0"), ("nan", "0.1"),
                                         ("1e-4", "nan"), ("inf", "0.1"), ("1e-4", "inf"),
@@ -351,7 +345,7 @@ class TestScan:
         assert norms.shape == (25, 2) and np.all(np.isfinite(norms[:, 1]) & (norms[:, 1] > 0))
         fit = json.loads((out / "fit.json").read_text())
         assert fit["exponent"] is fit["r_squared"] is fit["window"] is None
-        assert "no sub-window with stable local slope" in fit["error"]
+        assert "no sub-window of 8 or more points with stable local slope" in fit["error"]
         assert fit["regime"] == "high_frequency"
         manifest = json.loads((out / "manifest.json").read_text())
         assert "error" not in manifest
@@ -360,9 +354,16 @@ class TestScan:
         assert len(manifest["diagnostics"]["shifts"]) == 25
 
     @pytest.mark.parametrize("points", [-3, 0, 1, 2, 7])
-    def test_fewer_than_min_scan_points_are_refused_before_any_work(self, tmp_path, points):
+    def test_fewer_than_min_scan_points_are_refused_before_any_work(self, tmp_path, points,
+                                                                    monkeypatch):
         # -3 reached np.geomspace (raw ValueError, exit 1); 2 to 7 passed a
         # check of 2, computed every norm, then failed the fit's minimum of 8
+        from fracdamp import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli, "scan_resolvent", refuse)
         out = tmp_path / "scan"
         with pytest.raises(SystemExit) as exc:
             run_cli("scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,

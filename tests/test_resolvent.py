@@ -502,7 +502,7 @@ class TestScans:
         monkeypatch.setattr(resolvent_module, "resolvent_norm", zigzag_norm)
         scan = scan_resolvent(make_operator(nx=32, nxi=16), lams)
         assert scan.fit is None
-        assert "no sub-window with stable local slope" in scan.fit_error
+        assert "no sub-window of 8 or more points with stable local slope" in scan.fit_error
         np.testing.assert_array_equal(scan.norm, [zigzag[v] for v in lams])
         assert set(scan.stage_s) == {"eigensolve", "shifts", "fit"}
 
