@@ -1,4 +1,5 @@
-"""Closed-form resolvent solutions for the power-law coefficient kappa = x^alpha.
+"""Closed-form resolvent solution of variant P for the power-law coefficient
+kappa = x^alpha, the oracle of ``oracle-compare``.
 
 The resolvent ODE -lambda*y + (x^alpha y_x)_x = i f1 transforms to Bessel
 form; its fundamental pair is
@@ -75,12 +76,6 @@ def bessel_j(nu: float, z, *, max_terms: int = _SERIES_CAP):
     return out[0] if scalar else out
 
 
-def bessel_j_prime(nu: float, z):
-    """d/dz J_nu via J_nu' = (nu/z) J_nu - J_{nu+1} (orders stay > -1)."""
-    z = np.asarray(z, dtype=np.complex128)
-    return (nu / z) * bessel_j(nu, z) - bessel_j(nu + 1.0, z)
-
-
 def _nu_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0,1), got alpha={alpha}")
@@ -119,42 +114,6 @@ def theta_prime_at_one(mu: complex, alpha: float):
     return complex(tp), complex(tm)
 
 
-def _lommel(nu: float, r) -> complex:
-    """int_0^1 t * J_nu(r t)^2 dt = (1/(2 r^2)) [(r J_nu)^2 + (r J_{nu+1})^2 - 2 nu r J_nu J_{nu+1}]."""
-    jn = bessel_j(nu, r)
-    jn1 = bessel_j(nu + 1.0, r)
-    return ((r * jn) ** 2 + (r * jn1) ** 2 - 2.0 * nu * r * jn * jn1) / (2.0 * r * r)
-
-
-def theta_norm_sq(r: complex, alpha: float) -> complex:
-    """Squared profile norm int_0^1 theta_+(x)^2 dx as a function of r = 2 mu/(2-alpha).
-
-    Analytic in r (squares, not moduli); for real r it equals the L2 norm of
-    theta_+.  r=0 is removable: the small-r form is
-    (1/(2-alpha)) c_+^2 r^(2 nu) / (1 + nu).
-    """
-    nu = _nu_alpha(alpha)
-    r = complex(r)
-    if abs(r) > _Z_MAX:
-        raise ParameterError(f"|r| must be <= {_Z_MAX}, got |r|={abs(r):.3g}")
-    if r == 0:
-        return 0.0 + 0.0j
-    return (2.0 / (2.0 - alpha)) * _lommel(nu, r)
-
-
-def theta_norm_sq_small_r(r: complex, alpha: float) -> complex:
-    """Leading small-r asymptote of theta_norm_sq.
-
-    Note the 1/(1+nu) factor: it follows from integrating the leading series
-    term x^(2 nu + 1) term of t*J_nu(rt)^2 and is required for the asymptote
-    to actually match the closed form.
-    """
-    nu = _nu_alpha(alpha)
-    c_plus, _ = leading_coefficients(nu)
-    r = complex(r)
-    return (1.0 / (2.0 - alpha)) * c_plus**2 * r ** (2.0 * nu) / (1.0 + nu)
-
-
 @dataclass(frozen=True)
 class AnalyticResolvent:
     """Closed-form resolvent solution sampled on a spatial grid."""
@@ -169,11 +128,6 @@ class AnalyticResolvent:
     alpha: float
     x: np.ndarray
     y: np.ndarray
-
-    def eval_homogeneous(self, xq):
-        """A*theta_+ + B*theta_- at arbitrary points (exact when f1 == 0)."""
-        tp, tm = theta_pm(xq, self.mu, self.alpha)
-        return self.A * tp + self.B * tm
 
 
 def _vp_prefactor(alpha: float) -> float:
@@ -251,45 +205,3 @@ def analytic_resolvent_P(
         alpha=float(alpha), x=x, y=y,
     )
 
-
-def analytic_case_Pprime_poweralpha(
-    lam: float,
-    x,
-    f1,
-    C: complex,
-    alpha: float,
-    beta: float,
-    rho: float,
-) -> AnalyticResolvent:
-    """Resolvent solution for damping at x=1 with kappa = x^alpha, alpha in (0,1).
-
-    The Dirichlet condition at the degenerate end forces B = 0; one linear
-    equation with bracket theta_+'(1) - i rho (i lam)^(beta-1) theta_+(1)
-    determines A.  The bracket plays the role of the connection determinant.
-    """
-    nu = _nu_alpha(alpha)
-    if not 0.0 < lam < math.inf:  # written so that nan fails it
-        raise ParameterError(f"lambda must be finite and positive, got lambda={lam}")
-    mu = 1j * math.sqrt(lam)
-    x = np.asarray(x, dtype=float)
-    f1 = np.zeros_like(x, dtype=np.complex128) if f1 is None else np.asarray(f1, dtype=np.complex128)
-    il_pow = np.exp((beta - 1.0) * np.log(1j * lam))
-    tp1_prime, tm1_prime = theta_prime_at_one(mu, alpha)
-    tp1, tm1 = (complex(v) for v in theta_pm(1.0, mu, alpha))
-
-    pref = _vp_prefactor(alpha)
-    tp, tm, i_plus, i_minus = _variation_terms(x, f1, mu, alpha)
-    c_tilde = pref * (i_plus[-1] * tm1_prime - tp1_prime * i_minus[-1])
-    c_tilde_val = pref * (i_plus[-1] * tm1 - tp1 * i_minus[-1])
-
-    bracket = tp1_prime - 1j * rho * il_pow * tp1
-    _check_determinant(bracket, max(abs(tp1_prime), abs(1j * rho * il_pow * tp1)))
-
-    a_coef = (c_tilde - 1j * rho * il_pow * c_tilde_val - C) / bracket
-
-    y = a_coef * tp - pref * (i_plus * tm - tp * i_minus)
-    return AnalyticResolvent(
-        lam=float(lam), mu=complex(mu), A=complex(a_coef), B=0.0 + 0.0j,
-        C=complex(C), C_tilde=complex(c_tilde), D=complex(bracket),
-        alpha=float(alpha), x=x, y=y,
-    )

@@ -63,6 +63,14 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """fit.json, orders.json and the manifest: two-space indent, sorted keys,
+    a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+
+
 def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
                     diagnostics=None) -> None:
     out.mkdir(parents=True, exist_ok=True)  # an error manifest may be the first file
@@ -80,9 +88,15 @@ def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
         manifest["error"] = error
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
+
+
+def _numerical_failure(out: Path, command: str, config: dict, exc: NumericalError) -> int:
+    """An error manifest with the failure's diagnostics, the message on
+    stderr and the numerical-failure exit code."""
+    _write_manifest(out, command, config, [], error={"message": str(exc), **exc.diagnostics})
+    print(f"numerical failure: {exc}", file=sys.stderr)
+    return NUMERICAL_EXIT
 
 
 def _load_json_object(parser, flag: str, path) -> dict:
@@ -203,9 +217,7 @@ def _cmd_simulate(args, parser) -> int:
             fit_error = str(exc)
         lap("fit")
     except NumericalError as exc:
-        _write_manifest(out, "simulate", config, [], error={"message": str(exc), **exc.diagnostics})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
+        return _numerical_failure(out, "simulate", config, exc)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
     fit_doc = {
@@ -216,9 +228,7 @@ def _cmd_simulate(args, parser) -> int:
     }
     if fit_error:
         fit_doc["error"] = fit_error
-    with open(out / "fit.json", "w") as fh:
-        json.dump(fit_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "fit.json", fit_doc)
     # the midpoint rule is contractive, so the largest sampled energy change
     # relative to E[0] (prepared states have unit energy) should be roundoff
     # or below; initial_state is what the preparation measured, march the
@@ -259,9 +269,7 @@ def _cmd_scan(args, parser) -> int:
     try:
         scan = scan_resolvent(op, lams)
     except NumericalError as exc:
-        _write_manifest(out, "scan", config, [], error={"message": str(exc), **exc.diagnostics})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
+        return _numerical_failure(out, "scan", config, exc)
     out.mkdir(parents=True, exist_ok=True)
     scan.to_csv(out / "scan.csv")
     fit = scan.fit
@@ -277,9 +285,7 @@ def _cmd_scan(args, parser) -> int:
     }
     if scan.fit_error:
         fit_doc["error"] = scan.fit_error
-    with open(out / "fit.json", "w") as fh:
-        json.dump(fit_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "fit.json", fit_doc)
     # per shift: the field share of the top singular vector of the
     # resolvent, |lambda|*||R|| - 1 (about 0 on the relaxation floor), the
     # singular-value counts spent and the certificate gap; for the fit (null
@@ -363,10 +369,7 @@ def _cmd_oracle_compare(args, parser) -> int:
             rows.append([args.lam, l2, linf, nx])
             errors.append(l2)
     except NumericalError as exc:
-        _write_manifest(out, "oracle-compare", config, [],
-                        error={"message": str(exc), **exc.diagnostics})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
+        return _numerical_failure(out, "oracle-compare", config, exc)
     out.mkdir(parents=True, exist_ok=True)
     _csv.write_csv(out / "oracle.csv", ["lambda", "l2_error", "linf_error", "nx"], zip(*rows))
     orders = []
@@ -376,9 +379,7 @@ def _cmd_oracle_compare(args, parser) -> int:
                 math.log(errors[k - 1] / errors[k]) / math.log(nx_list[k] / nx_list[k - 1])
             )
     summary = {"orders": orders, "observed_order": min(orders) if orders else None}
-    with open(out / "orders.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "orders.json", summary)
     _write_manifest(out, "oracle-compare", config,
                     [out / "oracle.csv", out / "orders.json"])
     return 0

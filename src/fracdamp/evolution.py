@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _kernels
 from ._csv import write_csv
-from .errors import FitDataError, NumericalError, ParameterError, ShapeError
-from .model import StateVector, energy
+from .errors import FitDataError, NumericalError, ParameterError
+from .model import StateVector, _check_compatible, energy
 from .operator import SystemOperator
 from .resolvent import _fit_line, _ShiftedSystem, damped_eigenvalues, smallest_singular_value
 
@@ -92,8 +92,7 @@ def simulate(
             f"t_final and dt must be positive and finite, with a finite step count, "
             f"got {t_final}, {dt}"
         )
-    if y0.y.size != op.xgrid.x.size or y0.psi.size != op.xigrid.xi.size:
-        raise ShapeError("initial state does not match operator grids")
+    _check_compatible(y0, op)
     n_steps = max(1, int(round(t_final / dt)))  # trace ends at n_steps*dt
     if sample_stride is None:
         sample_stride = max(1, n_steps // 2000)
@@ -139,8 +138,10 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
     the all-ones vector and normalized in the weighted norm at each step;
     its eigen-residual is checked.  If `report` is a dict, the mode's eigenvalue, boundary weight,
     field energy share, residual and relative residual (over max(|lambda|,
-    max |ell_k|)) and the census counts and wall time are stored in it; the
-    census's ``found`` leaves out the decoupled modes.
+    max |ell_k|)) and the census counts, trace defect and wall time are
+    stored in it.  The trace defect |sum lambda - tr A| / sum |lambda| checks
+    the census as a whole: tr A = i sum l_diag - sum xi^2 in closed form,
+    since the rank-two coupling has zero trace.
     """
     clock = time.perf_counter()
     census = damped_eigenvalues(op)
@@ -167,6 +168,8 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
     if report is not None:
         field = StateVector(y=mode.y, psi=np.zeros_like(mode.psi))
         b = op.boundary_index
+        vals = census.values
+        trace = 1j * op.l_diag.sum() - np.sum(op.xigrid.xi**2)
         report.update({
             "eigenvalue": [lam.real, lam.imag],
             "boundary_weight": 0.5 * op.xgrid.h[b] * abs(mode.y[b]) ** 2 / energy(field, op),
@@ -175,11 +178,10 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
             # the absolute residual's rounding floor grows with max |ell|
             "relative_residual": resid / max(abs(lam),
                                              float(np.abs(op.field_spectrum.ell).max())),
-            "census": {"found": int(census.values.size
-                                    - np.count_nonzero(~op.field_spectrum.coupled)),
-                       "expected": census.expected, "unconverged": census.unconverged,
+            "census": {"expected": census.expected, "unconverged": census.unconverged,
                        "recovered": census.recovered,
-                       "max_newton_iterations": int(census.iterations.max())},
+                       "max_newton_iterations": int(census.iterations.max()),
+                       "trace_defect": float(abs(vals.sum() - trace) / np.abs(vals).sum())},
             "census_s": census_s,
         })
     return mode

@@ -107,21 +107,10 @@ class TabulatedKappa:
 KappaSpec = Union[PowerLawKappa, TabulatedKappa]
 
 
-def tabulate_kappa(fn, n: int = 400, x_min: float = 1e-8) -> TabulatedKappa:
-    """Sample a coefficient on a log-spaced grid accumulating at x=0.
-
-    The degeneracy ratio x|kappa'|/kappa is typically extremal in the
-    degenerate limit, so samples concentrate there.
-    """
-    x = np.geomspace(x_min, 1.0, int(n))
-    return TabulatedKappa(x=x, values=np.asarray(fn(x), dtype=float))
-
-
 @dataclass(frozen=True)
 class DegeneracyReport:
     m_kappa: float
     boundary_class: BoundaryClass
-    sup_location: float
 
 
 def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
@@ -134,7 +123,6 @@ def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
     """
     if isinstance(kappa, PowerLawKappa):
         m = float(kappa.alpha)
-        loc = 1.0
     elif isinstance(kappa, TabulatedKappa):
         x, v = kappa.x, kappa.values
         hp = x[2:] - x[1:-1]
@@ -143,9 +131,7 @@ def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
             v[2:] * hm**2 - v[:-2] * hp**2 + v[1:-1] * (hp**2 - hm**2)
         ) / (hp * hm * (hp + hm))
         ratio = x[1:-1] * np.abs(deriv) / v[1:-1]
-        idx = int(np.argmax(ratio))
-        m = float(ratio[idx])
-        loc = float(x[1:-1][idx])
+        m = float(ratio.max())
     else:
         raise CoefficientError(f"unsupported kappa specification {type(kappa).__name__}")
     if m >= 2.0:
@@ -153,7 +139,7 @@ def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
             f"degeneracy measure m_kappa={m:.6g} violates the hypothesis m_kappa < 2"
         )
     cls = BoundaryClass.DIRICHLET_AT_ZERO if m < 1.0 else BoundaryClass.WEIGHTED_NEUMANN_AT_ZERO
-    return DegeneracyReport(m_kappa=m, boundary_class=cls, sup_location=loc)
+    return DegeneracyReport(m_kappa=m, boundary_class=cls)
 
 
 @dataclass(frozen=True)

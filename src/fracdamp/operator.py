@@ -21,12 +21,13 @@ import numpy as np
 
 from . import _kernels
 from .diffusive import XiGrid
-from .errors import ConfigurationError, ParameterError, ShapeError
+from .errors import ConfigurationError, ParameterError
 from .model import (
     BoundaryClass,
     ProblemSpec,
     StateVector,
     Variant,
+    _check_compatible,
     classify_kappa,
 )
 
@@ -114,7 +115,6 @@ class SystemOperator:
     l_sub: np.ndarray
     l_diag: np.ndarray
     l_sup: np.ndarray
-    left_bc: str
 
     def __post_init__(self):
         for name in ("l_sub", "l_diag", "l_sup"):
@@ -132,8 +132,7 @@ class SystemOperator:
         return np.concatenate((self.xgrid.h, self.zeta * self.xigrid.w))
 
     def apply(self, state: StateVector) -> StateVector:
-        if state.y.size != self.xgrid.x.size or state.psi.size != self.xigrid.xi.size:
-            raise ShapeError("state does not match operator grids")
+        _check_compatible(state, self)
         y, psi = state.y, state.psi
         ly = self.l_diag * y
         if y.size > 1:
@@ -144,12 +143,6 @@ class SystemOperator:
         out_y[self.boundary_index] -= (self.zeta / self.xgrid.h[self.boundary_index]) * s
         out_psi = -self.xigrid.xi**2 * psi + self.xigrid.eta * y[self.boundary_index]
         return StateVector(y=out_y, psi=out_psi)
-
-    def dissipation(self, state: StateVector) -> float:
-        """-zeta * sum w_k xi_k^2 |psi_k|^2 <= 0 (the exact energy derivative)."""
-        return float(
-            -self.zeta * np.dot(self.xigrid.w * self.xigrid.xi**2, np.abs(state.psi) ** 2)
-        )
 
     @cached_property
     def relaxation_weights(self) -> np.ndarray:
@@ -183,17 +176,11 @@ def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> System
             )
         boundary_index = 0
         flux_sign = -1.0
-        left_bc = "damped_flux"
         dirichlet_left = False
     else:
         boundary_index = xgrid.x.size - 1
         flux_sign = +1.0
-        if report.boundary_class is BoundaryClass.DIRICHLET_AT_ZERO:
-            left_bc = "dirichlet"
-            dirichlet_left = True
-        else:
-            left_bc = "weighted_neumann"
-            dirichlet_left = False
+        dirichlet_left = report.boundary_class is BoundaryClass.DIRICHLET_AT_ZERO
     sub, diag, sup = _fv_tridiag(spec.kappa, xgrid, dirichlet_left)
     return SystemOperator(
         problem=spec,
@@ -205,6 +192,5 @@ def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> System
         l_sub=sub,
         l_diag=diag,
         l_sup=sup,
-        left_bc=left_bc,
     )
 

@@ -28,7 +28,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import bessel
 from ._csv import write_csv
 from ._kernels import TridiagFactor, _lapack
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     ParameterError,
     SpectralCollisionError,
 )
-from .model import ProblemSpec, Variant, nu_of_alpha
+from .model import ProblemSpec, Variant
 from .operator import SystemOperator
 
 
@@ -79,7 +78,6 @@ class ExponentPrediction:
     upsilon: float
     varsigma: float
     decay_exponent: float
-    upsilon_provenance: str
 
 
 # ---------------------------------------------------------------------------
@@ -969,15 +967,22 @@ def scan_resolvent(op, lambdas) -> ResolventScan:
     The fitted `exponent` is the log-log slope (so a 1/|lambda| blow-up reads
     as -1); norms with no stable window are returned with no fit and the
     fit's message.  Lambda values may be negative (the operator is not
-    symmetric in the sign); the grid must be sorted by |lambda| within one
-    sign.  A lambda that is zero or not finite, or fewer than MIN_SCAN_POINTS
-    of them, raise ParameterError before any norm is computed.
+    symmetric in the sign); they must share one sign, and |lambda| must be
+    strictly increasing or strictly decreasing.  A lambda that is zero or
+    not finite, a grid of mixed sign or with |lambda| not strictly
+    monotone, or fewer than MIN_SCAN_POINTS lambdas raise ParameterError
+    before the field eigensolve.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1:
         raise ParameterError("lambdas must be a 1-d array")
     if not np.all(np.isfinite(lambdas) & (lambdas != 0.0)):
         raise ParameterError(f"lambdas must be finite and nonzero, got {lambdas}")
+    one_sign = np.all(lambdas > 0.0) or np.all(lambdas < 0.0)
+    step = np.diff(np.abs(lambdas))
+    if not (one_sign and (np.all(step > 0.0) or np.all(step < 0.0))):
+        raise ParameterError(
+            f"lambdas must share one sign, with |lambda| strictly monotone, got {lambdas}")
     if lambdas.size < MIN_SCAN_POINTS:
         raise ParameterError(f"a scan needs >= {MIN_SCAN_POINTS} lambdas, got {lambdas.size}")
     clock = time.perf_counter()
@@ -1015,82 +1020,25 @@ def theoretical_exponents(spec: ProblemSpec) -> ExponentPrediction:
     The power-law branch theta = 1 is the sharpened estimate; the
     general-coefficient theta = 2-beta is the cruder one and is not claimed
     sharp (a scan of kappa = x^1.5 reads the relaxation floor 1/|lam|).  For
-    damping at the degenerate end the high-frequency value is only known
-    from the exponentially tempered variant of the kernel, which the
-    provenance string records.
+    damping at the degenerate end the high-frequency value is quoted from
+    the theory of the exponentially tempered kernel (gamma > 0); it is not
+    proven for the untempered kernel (gamma = 0) used here.  On the primed
+    variant upsilon = 1 - beta on both branches.
     """
     beta = spec.beta
     if spec.variant is Variant.P:
         theta = 1.0
         alpha = spec.alpha
         upsilon = max(1.0, (4.0 - 3.0 * alpha) / (4.0 - 2.0 * alpha) - beta)
-        provenance = (
-            "high-frequency exponent quoted from the tempered-kernel (gamma>0) "
-            "theory; not proven for gamma=0"
-        )
     else:
         upsilon = 1.0 - beta
         # the sharpened power-law branch is established for alpha in (0,1)
         # (the transformed fundamental pair degenerates at alpha = 1); all
         # other coefficients get the general-coefficient exponent
-        if spec.alpha is not None and spec.alpha < 1.0:
-            theta = 1.0
-            provenance = "power-law coefficient branch: theta=1, upsilon=1-beta"
-        else:
-            theta = 2.0 - beta
-            provenance = "general-coefficient branch: theta=2-beta, upsilon=1-beta"
+        theta = 1.0 if spec.alpha is not None and spec.alpha < 1.0 else 2.0 - beta
     varsigma = max(theta, upsilon)
     return ExponentPrediction(
         theta=float(theta), upsilon=float(upsilon), varsigma=float(varsigma),
-        decay_exponent=float(2.0 / varsigma), upsilon_provenance=provenance,
+        decay_exponent=float(2.0 / varsigma),
     )
 
-
-@dataclass(frozen=True)
-class DeterminantFit:
-    exponent: float
-    intercept: float
-    r_squared: float
-    mu: np.ndarray
-    values: np.ndarray
-
-
-def verify_determinant_scaling(
-    alpha: float,
-    beta: float,
-    rho: float,
-    mu_grid,
-    mode: str = "variant_p",
-) -> DeterminantFit:
-    """Fit log|D| against log|mu| on a small-|mu| grid.
-
-    mode="variant_p" uses the two-constant connection determinant
-    D = (1-alpha) d+ theta_-'(1) - i rho theta_+'(1) (i lam)^(beta-1) d-;
-    mode="pprime_power" uses the single-equation bracket
-    theta_+'(1) - i rho (i lam)^(beta-1) theta_+(1).
-    Expected slopes: 2 beta - 2, resp. 2 beta + nu_alpha - 2.
-    """
-    mu_grid = np.asarray(mu_grid, dtype=np.complex128)
-    if np.any(np.abs(mu_grid) > 0.1):
-        raise ParameterError("determinant scaling is a small-|mu| check (|mu| <= 0.1)")
-    nu = nu_of_alpha(alpha)
-    c_plus, c_minus = bessel.leading_coefficients(nu)
-    vals = np.empty(mu_grid.size, dtype=np.complex128)
-    for k, mu in enumerate(mu_grid):
-        lam = -(mu**2)
-        il_pow = np.exp((beta - 1.0) * np.log(1j * lam))
-        dtp1, dtm1 = bessel.theta_prime_at_one(mu, alpha)
-        scale = (2.0 / (2.0 - alpha)) * mu
-        if mode == "variant_p":
-            d_plus = c_plus * scale**nu
-            d_minus = c_minus * scale ** (-nu)
-            vals[k] = (1.0 - alpha) * d_plus * dtm1 - 1j * rho * dtp1 * il_pow * d_minus
-        elif mode == "pprime_power":
-            tp1 = complex(bessel.theta_pm(1.0, mu, alpha)[0])
-            vals[k] = dtp1 - 1j * rho * il_pow * tp1
-        else:
-            raise ParameterError(f"unknown determinant mode {mode!r}")
-    slope, intercept, r2 = _fit_line(np.log(np.abs(mu_grid)), np.log(np.abs(vals)))
-    return DeterminantFit(
-        exponent=slope, intercept=intercept, r_squared=r2, mu=mu_grid, values=vals,
-    )

@@ -44,6 +44,12 @@ def dense(op) -> np.ndarray:
     return a
 
 
+def dissipation(op, state) -> float:
+    """-zeta * sum w_k xi_k^2 |psi_k|^2 <= 0: the right-hand side of the
+    discrete dissipation identity Re<A Y, Y>_H = dE/dt."""
+    return float(-op.zeta * np.dot(op.xigrid.w * op.xigrid.xi**2, np.abs(state.psi) ** 2))
+
+
 def weighted_dense(op) -> np.ndarray:
     """Similarity W^(1/2) A W^(-1/2), whose Euclidean geometry is the H one."""
     sw = np.sqrt(op.weights)

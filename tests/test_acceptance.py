@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_state
-from fracdamp.bessel import analytic_resolvent_P, theta_norm_sq, theta_norm_sq_small_r, theta_pm
+from conftest import dissipation, random_state
+from fracdamp.bessel import analytic_resolvent_P, theta_pm
 from fracdamp.diffusive import build_xi_quadrature, evolve_psi_forced, kernel_check
 from fracdamp.evolution import fit_decay_exponent, prepare_initial_state, simulate
 from fracdamp.model import (
@@ -36,7 +36,12 @@ from fracdamp.resolvent import (
     scan_resolvent,
     solve_resolvent,
     theoretical_exponents,
-    verify_determinant_scaling,
+)
+from oracles import (
+    bracket_scaling_pprime,
+    determinant_scaling_p,
+    theta_norm_sq,
+    theta_norm_sq_small_r,
 )
 
 
@@ -85,7 +90,7 @@ def test_03_discrete_dissipativity():
         for _ in range(100):
             state = random_state(op, rng)
             lhs = inner_product(op.apply(state), state, op).real
-            rhs = op.dissipation(state)
+            rhs = dissipation(op, state)
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     ok = worst <= 1e-12
     assert report(3, "discrete dissipativity", ok, f"max rel residual {worst:.2e} <= 1e-12")
@@ -162,11 +167,11 @@ def test_09_determinant_scaling():
     results = []
     mu = 1j * np.geomspace(1e-3, 3e-2, 20)
     for beta in (0.5, 0.75):
-        fit = verify_determinant_scaling(0.5, beta, 1.0, mu)
+        fit = determinant_scaling_p(0.5, beta, 1.0, mu)
         target = 2.0 * beta - 2.0
         results.append((f"two-constant beta={beta}", fit.exponent, target))
     mu2 = 1j * np.geomspace(1e-3, 1e-2, 16)
-    fitb = verify_determinant_scaling(0.5, 0.5, 1.0, mu2, mode="pprime_power")
+    fitb = bracket_scaling_pprime(0.5, 0.5, 1.0, mu2)
     nu = (1.0 - 0.5) / (2.0 - 0.5)
     results.append(("bracket", fitb.exponent, 2.0 * 0.5 + nu - 2.0))
     ok = all(abs(got - want) <= 0.05 for _, got, want in results)

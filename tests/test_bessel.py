@@ -7,19 +7,22 @@ from scipy.integrate import quad
 
 from fracdamp.bessel import (
     theta_prime,
-    _lommel,
-    analytic_case_Pprime_poweralpha,
     analytic_resolvent_P,
     bessel_j,
-    bessel_j_prime,
     leading_coefficients,
-    theta_norm_sq,
-    theta_norm_sq_small_r,
     theta_pm,
     theta_prime_at_one,
 )
 from fracdamp.errors import NearSingularError, ParameterError
 from fracdamp.operator import build_x_grid
+from oracles import (
+    _lommel,
+    analytic_case_Pprime_poweralpha,
+    bessel_j_prime,
+    eval_homogeneous,
+    theta_norm_sq,
+    theta_norm_sq_small_r,
+)
 
 
 class TestBesselJ:
@@ -179,7 +182,7 @@ class TestAnalyticResolventP:
         x = build_x_grid(128).x
         res = analytic_resolvent_P(lam, x, None, 1.0, alpha, beta, rho)
         h = 1e-6
-        dy1 = (res.eval_homogeneous(1.0 + h) - res.eval_homogeneous(1.0 - h)) / (2 * h)
+        dy1 = (eval_homogeneous(res, 1.0 + h) - eval_homogeneous(res, 1.0 - h)) / (2 * h)
         assert abs(dy1) < 1e-8 * np.abs(res.y).max()
         # flux condition at 0: A (1-alpha) d+ + i rho (i lam)^(beta-1) B d- = C
         nu = (1 - alpha) / (2 - alpha)
@@ -198,7 +201,7 @@ class TestAnalyticResolventP:
         _, c_minus = leading_coefficients(nu)
         d_minus = c_minus * ((2.0 / (2.0 - alpha)) * res.mu) ** (-nu)
         # |y(0)| = |B d-|: evaluate at a tiny x where theta_+ has died off
-        y_near_zero = res.eval_homogeneous(1e-18)
+        y_near_zero = eval_homogeneous(res, 1e-18)
         assert abs(y_near_zero) == pytest.approx(abs(res.B * d_minus), rel=1e-10)
 
     def test_ode_residual_second_order(self):
@@ -209,10 +212,10 @@ class TestAnalyticResolventP:
         def residual(h):
             xs = np.linspace(0.3, 0.9, 31)
             flux = lambda s: s**alpha * (
-                (res.eval_homogeneous(s + h) - res.eval_homogeneous(s - h)) / (2 * h)
+                (eval_homogeneous(res, s + h) - eval_homogeneous(res, s - h)) / (2 * h)
             )
             fluxdiv = (flux(xs + h) - flux(xs - h)) / (2 * h)
-            return np.max(np.abs(fluxdiv - lam * res.eval_homogeneous(xs)))
+            return np.max(np.abs(fluxdiv - lam * eval_homogeneous(res, xs)))
 
         r1, r2 = residual(2e-3), residual(1e-3)
         assert r1 / r2 == pytest.approx(4.0, rel=0.3)
@@ -264,7 +267,7 @@ class TestAnalyticPprimePower:
         res = analytic_case_Pprime_poweralpha(1e-3, x, None, 1.0, 0.5, 0.5, 1.0)
         assert res.B == 0
         # theta_+ ~ x^(1-alpha), so the trace at the origin vanishes
-        assert abs(res.eval_homogeneous(1e-30)) < 1e-12 * np.abs(res.y).max()
+        assert abs(eval_homogeneous(res, 1e-30)) < 1e-12 * np.abs(res.y).max()
 
     def test_matches_the_discrete_resolvent_at_first_order(self):
         # the oracle-compare setup on P' (alpha = beta = 0.5, grade 2, nxi 800,
@@ -294,8 +297,8 @@ class TestAnalyticPprimePower:
         assert all(a > 1.9 * b for a, b in zip(errors, errors[1:]))
 
     def test_bracket_scaling_exponent(self):
-        # |bracket| ~ |mu|^(2 beta + nu - 2): checked through the public
-        # determinant-scaling fit in resolvent, here just the raw values
+        # |bracket| ~ |mu|^(2 beta + nu - 2): checked through
+        # oracles.bracket_scaling_pprime, here just the raw values
         lam_grid = np.geomspace(1e-6, 1e-4, 10)
         alpha, beta, rho = 0.5, 0.5, 1.0
         nu = (1 - alpha) / (2 - alpha)

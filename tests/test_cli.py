@@ -157,9 +157,10 @@ class TestSimulate:
         assert report["residual"] <= 1e-8
         assert report["relative_residual"] <= 64 * np.finfo(float).eps
         census = report["census"]
-        assert set(census) == {"found", "expected", "unconverged", "recovered",
-                               "max_newton_iterations"}
-        assert census["found"] == census["expected"] > 0
+        assert set(census) == {"expected", "unconverged", "recovered",
+                               "max_newton_iterations", "trace_defect"}
+        assert census["expected"] > 0
+        assert census["trace_defect"] <= 64 * np.finfo(float).eps
         assert report["census_s"] >= 0.0
 
     @pytest.mark.parametrize("window", ["1", "a:b", "1:2:3", "5:2", "0:2"])
@@ -323,6 +324,14 @@ class TestScan:
                     "--nx", 32, "--nxi", 24, f"--lambda-min={bounds[0]}",
                     f"--lambda-max={bounds[1]}", "--out", out)
         assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_equal_lambda_bounds_are_refused_before_any_norm(self, tmp_path):
+        # 25 equal lambdas computed 25 equal norms, warned in the fit and
+        # exited 0 with a null exponent
+        out = tmp_path / "scan"
+        assert run_cli("scan", *_PROBLEM, "--nx", 32, "--nxi", 24, "--lambda-min", 1e-3,
+                       "--lambda-max", 1e-3, "--out", out) == 2
         assert not out.exists()
 
     def test_negative_lambda_range(self, tmp_path):
@@ -561,6 +570,28 @@ class TestPackageSurface:
         assert set(fracdamp.__all__) == used | {"StateVector"}
         assert len(fracdamp.__all__) == len(set(fracdamp.__all__))
         assert all(hasattr(fracdamp, name) for name in fracdamp.__all__)
+
+    def test_every_src_name_has_a_caller_outside_the_tests(self):
+        # each module-level def and class of the package is named (Name,
+        # Attribute or ImportFrom) somewhere in src/ or perfbench/ other than
+        # its own definition; what only the tests call lives in tests/
+        root = Path(__file__).resolve().parent.parent
+        package = root / "src" / "fracdamp"
+        defined, named = set(), set()
+        for path in [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]:
+            tree = ast.parse(path.read_text())
+            if path.parent == package:
+                defined |= {f"{path.stem}.{node.name}" for node in tree.body
+                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    named.update(alias.name for alias in node.names)
+        assert defined
+        assert sorted(d for d in defined if d.split(".")[1] not in named) == []
 
     def test_cli_import_leaves_scipy_sparse_out(self, tmp_path):
         # import and the README decay and scan runs load scipy's LAPACK

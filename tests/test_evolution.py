@@ -7,7 +7,8 @@ import pytest
 from conftest import eigvals_dense, make_operator, march_args, random_state
 from fracdamp import _kernels
 from fracdamp import resolvent as resolvent_module
-from fracdamp.errors import FitDataError, NumericalError, ParameterError
+from fracdamp import evolution as evolution_module
+from fracdamp.errors import FitDataError, NumericalError, ParameterError, ShapeError
 from fracdamp.evolution import (
     EnergyTrace,
     fit_decay_exponent,
@@ -78,6 +79,12 @@ class TestSimulate:
     def test_non_finite_times_are_refused(self, small_op, rng, t_final, dt):
         with pytest.raises(ParameterError, match="finite"):
             simulate(small_op, random_state(small_op, rng), t_final, dt)
+
+    def test_state_of_another_grid_is_refused(self, small_op, rng):
+        state = random_state(make_operator(nx=32, nxi=64), rng)
+        with pytest.raises(ShapeError, match=r"state of shape \(32, 64\) does not match "
+                                              r"operator grids \(64, 64\)"):
+            simulate(small_op, state, 0.1, 0.01)
 
     def test_field_block_not_h_self_adjoint_is_refused(self, small_op, rng):
         op = replace(small_op, l_sub=1.1 * small_op.l_sub)
@@ -247,8 +254,27 @@ class TestPrepare:
         # the absolute residual's rounding floor grows with max |ell| (2.5e-11
         # here, 3.2e-9 at nx=3200); relative to it the residual is at eps
         assert report["relative_residual"] <= 64 * np.finfo(float).eps
-        census = report["census"]
-        assert census["found"] == census["expected"]
+        assert report["census"]["trace_defect"] <= 64 * np.finfo(float).eps
+
+    def test_trace_defect_sees_one_moved_root(self, monkeypatch):
+        # the census of the benchmark grid with its largest root moved by
+        # 1e-10 of its modulus: the sum of the eigenvalues misses tr A
+        from fracdamp.diffusive import build_xi_quadrature
+        from fracdamp.model import PowerLawKappa, ProblemSpec
+        from fracdamp.operator import assemble_operator, build_x_grid
+
+        spec = ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0)
+        op = assemble_operator(spec, build_x_grid(400, 1.0),
+                               build_xi_quadrature(0.5, 200, 1e-4, 1e4))
+        census = resolvent_module.damped_eigenvalues(op)
+        values = census.values.copy()
+        k = int(np.argmax(np.abs(values)))
+        values[k] *= 1.0 + 1e-10
+        monkeypatch.setattr(evolution_module, "damped_eigenvalues",
+                            lambda op: census._replace(values=values))
+        report = {}
+        prepare_initial_state(op, "lowest-mode", report=report)
+        assert report["census"]["trace_defect"] > 64 * np.finfo(float).eps
 
     def test_incomplete_census_is_a_numerical_error(self, monkeypatch):
         monkeypatch.setattr(resolvent_module, "_NEWTON_STEPS", 1)

@@ -25,8 +25,8 @@ from fracdamp.model import (
     energy,
     inner_product,
     nu_of_alpha,
-    tabulate_kappa,
 )
+from oracles import tabulate_kappa
 
 
 class TestDeriveConstants:
@@ -99,10 +99,6 @@ class TestClassifyKappa:
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolationError):
             classify_kappa(tabulate_kappa(lambda x: x**3, n=500))
-
-    def test_sup_location_in_domain(self):
-        report = classify_kappa(tabulate_kappa(lambda x: x * (1.0 + 0.2 * x), n=500))
-        assert 0.0 < report.sup_location <= 1.0
 
 
 class TestProblemSpec:

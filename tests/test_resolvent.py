@@ -20,8 +20,8 @@ from fracdamp.resolvent import (
     scan_resolvent,
     solve_resolvent,
     theoretical_exponents,
-    verify_determinant_scaling,
 )
+from oracles import bracket_scaling_pprime, determinant_scaling_p, tabulate_kappa
 
 
 def _secular_sigma(delta, x2, n_field):
@@ -469,6 +469,23 @@ class TestScans:
         with pytest.raises(ParameterError, match="finite and nonzero"):
             scan_resolvent(make_operator(nx=32, nxi=24), [1e-3, bad, 1e-1])
 
+    @pytest.mark.parametrize("lams", [
+        np.full(MIN_SCAN_POINTS, 1e-3),  # repeated: every norm the same
+        np.geomspace(1e-3, 1e-1, MIN_SCAN_POINTS)[[0, 2, 1, 3, 4, 5, 6, 7]],  # unsorted
+        np.geomspace(1e-3, 1e-1, MIN_SCAN_POINTS) * np.repeat([-1.0, 1.0], 4),  # mixed sign
+    ], ids=["repeated", "unsorted", "mixed-sign"])
+    def test_scan_refuses_a_grid_that_is_not_one_signed_and_monotone(self, lams, monkeypatch):
+        calls = []
+        monkeypatch.setattr(resolvent_module, "resolvent_norm",
+                            lambda op, lam, *, report=None: calls.append(lam))
+        with pytest.raises(ParameterError, match="strictly monotone"):
+            scan_resolvent(make_operator(nx=32, nxi=24), lams)
+        assert calls == []
+
+    def test_scan_takes_a_descending_grid(self):
+        scan = scan_resolvent(make_operator(nx=32, nxi=24), np.geomspace(-1e-1, -1e-3, 8))
+        assert scan.norm.shape == (8,)
+
     def test_scan_csv(self, tmp_path):
         scan = scan_resolvent(make_operator(nx=32, nxi=16), np.geomspace(1e-3, 1e-1, 10))
         path = tmp_path / "scan.csv"
@@ -549,7 +566,7 @@ class TestTheoreticalExponents:
         assert pred.theta == 1.0
         assert pred.varsigma == 1.0
         assert pred.decay_exponent == 2.0
-        assert "gamma>0" in pred.upsilon_provenance
+        assert pred.upsilon == 1.0
 
     def test_pprime_power(self):
         spec = ProblemSpec(variant=Variant.PPRIME, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0)
@@ -560,8 +577,6 @@ class TestTheoreticalExponents:
         assert pred.decay_exponent == 2.0
 
     def test_pprime_general(self):
-        from fracdamp.model import tabulate_kappa
-
         spec = ProblemSpec(
             variant=Variant.PPRIME,
             kappa=tabulate_kappa(lambda x: x**1.5, n=300),
@@ -580,8 +595,6 @@ class TestTheoreticalExponents:
 
     def test_theta_at_least_one(self):
         for beta in (0.1, 0.5, 0.9):
-            from fracdamp.model import tabulate_kappa
-
             spec = ProblemSpec(
                 variant=Variant.PPRIME,
                 kappa=tabulate_kappa(lambda x: x**1.2, n=300),
@@ -594,18 +607,18 @@ class TestTheoreticalExponents:
 class TestDeterminantScaling:
     def test_variant_p_slope_half_beta(self):
         mu = 1j * np.geomspace(1e-3, 3e-2, 20)
-        fit = verify_determinant_scaling(0.5, 0.5, 1.0, mu)
+        fit = determinant_scaling_p(0.5, 0.5, 1.0, mu)
         assert fit.exponent == pytest.approx(2 * 0.5 - 2.0, abs=0.05)
 
     def test_variant_p_slope_beta_075(self):
         mu = 1j * np.geomspace(1e-3, 3e-2, 20)
-        fit = verify_determinant_scaling(0.5, 0.75, 1.0, mu)
+        fit = determinant_scaling_p(0.5, 0.75, 1.0, mu)
         assert fit.exponent == pytest.approx(2 * 0.75 - 2.0, abs=0.05)
 
     def test_rho_shifts_offset_not_slope(self):
         mu = 1j * np.geomspace(1e-3, 1e-2, 12)
-        f1 = verify_determinant_scaling(0.5, 0.5, 1.0, mu)
-        f10 = verify_determinant_scaling(0.5, 0.5, 10.0, mu)
+        f1 = determinant_scaling_p(0.5, 0.5, 1.0, mu)
+        f10 = determinant_scaling_p(0.5, 0.5, 10.0, mu)
         assert f10.exponent == pytest.approx(f1.exponent, abs=0.01)
         assert f10.intercept - f1.intercept == pytest.approx(math.log(10.0), abs=0.02)
 
@@ -613,12 +626,12 @@ class TestDeterminantScaling:
         alpha, beta = 0.5, 0.5
         nu = (1 - alpha) / (2 - alpha)
         mu = 1j * np.geomspace(1e-3, 1e-2, 12)
-        fit = verify_determinant_scaling(alpha, beta, 1.0, mu, mode="pprime_power")
+        fit = bracket_scaling_pprime(alpha, beta, 1.0, mu)
         assert fit.exponent == pytest.approx(2 * beta + nu - 2.0, abs=0.05)
 
     def test_large_mu_rejected(self):
         with pytest.raises(ParameterError):
-            verify_determinant_scaling(0.5, 0.5, 1.0, 1j * np.array([0.5]))
+            determinant_scaling_p(0.5, 0.5, 1.0, 1j * np.array([0.5]))
 
 
 class TestForcingIntegral:
