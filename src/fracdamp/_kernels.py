@@ -363,7 +363,7 @@ def _march_block(scale, left, right, k):
 
 def midpoint_march(
     ell, s, h_b, zeta, w, eta, xi2,
-    alpha0, psi0, uncoupled_energy, dt, n_steps, sample_steps,
+    alpha0, psi0, uncoupled_energy, dt, sample_steps,
 ):
     """Implicit-midpoint march of the coupled (y, psi) system on the field modes
     that reach the damped cell.
@@ -387,13 +387,12 @@ def midpoint_march(
     blocks of at most _MARCH_BLOCK, each one (2k x N) product, one scaling
     and one (N x 2k) product on the N = K + m coordinates
     (``_march_block``).  Samples are taken at the sorted step indices
-    ``sample_steps`` (from 0 to n_steps) and read out _READOUT_BATCH at a
-    time: E and D each by one real product of the squared real and
-    imaginary parts with a readout row, the boundary sums by one complex
-    product.  Matrix-vector products only: a BLAS gemm's packing buffers
+    ``sample_steps`` (from 0; the last one ends the march) and read out
+    _READOUT_BATCH at a time: E and D each by one real product of the
+    squared real and imaginary parts with a readout row, the boundary sums
+    by one complex product.  Matrix-vector products only: a BLAS gemm's packing buffers
     would add about 0.4 MB of resident memory to a march.  Returns the
-    sampled energy E, dissipation rate D and boundary sum w.(eta psi), and
-    the final modes psi.
+    sampled energy E, dissipation rate D and boundary sum w.(eta psi).
     """
     n = ell.size
     c = 0.5 * dt
@@ -444,8 +443,8 @@ def midpoint_march(
     blocks = {}
 
     done = 0
-    # march interval by interval between samples; the last stop ends the run
-    for k, stop in enumerate(sample_steps.tolist() + [n_steps]):
+    # march interval by interval between samples
+    for k, stop in enumerate(sample_steps.tolist()):
         while done < stop:
             length = min(stop - done, _MARCH_BLOCK)
             if length not in blocks:
@@ -456,15 +455,14 @@ def midpoint_march(
             np.dot(spreaders, d, out=tmp)
             u -= tmp
             done += length
-        if k < n_samp:
-            j = k % batch_len
-            states[j] = u
-            if j == batch_len - 1 or k == n_samp - 1:
-                np.dot(states[: j + 1, n:], weta_c, out=s_out[k - j : k + 1])
-                squares = states[: j + 1].view(np.float64)
-                np.square(squares, out=squares)  # in place: the states are read
-                np.dot(squares, readout[0], out=ed[0, k - j : k + 1])
-                np.dot(squares, readout[1], out=ed[1, k - j : k + 1])
+        j = k % batch_len
+        states[j] = u
+        if j == batch_len - 1 or k == n_samp - 1:
+            np.dot(states[: j + 1, n:], weta_c, out=s_out[k - j : k + 1])
+            squares = states[: j + 1].view(np.float64)
+            np.square(squares, out=squares)  # in place: the states are read
+            np.dot(squares, readout[0], out=ed[0, k - j : k + 1])
+            np.dot(squares, readout[1], out=ed[1, k - j : k + 1])
     e_out, d_out = ed
     e_out += uncoupled_energy
-    return e_out, d_out, s_out, u[n:].copy()
+    return e_out, d_out, s_out

@@ -39,11 +39,11 @@ def leading_coefficients(nu: float):
     return 2.0 ** (-nu) / _gamma(1.0 + nu), 2.0**nu / _gamma(1.0 - nu)
 
 
-def bessel_j(nu: float, z, *, max_terms: int = _SERIES_CAP):
+def bessel_j(nu: float, z):
     """First-kind Bessel function by power series, principal branch of (z/2)^nu.
 
     Valid for nu > -1 and |z| <= 20; terms are added until they fall below
-    _SERIES_TOL relative to the running sum (cap `max_terms`).
+    _SERIES_TOL relative to the running sum (at most _SERIES_CAP terms).
     """
     if nu <= -1.0:
         raise ParameterError(f"series evaluation requires nu > -1, got nu={nu}")
@@ -58,7 +58,7 @@ def bessel_j(nu: float, z, *, max_terms: int = _SERIES_CAP):
     q = -0.25 * z * z
     term = np.full(z.shape, 1.0 / _gamma(nu + 1.0), dtype=np.complex128)
     total = term.copy()
-    for m in range(1, max_terms + 1):
+    for m in range(1, _SERIES_CAP + 1):
         term = term * q / (m * (nu + m))
         total += term
         if np.all(np.abs(term) <= _SERIES_TOL * np.abs(total)):
@@ -116,17 +116,15 @@ def theta_prime_at_one(mu: complex, alpha: float):
 
 @dataclass(frozen=True)
 class AnalyticResolvent:
-    """Closed-form resolvent solution sampled on a spatial grid."""
+    """Closed-form resolvent solution sampled on a spatial grid: y, and the
+    coefficients y = A theta_+ + B theta_- (plus the particular part) with
+    the connection determinant D at mu = i sqrt(lambda)."""
 
-    lam: float
     mu: complex
     A: complex
     B: complex
-    C: complex
-    C_tilde: complex
     D: complex
     alpha: float
-    x: np.ndarray
     y: np.ndarray
 
 
@@ -199,9 +197,6 @@ def analytic_resolvent_P(
     b_coef = (-dtp1 * C + (1.0 - alpha) * d_plus * c_tilde) / d_det
 
     y = a_coef * tp + b_coef * tm - pref * (i_plus * tm - tp * i_minus)
-    return AnalyticResolvent(
-        lam=float(lam), mu=complex(mu), A=complex(a_coef), B=complex(b_coef),
-        C=complex(C), C_tilde=complex(c_tilde), D=complex(d_det),
-        alpha=float(alpha), x=x, y=y,
-    )
+    return AnalyticResolvent(mu=complex(mu), A=complex(a_coef), B=complex(b_coef),
+                             D=complex(d_det), alpha=float(alpha), y=y)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _csv, _kernels
+from . import __version__, _csv, _kernels, evolution
 from .diffusive import build_xi_quadrature, kernel_check
 from .errors import FracdampError, NumericalError
 from .evolution import fit_decay_exponent, prepare_initial_state, simulate
@@ -187,6 +187,7 @@ def _cmd_simulate(args, parser) -> int:
     spec = _problem_from_args(args, parser)
     xg, xig, grade = _grids_from_args(args, spec)
     dt = args.dt if args.dt is not None else args.t_final / 2e4
+    n_steps = evolution._step_count(args.t_final, dt)  # a bad time is refused before any work
     lo, hi = args.fit_window or (args.t_final / 10.0, args.t_final)
     config = _grid_config(args, spec, grade)
     config.update({"t_final": args.t_final, "dt": dt, "y0": args.y0,
@@ -234,7 +235,7 @@ def _cmd_simulate(args, parser) -> int:
     # or below; initial_state is what the preparation measured, march the
     # field modes stepped and the share of E[0] in the modes left out
     diagnostics = {
-        "march_steps": int(round(trace.t[-1] / dt)),
+        "march_steps": n_steps,
         "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
         "march": {"coupled_modes": trace.coupled_modes, "field_modes": int(xg.x.size),
                   "uncoupled_energy_share": trace.uncoupled_energy / float(trace.E[0])},

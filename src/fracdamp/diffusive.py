@@ -100,15 +100,14 @@ def kernel_exact(tau, beta: float, rho: float):
 class KernelCheck:
     """Pointwise comparison of the quadrature kernel with its closed form.
 
-    Rows outside the grid's resolved tau window are flagged via `in_window`
-    and excluded from `max_rel_error`.
+    Rows outside the grid's resolved tau window are excluded from
+    `max_rel_error`.
     """
 
     tau: np.ndarray
     quadrature_value: np.ndarray
     exact_value: np.ndarray
     rel_error: np.ndarray
-    in_window: np.ndarray
     max_rel_error: float
 
     def to_csv(self, path) -> None:
@@ -117,17 +116,22 @@ class KernelCheck:
 
 
 def kernel_check(grid: XiGrid, rho: float, taus) -> KernelCheck:
+    """The kernel at every tau, and its largest relative error over the taus
+    in the grid's resolved window; no tau in that window raises
+    ParameterError before any quadrature is evaluated."""
     taus = np.asarray(taus, dtype=float)
+    lo, hi = grid.resolved_tau_window
+    mask = (taus >= lo) & (taus <= hi)
+    if not mask.any():
+        raise ParameterError(
+            f"no tau lies in the quadrature's resolved window [{lo:.3g}, {hi:.3g}], "
+            "so nothing would be checked"
+        )
     quad = np.array([kernel_value(grid, t, rho) for t in taus])
     exact = kernel_exact(taus, grid.beta, rho)
     rel = np.abs(quad - exact) / np.abs(exact)
-    lo, hi = grid.resolved_tau_window
-    mask = (taus >= lo) & (taus <= hi)
-    max_rel = float(rel[mask].max()) if mask.any() else float("nan")
-    return KernelCheck(
-        tau=taus, quadrature_value=quad, exact_value=exact,
-        rel_error=rel, in_window=mask, max_rel_error=max_rel,
-    )
+    return KernelCheck(tau=taus, quadrature_value=quad, exact_value=exact,
+                       rel_error=rel, max_rel_error=float(rel[mask].max()))
 
 
 def direct_fractional_integral(w, t_grid, beta: float) -> np.ndarray:
@@ -154,13 +158,14 @@ def direct_fractional_integral(w, t_grid, beta: float) -> np.ndarray:
     return _kernels.frac_conv(w_avg, lag)
 
 
-def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0):
+def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float):
     """Drive the relaxation modes with a real boundary signal, mode-exactly per step.
 
     Each mode obeys psi_k' = -xi_k^2 psi_k + eta_k s(t) from psi_k(0)=0 under
     the exponential integrator, the signal held at its per-step mean s_avg.
     Returns (psi_final, flux): the modes at the last sample and, at every
-    sample, flux(t) = zeta sum w_k eta_k psi_k(t).  That flux is the causal
+    sample, flux(t) = zeta sum w_k eta_k psi_k(t), with zeta the weight at
+    rho = 1 (the kernel tau^(-beta)/Gamma(1-beta)).  That flux is the causal
     product-rectangle convolution of s_avg with the quadrature kernel's cell
     integrals K[m] = zeta sum_k w_k eta_k^2 exp(-xi_k^2 m dt) g_k,
     g_k = (1 - exp(-xi_k^2 dt))/xi_k^2, so it goes through the same FFT
@@ -181,7 +186,7 @@ def evolve_psi_forced(grid: XiGrid, boundary_signal, dt: float, rho: float = 1.0
     s = np.asarray(boundary_signal, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise GridError("boundary_signal must be a 1-d series with >= 2 samples")
-    zeta = derive_constants(grid.beta, rho)
+    zeta = derive_constants(grid.beta, 1.0)
     s_avg = 0.5 * (s[:-1] + s[1:])
     n = s_avg.size
     fine_len = math.isqrt(n - 1) + 1  # ceil(sqrt(n))

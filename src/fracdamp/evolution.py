@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -58,19 +57,25 @@ class EnergyTrace:
 
 @dataclass(frozen=True)
 class DecayFit:
-    window: Tuple[float, float]
     exponent: float
     intercept: float
     r_squared: float
 
 
-def simulate(
-    op: SystemOperator,
-    y0: StateVector,
-    t_final: float,
-    dt: float,
-    sample_stride: Optional[int] = None,
-) -> EnergyTrace:
+def _step_count(t_final: float, dt: float) -> int:
+    """The number of midpoint steps of a march to t_final; a t_final or dt
+    that is not positive and finite, or whose ratio overflows, raises
+    ParameterError."""
+    # written so that nan fails it; t_final/dt overflows for a tiny dt
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf and t_final / dt < math.inf):
+        raise ParameterError(
+            f"t_final and dt must be positive and finite, with a finite step count, "
+            f"got {t_final}, {dt}"
+        )
+    return max(1, int(round(t_final / dt)))  # the trace ends at this count times dt
+
+
+def simulate(op: SystemOperator, y0: StateVector, t_final: float, dt: float) -> EnergyTrace:
     """March Y' = A Y and record the decimated energy trace.
 
     The march steps the field modes that reach the damped cell, with no
@@ -81,24 +86,13 @@ def simulate(
     is not self-adjoint in the h inner product raises NumericalError.  The
     trace contains E, the discrete dissipation rate D (exact energy
     derivative at the sample), and the boundary damping flux read from the
-    coupling row.  Samples are taken every ``sample_stride`` steps (a
-    positive integer; by default the stride that keeps about 2000 samples)
-    and at the last step.  A t_final or dt that is not positive and finite
-    raises ParameterError.
+    coupling row.  Samples are taken at the stride that keeps about 2000
+    samples and at the last step.  A t_final or dt that is not positive and
+    finite raises ParameterError (``_step_count``).
     """
-    # written so that nan fails it; t_final/dt overflows for a tiny dt
-    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf and t_final / dt < math.inf):
-        raise ParameterError(
-            f"t_final and dt must be positive and finite, with a finite step count, "
-            f"got {t_final}, {dt}"
-        )
+    n_steps = _step_count(t_final, dt)
     _check_compatible(y0, op)
-    n_steps = max(1, int(round(t_final / dt)))  # trace ends at n_steps*dt
-    if sample_stride is None:
-        sample_stride = max(1, n_steps // 2000)
-    elif not isinstance(sample_stride, numbers.Integral) or sample_stride < 1:
-        raise ParameterError(f"sample_stride must be a positive integer, got {sample_stride!r}")
-    steps = np.arange(0, n_steps + 1, sample_stride, dtype=np.int64)
+    steps = np.arange(0, n_steps + 1, max(1, n_steps // 2000), dtype=np.int64)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     try:
@@ -108,9 +102,9 @@ def simulate(
     b = op.boundary_index
     h = op.xgrid.h
     ell, s, alpha0, remainder = _kernels.field_modes(op.l_diag, spectrum, b, np.sqrt(h) * y0.y)
-    e_out, d_out, s_out, _ = _kernels.midpoint_march(
+    e_out, d_out, s_out = _kernels.midpoint_march(
         ell, s, h[b], op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
-        alpha0, y0.psi, 0.5 * remainder, float(dt), n_steps, steps,
+        alpha0, y0.psi, 0.5 * remainder, float(dt), steps,
     )
     flux = op.flux_sign * 1j * op.zeta * s_out
     return EnergyTrace(t=steps * dt, E=e_out, D=d_out, flux=flux,
@@ -243,5 +237,4 @@ def fit_decay_exponent(trace: EnergyTrace, window: Tuple[float, float]) -> Decay
     if np.any(e <= 0.0):
         raise FitDataError("energy hits zero or negative values inside the fit window")
     slope, intercept, r2 = _fit_line(np.log(trace.t[mask]), np.log(e))
-    return DecayFit(window=(float(lo), float(hi)), exponent=-slope,
-                    intercept=intercept, r_squared=r2)
+    return DecayFit(exponent=-slope, intercept=intercept, r_squared=r2)

@@ -183,11 +183,7 @@ class ProblemSpec:
 
     @property
     def m_kappa(self) -> float:
-        return self.degeneracy.m_kappa
-
-    @property
-    def degeneracy(self) -> DegeneracyReport:
-        return classify_kappa(self.kappa)
+        return classify_kappa(self.kappa).m_kappa
 
     # -- serialization (derived fields are always recomputed) ---------------
 

@@ -42,7 +42,6 @@ class XGrid:
 
     x: np.ndarray
     h: np.ndarray
-    g: float
 
     def __post_init__(self):
         for name in ("x", "h"):
@@ -63,7 +62,7 @@ def build_x_grid(n: int, g: float = 1.0) -> XGrid:
     interfaces[-1] = 1.0
     interfaces[1:-1] = 0.5 * (x[:-1] + x[1:])
     h = np.diff(interfaces)
-    return XGrid(x=x, h=h, g=float(g))
+    return XGrid(x=x, h=h)
 
 
 def default_grading(spec: ProblemSpec) -> float:

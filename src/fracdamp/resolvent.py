@@ -76,7 +76,6 @@ class ExponentPrediction:
 
     theta: float
     upsilon: float
-    varsigma: float
     decay_exponent: float
 
 
@@ -172,12 +171,11 @@ class ShiftReport:
 
     ``field_share`` is the share of the top singular vector of the resolvent
     in the field block, ``evaluations`` the number of singular-value counts
-    and ``certificate_gap`` = sigma*||R u||/||u|| - 1.
+    and ``certificate_gap`` = sigma_min*||R u||/||u|| - 1.
     """
 
     lam: float
     norm: float
-    sigma: float
     field_share: float
     evaluations: int
     certificate_gap: float
@@ -591,7 +589,7 @@ def _shift(op, lam: float) -> ShiftReport:
             {"lambda": lam, "sigma": sigma, "certificate": cert, "gap": gap,
              "local_condition": cond, "evaluations": sec.evaluations},
         )
-    return ShiftReport(lam=float(lam), norm=cert, sigma=float(sigma), field_share=field_share,
+    return ShiftReport(lam=float(lam), norm=cert, field_share=field_share,
                        evaluations=sec.evaluations, certificate_gap=gap)
 
 
@@ -1015,8 +1013,9 @@ def theoretical_exponents(spec: ProblemSpec) -> ExponentPrediction:
     theta and upsilon are exponents of upper estimates,
     ||(i lam - A)^{-1}|| = O(|lam|^-theta) as lam -> 0 and O(|lam|^upsilon)
     as |lam| -> inf; they are not claimed to be attained.  decay_exponent =
-    2/varsigma is the guaranteed polynomial decay rate these bounds give
-    (Borichev-Tomilov), and a guaranteed rate needs only the upper bounds.
+    2/varsigma, varsigma = max(theta, upsilon), is the guaranteed polynomial
+    decay rate these bounds give (Borichev-Tomilov), and a guaranteed rate
+    needs only the upper bounds.
     The power-law branch theta = 1 is the sharpened estimate; the
     general-coefficient theta = 2-beta is the cruder one and is not claimed
     sharp (a scan of kappa = x^1.5 reads the relaxation floor 1/|lam|).  For
@@ -1036,9 +1035,6 @@ def theoretical_exponents(spec: ProblemSpec) -> ExponentPrediction:
         # (the transformed fundamental pair degenerates at alpha = 1); all
         # other coefficients get the general-coefficient exponent
         theta = 1.0 if spec.alpha is not None and spec.alpha < 1.0 else 2.0 - beta
-    varsigma = max(theta, upsilon)
-    return ExponentPrediction(
-        theta=float(theta), upsilon=float(upsilon), varsigma=float(varsigma),
-        decay_exponent=float(2.0 / varsigma),
-    )
+    return ExponentPrediction(theta=float(theta), upsilon=float(upsilon),
+                              decay_exponent=float(2.0 / max(theta, upsilon)))
 

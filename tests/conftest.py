@@ -76,7 +76,7 @@ def field_eigenbasis(l_sub, l_diag, l_sup, h):
     return eigh_tridiagonal(l_diag, off, lapack_driver="stemr")
 
 
-def march_args(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2, y0, psi0, dt, n_steps, steps):
+def march_args(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2, y0, psi0, dt, steps):
     """The arguments of ``_kernels.midpoint_march`` for a nodal initial state,
     prepared as ``evolution.simulate`` prepares them: the coupled modes of the
     field spectrum, the initial field's coordinates along them and the energy
@@ -85,7 +85,7 @@ def march_args(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2, y0, psi0, dt, n_st
     off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
     spectrum = _kernels.field_spectrum(l_diag, off, b)
     ell, s, alpha0, remainder = _kernels.field_modes(l_diag, spectrum, b, np.sqrt(h) * y0)
-    return (ell, s, h[b], zeta, w, eta, xi2, alpha0, psi0, 0.5 * remainder, dt, n_steps, steps)
+    return (ell, s, h[b], zeta, w, eta, xi2, alpha0, psi0, 0.5 * remainder, dt, steps)
 
 
 @pytest.fixture

@@ -183,11 +183,8 @@ def analytic_case_Pprime_poweralpha(
     a_coef = (c_tilde - 1j * rho * il_pow * c_tilde_val - C) / bracket
 
     y = a_coef * tp - pref * (i_plus * tm - tp * i_minus)
-    return AnalyticResolvent(
-        lam=float(lam), mu=complex(mu), A=complex(a_coef), B=0.0 + 0.0j,
-        C=complex(C), C_tilde=complex(c_tilde), D=complex(bracket),
-        alpha=float(alpha), x=x, y=y,
-    )
+    return AnalyticResolvent(mu=complex(mu), A=complex(a_coef), B=0.0 + 0.0j,
+                             D=complex(bracket), alpha=float(alpha), y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,12 @@ def test_01_kernel_equivalence():
 
 
 def test_02_flux_equivalence():
-    beta, rho = 0.5, 1.0
+    beta = 0.5
     grid = build_xi_quadrature(beta)
     dt = 1e-3
     t = np.arange(0.0, 10.0 + dt / 2, dt)
-    _, flux = evolve_psi_forced(grid, np.ones_like(t), dt, rho=rho)
-    exact = rho * t[1:] ** (1.0 - beta) / math.gamma(2.0 - beta)
+    _, flux = evolve_psi_forced(grid, np.ones_like(t), dt)  # rho = 1
+    exact = t[1:] ** (1.0 - beta) / math.gamma(2.0 - beta)
     mask = t[1:] >= 0.1
     rel = np.abs(flux[1:].real - exact)[mask] / exact[mask]
     ok = rel.max() < 1e-3
@@ -208,7 +208,7 @@ def test_11_undamped_conservation():
     state = random_state(op, rng)
     scale = 1.0 / math.sqrt(energy(state, op))
     state = StateVector(y=scale * state.y, psi=scale * state.psi)
-    trace = simulate(op, state, 10.0, 1e-3, sample_stride=250)  # 10^4 steps
+    trace = simulate(op, state, 10.0, 1e-3)  # 10^4 steps, 2001 samples
     drift = np.abs(trace.E - trace.E[0]).max()
     ok = drift <= 1e-12
     assert report(11, "undamped conservation", ok, f"max |E-E0| {drift:.2e} <= 1e-12 over 1e4 steps")

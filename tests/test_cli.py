@@ -67,6 +67,15 @@ class TestVerifyKernel:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_no_tau_in_the_resolved_window_is_a_usage_error(self, tmp_path, capsys):
+        # exited 4 with "max_rel_error": NaN, not JSON, in its manifest
+        out = tmp_path / "kernel"
+        code = run_cli("verify-kernel", "--beta", 0.5, "--tau-min", 1e-9, "--tau-max", 1e-8,
+                       "--out", out)
+        assert code == 2
+        assert "resolved window [2e-07, 5e+04]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", [-1, 0])
     def test_fewer_than_one_point_is_refused_before_any_work(self, tmp_path, points):
         # -1 reached np.geomspace (raw ValueError, exit 1) and 0 ran on an
@@ -173,13 +182,24 @@ class TestSimulate:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("t_final,dt", [("nan", "0.01"), ("inf", "0.01"), ("1.0", "inf")])
-    def test_non_finite_time_is_a_usage_error(self, tmp_path, capsys, t_final, dt):
+    @pytest.mark.parametrize("t_final,dt", [("nan", "0.01"), ("inf", "0.01"), ("1.0", "inf"),
+                                            ("-1", None), ("20", "0")])
+    def test_non_finite_time_is_a_usage_error(self, tmp_path, capsys, monkeypatch, t_final, dt):
+        # each was refused only by simulate, after the operator was assembled
+        # and the initial state prepared
+        from fracdamp import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator was assembled")
+
+        monkeypatch.setattr(cli, "assemble_operator", refuse)
+        out = tmp_path / "sim"
         code = run_cli("simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
-                       "--nx", 32, "--nxi", 16, "--t-final", t_final, "--dt", dt,
-                       "--out", tmp_path / "sim")
+                       "--nx", 32, "--nxi", 16, "--y0", "lowest-mode", "--t-final", t_final,
+                       *(() if dt is None else ("--dt", dt)), "--out", out)
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_window_is_used(self, tmp_path):
         out = tmp_path / "sim"
@@ -521,7 +541,7 @@ class TestCsvArtifacts:
             ["lambda", "norm"], zip(scan.lam, scan.norm)
         )
         KernelCheck(tau=v, quadrature_value=np.roll(v, 2), exact_value=-v, rel_error=v[::-1],
-                    in_window=np.ones(v.size, bool), max_rel_error=0.0).to_csv(tmp_path / "kernel.csv")
+                    max_rel_error=0.0).to_csv(tmp_path / "kernel.csv")
         assert (tmp_path / "kernel.csv").read_bytes() == _csv_writer_bytes(
             ["tau", "quadrature", "exact", "rel_error"], zip(v, np.roll(v, 2), -v, v[::-1])
         )
@@ -592,6 +612,48 @@ class TestPackageSurface:
                     named.update(alias.name for alias in node.names)
         assert defined
         assert sorted(d for d in defined if d.split(".")[1] not in named) == []
+
+    def test_every_src_default_is_passed_outside_the_tests(self):
+        # each parameter with a default, of a function or method of the
+        # package, is passed by some call in src/ or perfbench/ to a callee
+        # of that name (a class for __init__), by position or by keyword; a
+        # value that only the tests set is a constant, not a parameter
+        root = Path(__file__).resolve().parent.parent
+        package = root / "src" / "fracdamp"
+        settable, calls = {}, []  # (module.callee, parameter) -> position or None
+        for path in [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]:
+            tree = ast.parse(path.read_text())
+            calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+            if path.parent != package:
+                continue
+            for parent in ast.walk(tree):
+                for fn in ast.iter_child_nodes(parent):
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    method = isinstance(parent, ast.ClassDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list)
+                    callee = parent.name if method and fn.name == "__init__" else fn.name
+                    name = f"{path.stem}.{callee}"
+                    positional = [*fn.args.posonlyargs, *fn.args.args][int(method):]
+                    first = len(positional) - len(fn.args.defaults)
+                    settable.update({(name, a.arg): i for i, a in enumerate(positional)
+                                     if i >= first})
+                    settable.update({(name, a.arg): None for a, d in
+                                     zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None})
+
+        def passes(call, callee, param, index):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name == callee and (
+                any(k.arg in (param, None) for k in call.keywords)
+                or (index is not None and len(call.args) > index)
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+        assert settable
+        unset = [f"{name}({param}=)" for (name, param), index in sorted(settable.items())
+                 if not any(passes(c, name.split(".")[1], param, index) for c in calls)]
+        assert unset == []
 
     def test_cli_import_leaves_scipy_sparse_out(self, tmp_path):
         # import and the README decay and scan runs load scipy's LAPACK
