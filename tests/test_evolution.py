@@ -76,6 +76,21 @@ class TestSimulate:
         with pytest.raises(ParameterError, match="finite"):
             simulate(small_op, random_state(small_op, rng), t_final, dt)
 
+    @pytest.mark.parametrize("t_final,dt,stride,n_samples", [
+        (0.004, 0.01, 1, 2),      # under one step: the march still takes one
+        (0.1, 0.01, 1, 11),       # few steps: every step is a sample
+        (4.001, 1e-3, 2, 2002),   # 4001 steps: stride 2, then the last step
+    ])
+    def test_samples_at_the_default_stride_and_the_last_step(
+        self, small_op, rng, t_final, dt, stride, n_samples,
+    ):
+        trace = simulate(small_op, random_state(small_op, rng), t_final, dt)
+        n_steps = max(1, round(t_final / dt))
+        steps = np.rint(trace.t / dt).astype(np.int64)
+        assert steps.size == n_samples and steps[0] == 0 and steps[-1] == n_steps
+        assert np.all(np.diff(steps[:-1]) == stride) and 0 < steps[-1] - steps[-2] <= stride
+        assert trace.t[-1] == pytest.approx(n_steps * dt, rel=1e-15)
+
     def test_state_of_another_grid_is_refused(self, small_op, rng):
         state = random_state(make_operator(nx=32, nxi=64), rng)
         with pytest.raises(ShapeError, match=r"state of shape \(32, 64\) does not match "
