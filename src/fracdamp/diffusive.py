@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._csv import write_csv
 from .errors import GridError, ParameterError
-from .model import derive_constants
+from .model import _freeze, derive_constants
 
 #: Safety factors defining where the default quadrature reproduces the kernel
 #: to about 1e-4 relative: tau in [_TAU_LO_FACTOR/xi_max^2, _TAU_HI_FACTOR/xi_min^2].
@@ -39,10 +39,7 @@ class XiGrid:
     xi_max: float
 
     def __post_init__(self):
-        for name in ("xi", "w", "eta"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("xi", "w", "eta"))
         if np.any(self.w <= 0) or np.any(self.eta <= 0):
             raise ParameterError("xi-grid weights and eta must be strictly positive")
 

@@ -106,7 +106,8 @@ def simulate(op: SystemOperator, y0: StateVector, t_final: float, dt: float) -> 
         ell, s, h[b], op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
         alpha0, y0.psi, 0.5 * remainder, float(dt), steps,
     )
-    flux = op.flux_sign * 1j * op.zeta * s_out
+    sign = -1.0 if b == 0 else 1.0  # the flux is -i zeta S at x=0, +i zeta S at x=1
+    flux = sign * 1j * op.zeta * s_out
     return EnergyTrace(t=steps * dt, E=e_out, D=d_out, flux=flux,
                        coupled_modes=int(ell.size), uncoupled_energy=0.5 * remainder)
 

@@ -1,4 +1,4 @@
-"""Problem configuration, degeneracy classification and discrete energy.
+"""Problem configuration, degeneracy measure and discrete energy.
 
 A problem couples a Schrodinger-type field y on (0,1] whose diffusion
 coefficient kappa vanishes at x=0 with a family of boundary relaxation modes
@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -38,9 +39,12 @@ class Variant(str, enum.Enum):
     PPRIME = "Pprime"
 
 
-class BoundaryClass(str, enum.Enum):
-    DIRICHLET_AT_ZERO = "dirichlet_at_zero"          # 0 <= m_kappa < 1
-    WEIGHTED_NEUMANN_AT_ZERO = "weighted_neumann_at_zero"  # 1 <= m_kappa < 2
+def _freeze(obj, names, dtype=float) -> None:
+    """Store each named field of a frozen dataclass as a read-only array."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 def nu_of_alpha(alpha: float) -> float:
@@ -84,8 +88,8 @@ class TabulatedKappa:
     values: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        _freeze(self, ("x", "values"))
+        x, v = self.x, self.values
         if x.ndim != 1 or x.shape != v.shape or x.size < 3:
             raise CoefficientError("tabulated kappa needs matching 1-d arrays with >= 3 samples")
         if np.any(np.diff(x) <= 0):
@@ -94,10 +98,6 @@ class TabulatedKappa:
             raise CoefficientError("tabulated kappa samples must lie in (0, 1]")
         if np.any(v <= 0.0):
             raise CoefficientError("tabulated kappa must be positive at every sample")
-        x.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
@@ -107,17 +107,11 @@ class TabulatedKappa:
 KappaSpec = Union[PowerLawKappa, TabulatedKappa]
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    m_kappa: float
-    boundary_class: BoundaryClass
-
-
-def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
-    """Compute the degeneracy measure m_kappa and the induced boundary class.
+def degeneracy_measure(kappa: KappaSpec) -> float:
+    """The degeneracy measure m_kappa = sup x|kappa'(x)|/kappa(x).
 
     Power laws give m_kappa = alpha exactly.  Tabulated coefficients are
-    classified by maximizing x|kappa'|/kappa over the interior samples with a
+    measured by maximizing x|kappa'|/kappa over the interior samples with a
     centered (three-point, nonuniform) finite difference; no interpolation
     refinement is attempted.
     """
@@ -138,8 +132,7 @@ def classify_kappa(kappa: KappaSpec) -> DegeneracyReport:
         raise HypothesisViolationError(
             f"degeneracy measure m_kappa={m:.6g} violates the hypothesis m_kappa < 2"
         )
-    cls = BoundaryClass.DIRICHLET_AT_ZERO if m < 1.0 else BoundaryClass.WEIGHTED_NEUMANN_AT_ZERO
-    return DegeneracyReport(m_kappa=m, boundary_class=cls)
+    return m
 
 
 @dataclass(frozen=True)
@@ -161,17 +154,13 @@ class ProblemSpec:
             object.__setattr__(self, "variant", Variant(self.variant))
         except ValueError as exc:
             raise ConfigurationError(f"unknown variant {self.variant!r}") from exc
-        if not (0.0 < self.beta < 1.0):
-            raise ParameterError(f"beta must lie in (0,1), got beta={self.beta}")
-        if not (self.rho > 0.0):
-            raise ParameterError(f"rho must be positive, got rho={self.rho}")
+        derive_constants(self.beta, self.rho)  # checks beta and rho
         if self.variant is Variant.P:
             if not isinstance(self.kappa, PowerLawKappa) or not (0.0 < self.kappa.alpha < 1.0):
                 raise ConfigurationError(
                     "variant P requires a power-law coefficient with alpha in (0,1)"
                 )
-        # validates the hypothesis m_kappa < 2 as a side effect
-        classify_kappa(self.kappa)
+        self.m_kappa  # checks the hypothesis m_kappa < 2
 
     @property
     def alpha(self) -> Optional[float]:
@@ -181,9 +170,15 @@ class ProblemSpec:
     def zeta(self) -> float:
         return derive_constants(self.beta, self.rho)
 
-    @property
+    @cached_property
     def m_kappa(self) -> float:
-        return classify_kappa(self.kappa).m_kappa
+        return degeneracy_measure(self.kappa)
+
+    @property
+    def dirichlet_at_zero(self) -> bool:
+        """The condition at x=0: Dirichlet on P' with m_kappa < 1, else zero
+        (weighted) flux.  On P, x=0 is the damped end and m_kappa < 1 always."""
+        return self.variant is Variant.PPRIME and self.m_kappa < 1.0
 
     # -- serialization (derived fields are always recomputed) ---------------
 
@@ -229,14 +224,9 @@ class StateVector:
     psi: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.complex128)
-        psi = np.asarray(self.psi, dtype=np.complex128)
-        if y.ndim != 1 or psi.ndim != 1:
+        _freeze(self, ("y", "psi"), dtype=np.complex128)
+        if self.y.ndim != 1 or self.psi.ndim != 1:
             raise ShapeError("state components must be 1-d arrays")
-        y.setflags(write=False)
-        psi.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "psi", psi)
 
 
 def _check_compatible(state: StateVector, op) -> None:

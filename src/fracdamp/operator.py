@@ -22,14 +22,7 @@ import numpy as np
 from . import _kernels
 from .diffusive import XiGrid
 from .errors import ConfigurationError, ParameterError
-from .model import (
-    BoundaryClass,
-    ProblemSpec,
-    StateVector,
-    Variant,
-    _check_compatible,
-    classify_kappa,
-)
+from .model import ProblemSpec, StateVector, Variant, _check_compatible, _freeze
 
 
 @dataclass(frozen=True)
@@ -44,10 +37,7 @@ class XGrid:
     h: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "h"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("x", "h"))
 
 
 def build_x_grid(n: int, g: float = 1.0) -> XGrid:
@@ -66,11 +56,8 @@ def build_x_grid(n: int, g: float = 1.0) -> XGrid:
 
 
 def default_grading(spec: ProblemSpec) -> float:
-    """g=2 when the degeneracy is strong (alpha >= 1 or m_kappa >= 1), else 1."""
-    alpha = spec.alpha
-    if (alpha is not None and alpha >= 1.0) or spec.m_kappa >= 1.0:
-        return 2.0
-    return 1.0
+    """g=2 when the degeneracy is strong (m_kappa >= 1), else 1."""
+    return 2.0 if spec.m_kappa >= 1.0 else 1.0
 
 
 def _fv_tridiag(kappa: Callable, xgrid: XGrid, dirichlet_left: bool):
@@ -100,26 +87,20 @@ class SystemOperator:
     """Assembled discrete generator with its weighted inner product.
 
     Attributes l_sub/l_diag/l_sup hold the real tridiagonal L (the field
-    block is i*L); `boundary_index` is the damped cell, `flux_sign` the sign
-    of the boundary flux value (-i*zeta*S at x=0 for variant P, +i*zeta*S at
-    x=1 for the primed variant, S = sum w_k eta_k psi_k).
+    block is i*L); `boundary_index` is the damped cell: 0 (x=0) for variant
+    P, the last cell (x=1) for the primed variant.
     """
 
-    problem: ProblemSpec
     xgrid: XGrid
     xigrid: XiGrid
     zeta: float
     boundary_index: int
-    flux_sign: float
     l_sub: np.ndarray
     l_diag: np.ndarray
     l_sup: np.ndarray
 
     def __post_init__(self):
-        for name in ("l_sub", "l_diag", "l_sup"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("l_sub", "l_diag", "l_sup"))
 
     @property
     def dimension(self) -> int:
@@ -167,29 +148,13 @@ def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> System
         raise ConfigurationError(
             f"xi-grid was built for beta={xigrid.beta}, problem has beta={spec.beta}"
         )
-    report = classify_kappa(spec.kappa)
-    if spec.variant is Variant.P:
-        if report.m_kappa >= 1.0:
-            raise ConfigurationError(
-                f"variant P requires m_kappa < 1, got m_kappa={report.m_kappa:.6g}"
-            )
-        boundary_index = 0
-        flux_sign = -1.0
-        dirichlet_left = False
-    else:
-        boundary_index = xgrid.x.size - 1
-        flux_sign = +1.0
-        dirichlet_left = report.boundary_class is BoundaryClass.DIRICHLET_AT_ZERO
-    sub, diag, sup = _fv_tridiag(spec.kappa, xgrid, dirichlet_left)
+    sub, diag, sup = _fv_tridiag(spec.kappa, xgrid, spec.dirichlet_at_zero)
     return SystemOperator(
-        problem=spec,
         xgrid=xgrid,
         xigrid=xigrid,
         zeta=spec.zeta,
-        boundary_index=boundary_index,
-        flux_sign=flux_sign,
+        boundary_index=0 if spec.variant is Variant.P else xgrid.x.size - 1,
         l_sub=sub,
         l_diag=diag,
         l_sup=sup,
     )
-

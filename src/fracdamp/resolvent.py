@@ -566,9 +566,9 @@ def _shift(op, lam: float) -> ShiftReport:
         )
     uf = u[:n]
     field_share = float(np.vdot(uf, uf).real)
-    if root.free >= n:  # a decoupled relaxation mode
-        zf = np.zeros(n)
-    elif root.free >= 0:  # a decoupled field mode
+    # every relaxation weight a_k^2 is positive (zeta > 0), so a decoupled
+    # mode is a field mode
+    if root.free >= 0:
         zf = _field_eigenvector(op.l_diag, spectrum.off, spectrum.ell[root.free], b)
     else:
         bordered = sec.idx[root.border]
@@ -932,7 +932,8 @@ def _stable_window_fit(logx, logy):
     The band is relative to the window-mean slope, with an absolute floor of
     0.1 slope units so that flat curves (norms saturating to a constant)
     still admit a window.  Ties break toward the smallest slope spread, then
-    the leftmost window.  Returns (i0, i1, exponent, r_squared) inclusive.
+    the leftmost window.  Returns the inclusive window (i0, i1) and the
+    window's line fit (exponent, intercept, r_squared).
 
     Lengths are searched longest-first, so the search stops at the first
     length that admits a window.
@@ -952,8 +953,7 @@ def _stable_window_fit(logx, logy):
                     best = (spread, i)
         if best is not None:
             i0, i1 = best[1], best[1] + length - 1
-            slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
-            return i0, i1, slope, r2
+            return (i0, i1, *_fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1]))
     raise FitDataError(
         f"no sub-window of {MIN_SCAN_POINTS} or more points with stable local slope"
     )
@@ -994,12 +994,11 @@ def scan_resolvent(op, lambdas) -> ResolventScan:
     logx, logy = np.log(np.abs(lambdas)), np.log(norms)
     fit, fit_error = None, None
     try:
-        i0, i1, slope, r2 = _stable_window_fit(logx, logy)
+        i0, i1, slope, intercept, r2 = _stable_window_fit(logx, logy)
     except FitDataError as exc:
         fit_error = str(exc)  # the norms stand without a fit
     else:
         x, y = logx[i0 : i1 + 1], logy[i0 : i1 + 1]
-        _, intercept, _ = _fit_line(x, y)
         residual = float(np.abs(y - (slope * x + intercept)).max())
         fit = ScanFit(exponent=slope, r_squared=r2, window=(i0, i1), max_residual=residual)
     stage_s["fit"] = time.perf_counter() - clock

@@ -113,7 +113,8 @@ def test_05_near_zero_exponent_pprime_general(beta):
     # norm the solver undershoots fails it.
     op = _operator(Variant.PPRIME, 1.5, beta, nx=800, nxi=200, g=2.0)
     scan = scan_resolvent(op, np.geomspace(1e-4, 1e-1, 25))
-    bound = -theoretical_exponents(op.problem).theta
+    spec = ProblemSpec(variant=Variant.PPRIME, kappa=PowerLawKappa(1.5), beta=beta, rho=1.0)
+    bound = -theoretical_exponents(spec).theta
     floor = -1.0
     slope = scan.fit.exponent
     floor_ratio = float(np.min(np.abs(scan.lam) * scan.norm))

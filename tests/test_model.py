@@ -14,13 +14,12 @@ from fracdamp.errors import (
     ShapeError,
 )
 from fracdamp.model import (
-    BoundaryClass,
     PowerLawKappa,
     ProblemSpec,
     StateVector,
     TabulatedKappa,
     Variant,
-    classify_kappa,
+    degeneracy_measure,
     derive_constants,
     energy,
     inner_product,
@@ -64,30 +63,29 @@ class TestDeriveConstants:
                 assert value == pytest.approx(rho, rel=1e-12)
 
 
+def _pprime(kappa):
+    return ProblemSpec(variant=Variant.PPRIME, kappa=kappa, beta=0.5, rho=1.0)
+
+
 class TestClassifyKappa:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.99, 1.0, 1.5, 1.9])
     def test_power_law_exact(self, alpha):
-        report = classify_kappa(PowerLawKappa(alpha))
-        assert report.m_kappa == alpha
-        expected = (
-            BoundaryClass.DIRICHLET_AT_ZERO
-            if alpha < 1.0
-            else BoundaryClass.WEIGHTED_NEUMANN_AT_ZERO
-        )
-        assert report.boundary_class is expected
+        assert degeneracy_measure(PowerLawKappa(alpha)) == alpha
+        assert _pprime(PowerLawKappa(alpha)).dirichlet_at_zero is (alpha < 1.0)
+        if alpha < 1.0:  # on P, x=0 is the damped end
+            spec = ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(alpha), beta=0.5, rho=1.0)
+            assert spec.dirichlet_at_zero is False
 
     def test_tabulated_linear(self):
         # dense-sample maximization oracle: x * 1 / x == 1 everywhere
         kappa = tabulate_kappa(lambda x: x, n=2000)
-        report = classify_kappa(kappa)
-        assert abs(report.m_kappa - 1.0) < 1e-6
-        assert report.boundary_class is BoundaryClass.WEIGHTED_NEUMANN_AT_ZERO
+        assert abs(degeneracy_measure(kappa) - 1.0) < 1e-6
+        assert _pprime(kappa).dirichlet_at_zero is False
 
     def test_tabulated_sqrt(self):
         kappa = tabulate_kappa(lambda x: np.sqrt(x), n=2000)
-        report = classify_kappa(kappa)
-        assert abs(report.m_kappa - 0.5) < 1e-4
-        assert report.boundary_class is BoundaryClass.DIRICHLET_AT_ZERO
+        assert abs(degeneracy_measure(kappa) - 0.5) < 1e-4
+        assert _pprime(kappa).dirichlet_at_zero is True
 
     def test_nonpositive_sample_rejected(self):
         x = np.linspace(0.01, 1.0, 50)
@@ -98,7 +96,7 @@ class TestClassifyKappa:
 
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolationError):
-            classify_kappa(tabulate_kappa(lambda x: x**3, n=500))
+            degeneracy_measure(tabulate_kappa(lambda x: x**3, n=500))
 
 
 class TestProblemSpec:

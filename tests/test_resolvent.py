@@ -190,6 +190,23 @@ class TestAssembledNorms:
                 resolvent_norm_dense(op, lam), rel=1e-6
             ), lam
 
+    @pytest.mark.parametrize("nx", [40, 100])
+    def test_decoupled_field_mode_carries_sigma_min(self, nx):
+        # next to a decoupled field frequency ell_k (weight below eps) on P,
+        # sigma_min is the free pole |lam - ell_k|, whose singular vector is
+        # the field eigenvector q_k itself
+        op = make_operator(Variant.P, nx=nx, nxi=24)
+        spectrum = op.field_spectrum
+        for k in np.flatnonzero(~spectrum.coupled)[:2]:
+            gap = np.abs(np.delete(spectrum.ell, k) - spectrum.ell[k]).min()
+            for step in (1e-3, 1e-6):
+                lam = float(spectrum.ell[k] + step * gap)
+                assert resolvent_module._secular(op, lam).smallest().free == k
+                reports = []
+                norm = resolvent_norm(op, lam, report=reports)
+                assert norm == pytest.approx(resolvent_norm_dense(op, lam), rel=1e-8)
+                assert reports[0].field_share == pytest.approx(1.0, abs=1e-12)
+
     def test_random_operators_match_solved_inverse(self):
         # coefficients, damping, grids and shifts drawn at random, lam = ell_k
         # among them; the oracle is the largest singular value of the
@@ -328,6 +345,16 @@ class TestDampedEigenvalues:
         assert census.values.size == op.dimension
         assert self._match(eigvals_dense(op), census.values) <= 1e-9
 
+    def test_census_appends_a_recovered_root(self):
+        # a coarse P grid with a narrow relaxation band: one root is reached
+        # by no start and is found by deflated Newton inside the census
+        op = make_operator(Variant.P, alpha=0.7, beta=0.3, nx=16, nxi=16,
+                           xi_min=1e-2, xi_max=1e2)
+        census = damped_eigenvalues(op)
+        assert census.recovered >= 1
+        assert census.values.size == op.dimension
+        assert self._match(eigvals_dense(op), census.values) <= 1e-9
+
     @pytest.mark.parametrize("variant,alpha,g", [CENSUS_CASES[0], CENSUS_CASES[2]])
     def test_deflation_recovers_a_left_out_root(self, variant, alpha, g):
         # the roots next to -1: mid-band relaxation roots and the damped
@@ -363,8 +390,7 @@ def _brute_force_window_fit(logx, logy, min_points=8, slope_band=0.10):
     if best is None:
         raise FitDataError("no sub-window with stable local slope")
     i0, i1 = best[1]
-    slope, _, r2 = _fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1])
-    return i0, i1, slope, r2
+    return (i0, i1, *_fit_line(logx[i0 : i1 + 1], logy[i0 : i1 + 1]))
 
 
 class TestWindowFit:
@@ -417,7 +443,7 @@ class TestWindowFit:
     def test_exact_power_law(self):
         lam = np.geomspace(1e-4, 1e-1, 20)
         norms = 2.7 * lam**-1.5
-        i0, i1, slope, r2 = _stable_window_fit(np.log(lam), np.log(norms))
+        i0, i1, slope, _, r2 = _stable_window_fit(np.log(lam), np.log(norms))
         assert (i0, i1) == (0, 19)
         assert slope == pytest.approx(-1.5, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
@@ -425,7 +451,7 @@ class TestWindowFit:
     def test_window_selection_skips_saturated_head(self):
         lam = np.geomspace(1e-4, 1e-1, 24)
         norms = 1.0 / (lam + 2e-4)  # saturates below lambda ~ 2e-4
-        i0, i1, slope, _ = _stable_window_fit(np.log(lam), np.log(norms))
+        i0, i1, slope, _, _ = _stable_window_fit(np.log(lam), np.log(norms))
         assert i0 > 0  # the flat head is excluded
         assert slope == pytest.approx(-1.0, abs=0.05)
 
@@ -437,7 +463,7 @@ class TestWindowFit:
     def test_flat_curve_fits_with_unit_r_squared(self):
         # constant log-norms: ss_tot is exactly 0 and the flat line fits them
         lam = np.geomspace(1e-3, 1e-1, 10)
-        i0, i1, slope, r2 = _stable_window_fit(np.log(lam), np.full(10, np.log(0.7)))
+        i0, i1, slope, _, r2 = _stable_window_fit(np.log(lam), np.full(10, np.log(0.7)))
         assert (i0, i1) == (0, 9)
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0
