@@ -91,6 +91,21 @@ def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
     _write_json(out / "manifest.json", manifest)
 
 
+class _Stages:
+    """Wall time of each stage of a command, summed over its repeats;
+    telemetry for the manifest only."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._clock = time.perf_counter()
+
+    def lap(self, stage):
+        """Add the time since the last lap (or since creation) to ``stage``."""
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._clock
+        self._clock = now
+
+
 def _numerical_failure(out: Path, command: str, config: dict, exc: NumericalError) -> int:
     """An error manifest with the failure's diagnostics, the message on
     stderr and the numerical-failure exit code."""
@@ -192,31 +207,22 @@ def _cmd_simulate(args, parser) -> int:
     config = _grid_config(args, spec, grade)
     config.update({"t_final": args.t_final, "dt": dt, "y0": args.y0,
                    "fit_window": [lo, hi], "scheme": "implicit_midpoint"})
-    # wall time of each stage; telemetry for the manifest only
-    stage_s = {}
-    clock = time.perf_counter()
-
-    def lap(stage):
-        nonlocal clock
-        now = time.perf_counter()
-        stage_s[stage] = now - clock
-        clock = now
-
+    stages = _Stages()
     try:
         op = assemble_operator(spec, xg, xig)
-        lap("assembly")
+        stages.lap("assembly")
         initial_state = {}
         y0 = prepare_initial_state(op, args.y0, report=initial_state)
-        lap("preparation")
+        stages.lap("preparation")
         trace = simulate(op, y0, args.t_final, dt)  # field coordinates included
-        lap("march")
+        stages.lap("march")
         fit = None
         fit_error = None
         try:
             fit = fit_decay_exponent(trace, (lo, hi))
         except FracdampError as exc:
             fit_error = str(exc)
-        lap("fit")
+        stages.lap("fit")
     except NumericalError as exc:
         return _numerical_failure(out, "simulate", config, exc)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,7 +245,7 @@ def _cmd_simulate(args, parser) -> int:
         "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
         "march": {"coupled_modes": trace.coupled_modes, "field_modes": int(xg.x.size),
                   "uncoupled_energy_share": trace.uncoupled_energy / float(trace.E[0])},
-        "stage_s": stage_s,
+        "stage_s": stages.seconds,
         "initial_state": initial_state,
     }
     _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"],
@@ -263,9 +269,9 @@ def _cmd_scan(args, parser) -> int:
     config = _grid_config(args, spec, grade)
     config.update({"points": args.points, "lambda_min": lo, "lambda_max": hi,
                    "regime": args.regime})
-    clock = time.perf_counter()
+    stages = _Stages()
     op = assemble_operator(spec, xg, xig)
-    assembly_s = time.perf_counter() - clock
+    stages.lap("assembly")
     prediction = theoretical_exponents(spec)
     try:
         scan = scan_resolvent(op, lams)
@@ -302,7 +308,7 @@ def _cmd_scan(args, parser) -> int:
         "fit": None if fit is None else {"window_index": list(fit.window),
                                          "r_squared": fit.r_squared,
                                          "max_abs_residual": fit.max_residual},
-        "stage_s": {"assembly": assembly_s, **scan.stage_s},
+        "stage_s": {**stages.seconds, **scan.stage_s},
     }
     _write_manifest(out, "scan", config, [out / "scan.csv", out / "fit.json"],
                     diagnostics=diagnostics)
@@ -350,18 +356,21 @@ def _cmd_oracle_compare(args, parser) -> int:
     )
     xig = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)
     f_psi = xig.eta * np.exp(-xig.xi**2)
-    grade = args.grade if args.grade is not None else 2.0
     config = {"spec": spec.to_json(), "lambda": args.lam, "nx_list": nx_list,
-              "grade": grade, "nxi": args.nxi, "xi_min": args.xi_min,
+              "grade": args.grade, "nxi": args.nxi, "xi_min": args.xi_min,
               "xi_max": args.xi_max}
     rows = []
     errors = []
+    # summed over the ladder; the oracle's first call loads scipy's Gamma
+    stages = _Stages()
     try:
         for nx in nx_list:
-            xg = build_x_grid(nx, grade)
+            xg = build_x_grid(nx, args.grade)
             op = assemble_operator(spec, xg, xig)
+            stages.lap("assembly")
             c_const = forcing_integral(op, args.lam, f_psi)
             zd = solve_resolvent(op, args.lam, np.zeros(nx), f_psi)
+            stages.lap("discrete_solve")
             oracle = analytic_resolvent_P(args.lam, xg.x, None, c_const,
                                           args.alpha, args.beta, args.rho)
             diff = zd.y - oracle.y
@@ -369,6 +378,7 @@ def _cmd_oracle_compare(args, parser) -> int:
             linf = float(np.abs(diff).max())
             rows.append([args.lam, l2, linf, nx])
             errors.append(l2)
+            stages.lap("oracle")
     except NumericalError as exc:
         return _numerical_failure(out, "oracle-compare", config, exc)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,7 +392,8 @@ def _cmd_oracle_compare(args, parser) -> int:
     summary = {"orders": orders, "observed_order": min(orders) if orders else None}
     _write_json(out / "orders.json", summary)
     _write_manifest(out, "oracle-compare", config,
-                    [out / "oracle.csv", out / "orders.json"])
+                    [out / "oracle.csv", out / "orders.json"],
+                    diagnostics={"stage_s": stages.seconds})
     return 0
 
 
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--nx-list", dest="nx_list", required=True)
-    p.add_argument("--grade", type=float, default=None, help="default 2 (convergence studies)")
+    p.add_argument("--grade", type=float, default=2.0, help="default 2 (convergence studies)")
     p.add_argument("--nxi", type=int, default=800)
     p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
     p.add_argument("--xi-max", dest="xi_max", type=float, default=1e6)

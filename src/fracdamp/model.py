@@ -40,9 +40,10 @@ class Variant(str, enum.Enum):
 
 
 def _freeze(obj, names, dtype=float) -> None:
-    """Store each named field of a frozen dataclass as a read-only array."""
+    """Store each named field of a frozen dataclass as a read-only copy, so
+    that the caller's own array stays writable."""
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr = np.array(getattr(obj, name), dtype=dtype)
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 

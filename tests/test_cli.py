@@ -432,6 +432,16 @@ class TestOracleCompare:
         errs = [float(r.split(",")[1]) for r in rows[1:]]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_manifest_stage_times_and_default_grade(self, tmp_path):
+        out = tmp_path / "oc"
+        assert run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3,
+                       "--nx-list", "50,100", "--nxi", 64, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["grade"] == 2.0
+        stage_s = manifest["diagnostics"]["stage_s"]
+        assert set(stage_s) == {"assembly", "discrete_solve", "oracle"}
+        assert all(v >= 0.0 for v in stage_s.values())
+
     def test_bad_nx_list_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5,
@@ -658,14 +668,16 @@ class TestPackageSurface:
     def test_cli_import_leaves_scipy_sparse_out(self, tmp_path):
         # import and the README decay and scan runs load scipy's LAPACK
         # extension alone, not the scipy.linalg package or scipy.special;
-        # the Bessel oracle loads scipy.special when it is first called
+        # the Bessel oracle loads scipy's Gamma extension alone when it is
+        # first called, still without the scipy.special package
         src = str(Path(fracdamp.__file__).parent.parent)
         code = """
 import json, sys
 import fracdamp.cli
 
 def loaded():
-    names = ("scipy.sparse", "scipy.linalg", "scipy.linalg._flapack", "scipy.special")
+    names = ("scipy.sparse", "scipy.linalg", "scipy.linalg._flapack", "scipy.special",
+             "scipy.special._special_ufuncs")
     return [name for name in names if name in sys.modules]
 
 seen = {"import": loaded()}
@@ -687,4 +699,4 @@ print(json.dumps(seen))
         seen = json.loads(out.stdout)
         lapack_only = ["scipy.linalg._flapack"]
         assert seen == {"import": lapack_only, "decay": lapack_only, "scan": lapack_only,
-                        "oracle": [*lapack_only, "scipy.special"]}
+                        "oracle": [*lapack_only, "scipy.special._special_ufuncs"]}

@@ -285,12 +285,35 @@ print(all(getattr(_kernels._lapack, name) is getattr(lapack, name) for name in n
         )
         assert out.stdout.strip() == "True"
 
-    def test_missing_extension_names_the_directory_searched(self, tmp_path, monkeypatch):
+    def test_oracle_gamma_is_scipy_special_gamma(self):
+        # a fresh interpreter: the oracle loads scipy's Gamma extension by
+        # file path, and a later import of scipy.special hands out that ufunc
+        code = """
+import sys
+import fracdamp
+fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], None, 0.0, 0.5, 0.5, 1.0)
+assert "scipy.special" not in sys.modules
+import scipy.special
+print(scipy.special.gamma is sys.modules["scipy.special._special_ufuncs"].gamma)
+"""
+        src = os.path.dirname(os.path.dirname(_kernels.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "True"
+
+    @pytest.mark.parametrize("subpackage, module", [("linalg", "_flapack"),
+                                                    ("special", "_special_ufuncs")])
+    def test_missing_extension_names_the_directory_searched(
+        self, tmp_path, monkeypatch, subpackage, module
+    ):
         import scipy
 
+        name = f"scipy.{subpackage}.{module}"
         monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.delitem(sys.modules, name, raising=False)
         with pytest.raises(ImportError) as info:
-            _kernels._load_flapack()
-        assert str(tmp_path / "linalg") in str(info.value)
-        assert "scipy.linalg._flapack" not in sys.modules
+            _kernels._load_scipy_extension(subpackage, module)
+        assert str(tmp_path / subpackage) in str(info.value)
+        assert name not in sys.modules

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -214,3 +215,24 @@ class TestEnergy:
         state = StateVector(y=np.ones(4), psi=np.zeros(4))
         with pytest.raises((ValueError, RuntimeError)):
             state.y[0] = 2.0
+
+
+@pytest.mark.parametrize("kind", ["StateVector", "XGrid", "XiGrid", "TabulatedKappa",
+                                  "SystemOperator"])
+def test_frozen_fields_are_copies(small_op, kind):
+    # the stored field is a read-only copy, so the caller's array stays
+    # writable even when it already has the field's dtype
+    x = np.linspace(0.25, 1.0, 4)
+    obj, names = {
+        "StateVector": (StateVector(y=np.zeros(4), psi=np.zeros(3)), ("y", "psi")),
+        "XGrid": (small_op.xgrid, ("x", "h")),
+        "XiGrid": (small_op.xigrid, ("xi", "w", "eta")),
+        "TabulatedKappa": (TabulatedKappa(x=x, values=x), ("x", "values")),
+        "SystemOperator": (small_op, ("l_sub", "l_diag", "l_sup")),
+    }[kind]
+    given = {name: np.array(getattr(obj, name)) for name in names}
+    built = dataclasses.replace(obj, **given)
+    for name, arr in given.items():
+        arr += 1.0
+        assert not getattr(built, name).flags.writeable
+        assert not np.shares_memory(getattr(built, name), arr)
