@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _csv, _kernels, evolution
+from . import __version__, _csv, _kernels, bessel, evolution
+from .bessel import analytic_resolvent_P
 from .diffusive import build_xi_quadrature, kernel_check
 from .errors import FracdampError, NumericalError
 from .evolution import fit_decay_exponent, prepare_initial_state, simulate
@@ -152,21 +153,14 @@ def _problem_from_args(args, parser) -> ProblemSpec:
 
 
 def _grids_from_args(args, spec: ProblemSpec):
+    """The x grid and the xi quadrature of `simulate` and `scan`, and the
+    configuration that records them."""
     grade = args.grade if args.grade is not None else default_grading(spec)
     xg = build_x_grid(args.nx, grade)
     xig = build_xi_quadrature(spec.beta, args.nxi, args.xi_min, args.xi_max)
-    return xg, xig, grade
-
-
-def _grid_config(args, spec, grade) -> dict:
-    return {
-        "spec": spec.to_json(),
-        "nx": args.nx,
-        "grade": grade,
-        "nxi": args.nxi,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-    }
+    config = {"spec": spec.to_json(), "nx": args.nx, "grade": grade, "nxi": args.nxi,
+              "xi_min": args.xi_min, "xi_max": args.xi_max}
+    return xg, xig, config
 
 
 def _fit_window(text: str):
@@ -178,6 +172,13 @@ def _fit_window(text: str):
     if not 0.0 < lo < hi:
         raise argparse.ArgumentTypeError(f"needs 0 < LO < HI, got {text!r}")
     return lo, hi
+
+
+def _add_xi_flags(p, nxi=200, xi_max=1e4):
+    """--nxi, --xi-min and --xi-max, the xi quadrature of every command."""
+    p.add_argument("--nxi", type=int, default=nxi)
+    p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
+    p.add_argument("--xi-max", dest="xi_max", type=float, default=xi_max)
 
 
 def _add_problem_flags(p):
@@ -192,19 +193,16 @@ def _add_problem_flags(p):
     p.add_argument("--nx", type=int, default=400)
     p.add_argument("--grade", type=float, default=None,
                    help="mesh grading exponent (default: 2 for strong degeneracy, else 1)")
-    p.add_argument("--nxi", type=int, default=200)
-    p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=1e4)
+    _add_xi_flags(p)
 
 
 def _cmd_simulate(args, parser) -> int:
     out = Path(args.out)
     spec = _problem_from_args(args, parser)
-    xg, xig, grade = _grids_from_args(args, spec)
+    xg, xig, config = _grids_from_args(args, spec)
     dt = args.dt if args.dt is not None else args.t_final / 2e4
     n_steps = evolution._step_count(args.t_final, dt)  # a bad time is refused before any work
     lo, hi = args.fit_window or (args.t_final / 10.0, args.t_final)
-    config = _grid_config(args, spec, grade)
     config.update({"t_final": args.t_final, "dt": dt, "y0": args.y0,
                    "fit_window": [lo, hi], "scheme": "implicit_midpoint"})
     stages = _Stages()
@@ -265,8 +263,7 @@ def _cmd_scan(args, parser) -> int:
     out = Path(args.out)
     lams = np.geomspace(lo, hi, args.points)
     spec = _problem_from_args(args, parser)
-    xg, xig, grade = _grids_from_args(args, spec)
-    config = _grid_config(args, spec, grade)
+    xg, xig, config = _grids_from_args(args, spec)
     config.update({"points": args.points, "lambda_min": lo, "lambda_max": hi,
                    "regime": args.regime})
     stages = _Stages()
@@ -342,8 +339,6 @@ def _cmd_verify_kernel(args, parser) -> int:
 
 
 def _cmd_oracle_compare(args, parser) -> int:
-    from .bessel import analytic_resolvent_P
-
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         parser.error(f"--lambda must be finite and positive, got {args.lam:g}")
     out = Path(args.out)
@@ -354,6 +349,12 @@ def _cmd_oracle_compare(args, parser) -> int:
     spec = ProblemSpec(
         variant=Variant.P, kappa=PowerLawKappa(args.alpha), beta=args.beta, rho=args.rho
     )
+    # the oracle's series argument is largest at x = 1: |z| = (2/(2-alpha)) sqrt(lambda)
+    if (2.0 / (2.0 - args.alpha)) * math.sqrt(args.lam) > bessel._Z_MAX:
+        lam_max = (bessel._Z_MAX * (2.0 - args.alpha) / 2.0) ** 2
+        parser.error(f"--lambda must be at most {lam_max:.10g} at alpha={args.alpha:g}, where "
+                     f"the Bessel series oracle holds (|z| <= {bessel._Z_MAX:g}), "
+                     f"got {args.lam:.10g}")
     xig = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)
     f_psi = xig.eta * np.exp(-xig.xi**2)
     config = {"spec": spec.to_json(), "lambda": args.lam, "nx_list": nx_list,
@@ -430,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", dest="tau_min", type=float, default=1e-2)
     p.add_argument("--tau-max", dest="tau_max", type=float, default=1e2)
     p.add_argument("--points", type=int, default=61)
-    p.add_argument("--nxi", type=int, default=200)
-    p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=1e4)
+    _add_xi_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_kernel)
 
@@ -443,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--nx-list", dest="nx_list", required=True)
     p.add_argument("--grade", type=float, default=2.0, help="default 2 (convergence studies)")
-    p.add_argument("--nxi", type=int, default=800)
-    p.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=1e6)
+    _add_xi_flags(p, 800, 1e6)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle_compare)
     return parser

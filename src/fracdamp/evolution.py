@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._csv import write_csv
 from .errors import FitDataError, NumericalError, ParameterError
-from .model import StateVector, _check_compatible, energy
+from .model import StateVector, _check_compatible, energy, weighted_norm
 from .operator import SystemOperator
 from .resolvent import _fit_line, _ShiftedSystem, damped_eigenvalues, smallest_singular_value
 
@@ -183,8 +183,6 @@ def _lowest_mode(op: SystemOperator, report: Optional[dict] = None) -> StateVect
 
 
 def _mode_residual(op: SystemOperator, state: StateVector, lam: complex) -> float:
-    from .model import weighted_norm
-
     ay = op.apply(state)
     resid = StateVector(y=ay.y - lam * state.y, psi=ay.psi - lam * state.psi)
     return weighted_norm(resid, op) / weighted_norm(state, op)

@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
     SpectralCollisionError,
 )
-from .model import ProblemSpec, Variant
+from .model import ProblemSpec, StateVector, Variant
 from .operator import SystemOperator
 
 
@@ -540,8 +540,19 @@ def _secular(op, lam: float) -> _Secular:
     return _Secular(delta, x2, spectrum.ell.size)
 
 
-def _shift(op, lam: float) -> ShiftReport:
-    """The resolvent norm at i lam with what it measured; see resolvent_norm."""
+def resolvent_norm(op, lam: float, *, report: Optional[list] = None) -> float:
+    """||(i lam - A)^{-1}|| in the weighted operator norm.
+
+    sigma_min of i lam - A comes from an exact singular-value count in the
+    field eigenbasis (``_Secular``): bisection on the count, then a
+    safeguarded secant.  Its singular vector u is mapped to nodal
+    coordinates and one shifted solve measures ||R u||_W / ||u||_W, which is
+    returned: a lower bound for the norm, within _CERTIFICATE_RTOL (plus a
+    rounding term that grows with the local condition) of 1/sigma, or
+    NumericalError.  A shift at which sigma_min is
+    0 raises SpectralCollisionError.  If `report` is a list, the shift's
+    ShiftReport is appended to it.
+    """
     sys_ = _shifted_system(op, lam)
     spectrum = op.field_spectrum
     n = spectrum.ell.size
@@ -589,27 +600,10 @@ def _shift(op, lam: float) -> ShiftReport:
             {"lambda": lam, "sigma": sigma, "certificate": cert, "gap": gap,
              "local_condition": cond, "evaluations": sec.evaluations},
         )
-    return ShiftReport(lam=float(lam), norm=cert, field_share=field_share,
-                       evaluations=sec.evaluations, certificate_gap=gap)
-
-
-def resolvent_norm(op, lam: float, *, report: Optional[list] = None) -> float:
-    """||(i lam - A)^{-1}|| in the weighted operator norm.
-
-    sigma_min of i lam - A comes from an exact singular-value count in the
-    field eigenbasis (``_Secular``): bisection on the count, then a
-    safeguarded secant.  Its singular vector u is mapped to nodal
-    coordinates and one shifted solve measures ||R u||_W / ||u||_W, which is
-    returned: a lower bound for the norm, within _CERTIFICATE_RTOL (plus a
-    rounding term that grows with the local condition) of 1/sigma, or
-    NumericalError.  A shift at which sigma_min is
-    0 raises SpectralCollisionError.  If `report` is a list, the shift's
-    ShiftReport is appended to it.
-    """
-    shift = _shift(op, lam)
     if report is not None:
-        report.append(shift)
-    return shift.norm
+        report.append(ShiftReport(lam=float(lam), norm=cert, field_share=field_share,
+                                  evaluations=sec.evaluations, certificate_gap=gap))
+    return cert
 
 
 def smallest_singular_value(op) -> float:
@@ -880,8 +874,6 @@ def damped_eigenvalues(op) -> DampedEigenvalues:
 
 def solve_resolvent(op: SystemOperator, lam: float, f_y, f_psi):
     """Solve (i lam - A) Y = F, returning the state (y, psi) components."""
-    from .model import StateVector
-
     sys_ = _ShiftedSystem(op, lam)
     f = np.concatenate(
         (np.asarray(f_y, dtype=np.complex128), np.asarray(f_psi, dtype=np.complex128))
@@ -1018,22 +1010,21 @@ def theoretical_exponents(spec: ProblemSpec) -> ExponentPrediction:
     The power-law branch theta = 1 is the sharpened estimate; the
     general-coefficient theta = 2-beta is the cruder one and is not claimed
     sharp (a scan of kappa = x^1.5 reads the relaxation floor 1/|lam|).  For
-    damping at the degenerate end the high-frequency value is quoted from
-    the theory of the exponentially tempered kernel (gamma > 0); it is not
-    proven for the untempered kernel (gamma = 0) used here.  On the primed
-    variant upsilon = 1 - beta on both branches.
+    damping at the degenerate end upsilon = 1 and decay_exponent = 2; the
+    high-frequency value is quoted from the theory of the exponentially
+    tempered kernel (gamma > 0), and it is not proven for the untempered
+    kernel (gamma = 0) used here.  On the primed variant upsilon = 1 - beta
+    on both branches.
     """
-    beta = spec.beta
     if spec.variant is Variant.P:
-        theta = 1.0
-        alpha = spec.alpha
-        upsilon = max(1.0, (4.0 - 3.0 * alpha) / (4.0 - 2.0 * alpha) - beta)
-    else:
-        upsilon = 1.0 - beta
-        # the sharpened power-law branch is established for alpha in (0,1)
-        # (the transformed fundamental pair degenerates at alpha = 1); all
-        # other coefficients get the general-coefficient exponent
-        theta = 1.0 if spec.alpha is not None and spec.alpha < 1.0 else 2.0 - beta
+        # the quoted max(1, (4 - 3 alpha)/(4 - 2 alpha) - beta) is 1: its
+        # second argument is 1 - alpha/(4 - 2 alpha) - beta < 1
+        return ExponentPrediction(theta=1.0, upsilon=1.0, decay_exponent=2.0)
+    upsilon = 1.0 - spec.beta
+    # the sharpened power-law branch is established for alpha in (0,1)
+    # (the transformed fundamental pair degenerates at alpha = 1); all
+    # other coefficients get the general-coefficient exponent
+    theta = 1.0 if spec.alpha is not None and spec.alpha < 1.0 else 2.0 - spec.beta
     return ExponentPrediction(theta=float(theta), upsilon=float(upsilon),
                               decay_exponent=float(2.0 / max(theta, upsilon)))
 

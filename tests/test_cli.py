@@ -15,6 +15,7 @@ from conftest import make_operator
 from fracdamp.cli import main
 from fracdamp.diffusive import KernelCheck
 from fracdamp.evolution import EnergyTrace
+from fracdamp.model import ProblemSpec
 from fracdamp.resolvent import scan_resolvent
 
 
@@ -208,6 +209,38 @@ class TestSimulate:
                        "--fit-window", "1:4.5", "--out", out) == 0
         assert json.loads((out / "fit.json").read_text())["window"] == [1.0, 4.5]
 
+    def test_short_fit_window_keeps_the_trace(self, tmp_path):
+        # 6 samples in [1.95, 2]: no fit, the trace and manifest still written
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
+                       "--nx", 32, "--nxi", 16, "--t-final", 2.0, "--dt", 0.01,
+                       "--fit-window", "1.95:2", "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fit.json", "manifest.json",
+                                                         "trace.csv"]
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["window"] == [1.95, 2.0]
+        assert fit["exponent"] is fit["intercept"] is fit["r_squared"] is None
+        assert "found 6" in fit["error"]
+
+    @pytest.mark.parametrize("power, grade, dirichlet", [(0.5, 1.0, True), (1.5, 2.0, False)])
+    def test_tabulated_kappa(self, tmp_path, power, grade, dirichlet):
+        # samples of x^0.5 (m_kappa < 1, Dirichlet at x = 0) and x^1.5 (zero
+        # weighted flux at x = 0, graded mesh) through --kappa FILE
+        x = np.linspace(1.0 / 200, 1.0, 200)
+        table = tmp_path / "kappa.json"
+        table.write_text(json.dumps({"x": x.tolist(), "values": (x**power).tolist()}))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--problem", "Pprime", "--kappa", table, "--beta", 0.5,
+                       "--nx", 64, "--nxi", 32, "--t-final", 5.0, "--dt", 0.01,
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["max_energy_rise"] <= 1e-12
+        assert np.isfinite(json.loads((out / "fit.json").read_text())["exponent"])
+        config = manifest["config"]
+        assert config["grade"] == grade
+        assert config["spec"]["kappa_samples"]["values"] == (x**power).tolist()
+        assert ProblemSpec.from_json(config["spec"]).dirichlet_at_zero is dirichlet
+
     def test_invalid_variant_alpha_combination(self, tmp_path):
         code = run_cli(
             "simulate", "--problem", "P", "--alpha", 1.5, "--beta", 0.5,
@@ -400,22 +433,33 @@ class TestScan:
         assert exc.value.code == 2
         assert not out.exists()
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        from fracdamp import cli
-        from fracdamp.errors import NumericalError
 
-        def boom(*args, **kwargs):
-            raise NumericalError("synthetic failure", {"lambda": 0.1})
+@pytest.mark.parametrize("command, target, args", [
+    ("simulate", "simulate", ("--problem", "P", "--alpha", 0.5, "--beta", 0.5, "--nx", 32,
+                              "--nxi", 24, "--t-final", 1.0)),
+    ("scan", "scan_resolvent", ("--problem", "P", "--alpha", 0.5, "--beta", 0.5, "--nx", 32,
+                                "--nxi", 24, "--points", 8)),
+    ("oracle-compare", "solve_resolvent", ("--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3,
+                                           "--nx-list", "32,64", "--nxi", 24)),
+])
+def test_numerical_failure_writes_an_error_manifest(tmp_path, monkeypatch, command, target,
+                                                    args):
+    # a NumericalError with diagnostics: exit 3, the message and diagnostics
+    # (a complex value as [re, im]) in the manifest's error, and no artifact
+    from fracdamp import cli
+    from fracdamp.errors import NumericalError
 
-        monkeypatch.setattr(cli, "scan_resolvent", boom)
-        out = tmp_path / "fail"
-        code = run_cli(
-            "scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5,
-            "--nx", 32, "--nxi", 24, "--points", 8, "--out", out,
-        )
-        assert code == 3
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"]["message"] == "synthetic failure"
+    def boom(*args, **kwargs):
+        raise NumericalError("synthetic failure", {"lambda": 0.1, "shift": 2j, "steps": 7})
+
+    monkeypatch.setattr(cli, target, boom)
+    out = tmp_path / "fail"
+    assert run_cli(command, *args, "--out", out) == 3
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == {"message": "synthetic failure", "lambda": 0.1,
+                                 "shift": [0.0, 2.0], "steps": 7}
+    assert manifest["outputs"] == []
 
 
 class TestOracleCompare:
@@ -448,15 +492,29 @@ class TestOracleCompare:
                     "--lambda", 1e-3, "--nx-list", "fifty", "--out", tmp_path / "x")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1e-3"])
-    def test_bad_lambda_is_refused_before_any_work(self, tmp_path, lam):
-        # nan ran the solves and failed writing the error manifest (exit 1)
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1e-3", "1e3"])
+    def test_bad_lambda_is_refused_before_any_work(self, tmp_path, monkeypatch, lam):
+        # nan ran the solves and failed writing the error manifest (exit 1);
+        # 1e3 is above the oracle's series range |z| = (2/(2-alpha)) sqrt(lambda)
+        # <= 20 (lambda <= 225 at alpha = 0.5), and ran the first rung's solve
+        from fracdamp import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_resolvent reached")
+
+        monkeypatch.setattr(cli, "solve_resolvent", unreachable)
         out = tmp_path / "oc"
         with pytest.raises(SystemExit) as exc:
             run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5, f"--lambda={lam}",
                     "--nx-list", "50,100", "--nxi", 64, "--out", out)
         assert exc.value.code == 2
         assert not out.exists()
+
+    def test_lambda_at_the_oracle_range_runs(self, tmp_path):
+        out = tmp_path / "oc"
+        assert run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 225,
+                       "--nx-list", "32,64", "--nxi", 64, "--out", out) == 0
+        assert (out / "oracle.csv").exists()
 
     def test_manifest_takes_complex_and_numpy_diagnostics(self, tmp_path):
         from fracdamp.cli import _write_manifest
@@ -588,8 +646,7 @@ class TestCsvArtifacts:
 
 class TestPackageSurface:
     def test_all_is_what_the_cli_imports(self):
-        # every name cli.py imports from a subpackage (the lazy import inside
-        # oracle-compare included), plus the state type
+        # every name cli.py imports from a subpackage, plus the state type
         tree = ast.parse(Path(fracdamp.cli.__file__).read_text())
         used = {
             alias.name

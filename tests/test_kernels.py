@@ -267,41 +267,30 @@ class TestFieldEigenbasis:
 
 
 class TestLapackLoader:
-    def test_routines_are_scipy_linalg_lapacks(self):
-        # a fresh interpreter: the package loads the extension by file path,
-        # and a later import of scipy.linalg hands out the same routines
+    def test_import_footprint_in_a_fresh_interpreter(self):
+        # what CI's import-footprint step asserts, where neither extension is
+        # loaded yet: the CLI loads scipy's LAPACK extension by file path and
+        # a later import of scipy.linalg hands out the same routines; the
+        # oracle loads scipy's Gamma extension the same way, without the
+        # scipy.special package, and a later import of it hands out that ufunc
         code = """
 import sys
+import fracdamp.cli
 from fracdamp import _kernels
-assert "scipy.linalg" not in sys.modules
+loaded = [name for name in ("scipy.linalg", "scipy.special") if name in sys.modules]
+assert not loaded, loaded
 import scipy.linalg.lapack as lapack
-names = ("dsterf", "zgttrf", "zgttrs", "zheev", "dgtsv")
-print(all(getattr(_kernels._lapack, name) is getattr(lapack, name) for name in names))
-"""
-        src = os.path.dirname(os.path.dirname(_kernels.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.stdout.strip() == "True"
-
-    def test_oracle_gamma_is_scipy_special_gamma(self):
-        # a fresh interpreter: the oracle loads scipy's Gamma extension by
-        # file path, and a later import of scipy.special hands out that ufunc
-        code = """
-import sys
-import fracdamp
+for name in ("dsterf", "zgttrf", "zgttrs", "zheev", "dgtsv"):
+    assert getattr(_kernels._lapack, name) is getattr(lapack, name), name
 fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], None, 0.0, 0.5, 0.5, 1.0)
 assert "scipy.special" not in sys.modules
+ufuncs = sys.modules["scipy.special._special_ufuncs"]
 import scipy.special
-print(scipy.special.gamma is sys.modules["scipy.special._special_ufuncs"].gamma)
+assert scipy.special.gamma is ufuncs.gamma
 """
         src = os.path.dirname(os.path.dirname(_kernels.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.stdout.strip() == "True"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     @pytest.mark.parametrize("subpackage, module", [("linalg", "_flapack"),
                                                     ("special", "_special_ufuncs")])

@@ -37,7 +37,7 @@ def _modal_matrix(delta, x2, n_field):
 
 
 def _modal_problem(op, lam):
-    # as _shift poses it: the decoupled field modes enter with weight 0
+    # as resolvent_norm poses it: the decoupled field modes enter with weight 0
     spectrum = op.field_spectrum
     delta = np.concatenate((1j * (lam - spectrum.ell), op.xigrid.xi**2 + 1j * lam))
     x2 = np.concatenate((np.where(spectrum.coupled, spectrum.weight, 0.0), op.relaxation_weights))
