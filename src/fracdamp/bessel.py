@@ -29,6 +29,13 @@ _SERIES_TOL = 1e-17
 _SERIES_CAP = 200
 
 
+def lambda_max(alpha: float) -> float:
+    """The largest lambda the oracle holds at: the series argument
+    |z| = (2/(2-alpha)) sqrt(lambda) x^((2-alpha)/2) is largest at x = 1 and
+    must stay <= _Z_MAX."""
+    return (_Z_MAX * (2.0 - alpha) / 2.0) ** 2
+
+
 def _gamma(x):
     """scipy's Gamma ufunc (``scipy.special.gamma``), from its extension
     ``scipy.special._special_ufuncs`` loaded at first use: only this oracle

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _csv, _kernels, bessel, evolution
-from .bessel import analytic_resolvent_P
 from .diffusive import build_xi_quadrature, kernel_check
 from .errors import FracdampError, NumericalError
 from .evolution import fit_decay_exponent, prepare_initial_state, simulate
@@ -40,11 +39,6 @@ NUMERICAL_EXIT = 3
 THRESHOLD_EXIT = 4
 #: the lambda bounds of each --regime, where --lambda-min/--lambda-max are not given
 _SCAN_WINDOW = {"low": (1e-4, 1e-1), "high": (1e1, 1e4)}
-
-
-def _content_hash(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _blas_threads() -> dict:
@@ -75,10 +69,11 @@ def _write_json(path: Path, doc: dict) -> None:
 def _write_manifest(out: Path, command: str, config: dict, outputs, error=None,
                     diagnostics=None) -> None:
     out.mkdir(parents=True, exist_ok=True)  # an error manifest may be the first file
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     manifest = {
         "command": command,
         "config": config,
-        "input_hash": _content_hash(config),
+        "input_hash": hashlib.sha256(blob).hexdigest(),
         "tool_version": __version__,
         "kernel_backend": _kernels.backend_name(),
         "blas_threads": _blas_threads(),
@@ -339,6 +334,9 @@ def _cmd_verify_kernel(args, parser) -> int:
 
 
 def _cmd_oracle_compare(args, parser) -> int:
+    # imported at call time: perfbench wraps bessel's attribute, not a copy bound here
+    from .bessel import analytic_resolvent_P
+
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         parser.error(f"--lambda must be finite and positive, got {args.lam:g}")
     out = Path(args.out)
@@ -349,9 +347,8 @@ def _cmd_oracle_compare(args, parser) -> int:
     spec = ProblemSpec(
         variant=Variant.P, kappa=PowerLawKappa(args.alpha), beta=args.beta, rho=args.rho
     )
-    # the oracle's series argument is largest at x = 1: |z| = (2/(2-alpha)) sqrt(lambda)
-    if (2.0 / (2.0 - args.alpha)) * math.sqrt(args.lam) > bessel._Z_MAX:
-        lam_max = (bessel._Z_MAX * (2.0 - args.alpha) / 2.0) ** 2
+    lam_max = bessel.lambda_max(args.alpha)
+    if args.lam > lam_max:
         parser.error(f"--lambda must be at most {lam_max:.10g} at alpha={args.alpha:g}, where "
                      f"the Bessel series oracle holds (|z| <= {bessel._Z_MAX:g}), "
                      f"got {args.lam:.10g}")

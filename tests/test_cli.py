@@ -516,6 +516,23 @@ class TestOracleCompare:
                        "--nx-list", "32,64", "--nxi", 64, "--out", out) == 0
         assert (out / "oracle.csv").exists()
 
+    def test_oracle_is_looked_up_on_bessel_at_call_time(self, tmp_path, monkeypatch):
+        # perfbench times the oracle by wrapping bessel.analytic_resolvent_P;
+        # a copy bound in cli at import would bypass the wrapper
+        from fracdamp import bessel
+
+        calls = []
+        oracle = bessel.analytic_resolvent_P
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(bessel, "analytic_resolvent_P", counted)
+        assert run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3,
+                       "--nx-list", "32,64", "--nxi", 64, "--out", tmp_path / "oc") == 0
+        assert calls == [1e-3, 1e-3]
+
     def test_manifest_takes_complex_and_numpy_diagnostics(self, tmp_path):
         from fracdamp.cli import _write_manifest
 
@@ -646,7 +663,8 @@ class TestCsvArtifacts:
 
 class TestPackageSurface:
     def test_all_is_what_the_cli_imports(self):
-        # every name cli.py imports from a subpackage, plus the state type
+        # every name cli.py imports from a subpackage (the lazy import inside
+        # oracle-compare included), plus the state type
         tree = ast.parse(Path(fracdamp.cli.__file__).read_text())
         used = {
             alias.name
