@@ -8,10 +8,11 @@ modes that reach the damped cell in their eigen-coordinates
 (``field_modes``) by blocks of matrix products, with no n x n array.
 The singular-kernel convolution (``frac_conv``) is one real FFT product,
 for the closed-form kernel and the forced relaxation modes of
-``diffusive.evolve_psi_forced``; ``TridiagFactor`` serves shifted solves.
-The LAPACK routines of the package all come from ``_lapack`` (below), and
-``_load_scipy_extension`` is the one loader of scipy extension modules: it
-loads LAPACK at import and, for the Bessel oracle, scipy's Gamma ufunc.
+``diffusive.evolve_psi_forced``.  Every LAPACK call of the package goes
+through ``lapack``, the one check of a routine's ``info``, to the routines
+of ``_lapack`` (below); ``_load_scipy_extension`` is the one loader of
+scipy extension modules: it loads LAPACK at import and, for the Bessel
+oracle, scipy's Gamma ufunc.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def _load_scipy_extension(subpackage, module):
     return loaded
 
 
-#: dsterf, zgttrf, zgttrs (here) and zheev, dgtsv (``resolvent``)
+#: dsterf (here), zgttrf, zgttrs, zheev and dgtsv (``resolvent``), each
+#: called through ``lapack``
 _lapack = _load_scipy_extension("linalg", "_flapack")
 
 #: Largest relative defect |h_i l_sup_i - h_{i+1} l_sub_i| / max|h_i l_sup_i|
@@ -89,24 +91,15 @@ def backend_name() -> str:
     return "numpy"
 
 
-class TridiagFactor:
-    """Pivoted LU of a complex tridiagonal via LAPACK gttrf/gttrs."""
-
-    def __init__(self, dl, d, du):
-        *lu, info = _lapack.zgttrf(
-            np.asarray(dl, dtype=np.complex128),
-            np.asarray(d, dtype=np.complex128),
-            np.asarray(du, dtype=np.complex128),
-        )
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zgttrf failed with info={info}")
-        self._lu = lu
-
-    def solve_in_place(self, b):
-        """Overwrite b, a contiguous complex128 vector, with the solution."""
-        _, info = _lapack.zgttrs(*self._lu, b, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zgttrs failed with info={info}")
+def lapack(routine, *args, **kwargs):
+    """The outputs of the LAPACK ``routine`` of ``_lapack`` called with the
+    arguments given, as a list without the final ``info``.  A nonzero info
+    raises NumericalError naming the routine and its info."""
+    *out, info = getattr(_lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise NumericalError(f"LAPACK {routine} failed with info={info}",
+                             {"routine": routine, "info": int(info)})
+    return out
 
 
 def frac_conv(w_avg: np.ndarray, lag_weights: np.ndarray) -> np.ndarray:
@@ -272,9 +265,7 @@ def field_spectrum(d, off, b):
     q_k[a]^2 rho_k^2, the entry q_k[a] takes the sign of rho_k, and the
     Newton step at a refines the frequency of a mode not resolved at b.
     """
-    ell, info = _lapack.dsterf(d, off)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+    (ell,) = lapack("dsterf", d, off)
     near = _elimination(d, off, b)
     rounding = 64.0 * np.finfo(float).eps * np.abs(ell).max(initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularError, ParameterError
-from .model import nu_of_alpha
 
 _Z_MAX = 20.0
 _SERIES_TOL = 1e-17
@@ -89,9 +88,11 @@ def bessel_j(nu: float, z):
 
 
 def _nu_alpha(alpha: float) -> float:
+    """nu_alpha = (1-alpha)/(2-alpha), the Bessel order of the power-law
+    resolvent basis, for alpha in (0,1)."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0,1), got alpha={alpha}")
-    return nu_of_alpha(alpha)
+    return (1.0 - alpha) / (2.0 - alpha)
 
 
 def theta_pm(x, mu: complex, alpha: float):
@@ -118,12 +119,6 @@ def theta_prime(x, mu: complex, alpha: float):
     ) * bessel_j(nu + 1.0, z)
     tm = -mu * x ** ((1.0 - 2.0 * alpha) / 2.0) * bessel_j(1.0 - nu, z)
     return tp, tm
-
-
-def theta_prime_at_one(mu: complex, alpha: float):
-    """(theta_+'(1), theta_-'(1)) in closed form."""
-    tp, tm = theta_prime(1.0, mu, alpha)
-    return complex(tp), complex(tm)
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,7 @@ def analytic_resolvent_P(
     scale = (2.0 / (2.0 - alpha)) * mu
     d_plus = c_plus * scale**nu
     d_minus = c_minus * scale ** (-nu)
-    dtp1, dtm1 = theta_prime_at_one(mu, alpha)  # theta_+'(1), theta_-'(1)
+    dtp1, dtm1 = map(complex, theta_prime(1.0, mu, alpha))  # theta_+'(1), theta_-'(1)
 
     pref = _vp_prefactor(alpha)
     tp, tm, i_plus, i_minus = _variation_terms(x, f1, mu, alpha)

@@ -352,6 +352,7 @@ def _cmd_oracle_compare(args, parser) -> int:
         parser.error(f"--lambda must be at most {lam_max:.10g} at alpha={args.alpha:g}, where "
                      f"the Bessel series oracle holds (|z| <= {bessel._Z_MAX:g}), "
                      f"got {args.lam:.10g}")
+    xgrids = [build_x_grid(nx, args.grade) for nx in nx_list]  # a bad nx before any work
     xig = build_xi_quadrature(args.beta, args.nxi, args.xi_min, args.xi_max)
     f_psi = xig.eta * np.exp(-xig.xi**2)
     config = {"spec": spec.to_json(), "lambda": args.lam, "nx_list": nx_list,
@@ -362,8 +363,7 @@ def _cmd_oracle_compare(args, parser) -> int:
     # summed over the ladder; the oracle's first call loads scipy's Gamma
     stages = _Stages()
     try:
-        for nx in nx_list:
-            xg = build_x_grid(nx, args.grade)
+        for nx, xg in zip(nx_list, xgrids):
             op = assemble_operator(spec, xg, xig)
             stages.lap("assembly")
             c_const = forcing_integral(op, args.lam, f_psi)

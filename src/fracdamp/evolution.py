@@ -95,13 +95,10 @@ def simulate(op: SystemOperator, y0: StateVector, t_final: float, dt: float) -> 
     steps = np.arange(0, n_steps + 1, max(1, n_steps // 2000), dtype=np.int64)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
-    try:
-        spectrum = op.field_spectrum
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalError(f"field eigenvalues failed: {exc}") from exc
     b = op.boundary_index
     h = op.xgrid.h
-    ell, s, alpha0, remainder = _kernels.field_modes(op.l_diag, spectrum, b, np.sqrt(h) * y0.y)
+    ell, s, alpha0, remainder = _kernels.field_modes(
+        op.l_diag, op.field_spectrum, b, np.sqrt(h) * y0.y)
     e_out, d_out, s_out = _kernels.midpoint_march(
         ell, s, h[b], op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
         alpha0, y0.psi, 0.5 * remainder, float(dt), steps,

@@ -48,12 +48,6 @@ def _freeze(obj, names, dtype=float) -> None:
         object.__setattr__(obj, name, arr)
 
 
-def nu_of_alpha(alpha: float) -> float:
-    """nu_alpha = (1-alpha)/(2-alpha), the Bessel order of the power-law
-    resolvent basis; ``bessel._nu_alpha`` checks that alpha lies in (0,1)."""
-    return (1.0 - alpha) / (2.0 - alpha)
-
-
 def derive_constants(beta: float, rho: float) -> float:
     """The diffusive weight zeta = rho*sin(beta*pi)/pi of the damping."""
     if not (0.0 < beta < 1.0):

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from ._kernels import TridiagFactor, _lapack
+from ._kernels import lapack
 from .errors import (
     ConfigurationError,
     FitDataError,
@@ -115,8 +115,8 @@ class _ShiftedSystem:
         d = (1j * lam - 1j * op.l_diag).astype(np.complex128)
         d[self.b] += g
         try:
-            self._fwd = TridiagFactor(-1j * op.l_sub, d, -1j * op.l_sup)
-        except np.linalg.LinAlgError as exc:
+            self._lu = lapack("zgttrf", -1j * op.l_sub, d, -1j * op.l_sup)
+        except NumericalError as exc:
             raise SpectralCollisionError(lam, 1j * lam, str(exc)) from exc
 
     @property
@@ -131,7 +131,7 @@ class _ShiftedSystem:
         zy, zp = z[:n], z[n:]
         zy[...] = f[:n]
         zy[b] -= np.dot(self._couple, fp)
-        self._fwd.solve_in_place(zy)
+        lapack("zgttrs", *self._lu, zy, overwrite_b=1)
         np.multiply(self._eta, zy[b], out=zp)
         zp += fp
         zp *= self._inv_denom
@@ -322,9 +322,7 @@ class _Secular:
         key = (sigma, border.tobytes())
         w = self._seen.get(key)
         if w is None:
-            w, _, info = _lapack.zheev(self.matrix(sigma, border)[0], compute_v=0, lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"zheev failed with info={info}")
+            w = lapack("zheev", self.matrix(sigma, border)[0], compute_v=0, lower=1)[0]
             self._seen[key] = w
         return w
 
@@ -449,9 +447,7 @@ class _Secular:
                 break
         sigma = lo if abs(f_lo) < abs(f_hi) else hi
         g, scale = self.matrix(sigma, border)
-        _, vecs, info = _lapack.zheev(g, compute_v=1, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zheev failed with info={info}")
+        vecs = lapack("zheev", g, compute_v=1, lower=1)[1]
         return _Root(sigma, border=border, null=scale * vecs[:, j])
 
     def singular_vector(self, root):
@@ -488,17 +484,16 @@ def _tridiagonal_solve(l_diag, off, shift, rhs):
 
     Used at shifts on or next to an eigenvalue of T, whose eigenvector the
     caller replaces or wants: if T - shift is singular to working precision,
-    the shift moves by a few ulps of the largest diagonal entry.
+    the shift moves by a few ulps of the largest diagonal entry, and the
+    NumericalError of the last move is raised.
     """
     ulp = np.spacing(np.abs(l_diag).max())
-    for nudge in (0.0, 4.0 * ulp, 64.0 * ulp):
-        *_, x, info = _lapack.dgtsv(off, l_diag - (shift + nudge), off, rhs)
-        if info == 0:
-            return x
-    raise NumericalError(
-        "field tridiagonal is singular at a singular-vector shift",
-        {"shift": float(shift), "info": int(info)},
-    )
+    for nudge in (0.0, 4.0 * ulp):
+        try:
+            return lapack("dgtsv", off, l_diag - (shift + nudge), off, rhs)[-1]
+        except NumericalError:
+            pass
+    return lapack("dgtsv", off, l_diag - (shift + 64.0 * ulp), off, rhs)[-1]
 
 
 def _field_eigenvector(l_diag, off, ell_k, b):

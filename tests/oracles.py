@@ -24,7 +24,7 @@ from fracdamp.bessel import (
     bessel_j,
     leading_coefficients,
     theta_pm,
-    theta_prime_at_one,
+    theta_prime,
 )
 from fracdamp.errors import ParameterError
 from fracdamp.model import TabulatedKappa
@@ -73,7 +73,7 @@ def determinant_scaling_p(alpha: float, beta: float, rho: float, mu_grid) -> Det
     c_plus, c_minus = leading_coefficients(nu)
 
     def determinant(mu):
-        dtp1, dtm1 = theta_prime_at_one(mu, alpha)
+        dtp1, dtm1 = theta_prime(1.0, mu, alpha)
         scale = (2.0 / (2.0 - alpha)) * mu
         d_plus, d_minus = c_plus * scale**nu, c_minus * scale ** (-nu)
         return (1.0 - alpha) * d_plus * dtm1 - 1j * rho * dtp1 * _il_pow(mu, beta) * d_minus
@@ -90,7 +90,7 @@ def bracket_scaling_pprime(alpha: float, beta: float, rho: float, mu_grid) -> De
 
     def bracket(mu):
         tp1 = complex(theta_pm(1.0, mu, alpha)[0])
-        return theta_prime_at_one(mu, alpha)[0] - 1j * rho * _il_pow(mu, beta) * tp1
+        return theta_prime(1.0, mu, alpha)[0] - 1j * rho * _il_pow(mu, beta) * tp1
 
     return _loglog_fit(mu_grid, bracket)
 
@@ -169,7 +169,7 @@ def analytic_case_Pprime_poweralpha(
     x = np.asarray(x, dtype=float)
     f1 = np.zeros_like(x, dtype=np.complex128) if f1 is None else np.asarray(f1, dtype=np.complex128)
     il_pow = np.exp((beta - 1.0) * np.log(1j * lam))
-    tp1_prime, tm1_prime = theta_prime_at_one(mu, alpha)
+    tp1_prime, tm1_prime = theta_prime(1.0, mu, alpha)
     tp1, tm1 = (complex(v) for v in theta_pm(1.0, mu, alpha))
 
     pref = _vp_prefactor(alpha)

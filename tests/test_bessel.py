@@ -11,7 +11,6 @@ from fracdamp.bessel import (
     bessel_j,
     leading_coefficients,
     theta_pm,
-    theta_prime_at_one,
 )
 from fracdamp.errors import NearSingularError, ParameterError
 from fracdamp.operator import build_x_grid
@@ -130,7 +129,7 @@ class TestThetaPair:
 
     def test_theta_prime_formula_against_fd(self):
         alpha, mu = 0.4, 0.3j
-        tp1, tm1 = theta_prime_at_one(mu, alpha)
+        tp1, tm1 = theta_prime(1.0, mu, alpha)
         h = 1e-6
         fd_p = (theta_pm(1 + h, mu, alpha)[0] - theta_pm(1 - h, mu, alpha)[0]) / (2 * h)
         fd_m = (theta_pm(1 + h, mu, alpha)[1] - theta_pm(1 - h, mu, alpha)[1]) / (2 * h)

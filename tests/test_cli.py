@@ -434,31 +434,48 @@ class TestScan:
         assert not out.exists()
 
 
+_PROBLEM = ("--problem", "P", "--alpha", 0.5, "--beta", 0.5)
+_SIMULATE = (*_PROBLEM, "--nx", 32, "--nxi", 24, "--t-final", 1.0)
+_SCAN = (*_PROBLEM, "--nx", 32, "--nxi", 24, "--points", 8)
+
+
 @pytest.mark.parametrize("command, target, args", [
-    ("simulate", "simulate", ("--problem", "P", "--alpha", 0.5, "--beta", 0.5, "--nx", 32,
-                              "--nxi", 24, "--t-final", 1.0)),
-    ("scan", "scan_resolvent", ("--problem", "P", "--alpha", 0.5, "--beta", 0.5, "--nx", 32,
-                                "--nxi", 24, "--points", 8)),
+    ("simulate", "simulate", _SIMULATE),
+    ("scan", "scan_resolvent", _SCAN),
     ("oracle-compare", "solve_resolvent", ("--alpha", 0.5, "--beta", 0.5, "--lambda", 1e-3,
                                            "--nx-list", "32,64", "--nxi", 24)),
+    ("simulate", "dsterf", _SIMULATE),
+    ("simulate", "dsterf", (*_SIMULATE, "--y0", "lowest-mode")),
+    ("scan", "dsterf", _SCAN),
+    ("simulate", "zheev", _SIMULATE),
+    ("scan", "zheev", _SCAN),
 ])
 def test_numerical_failure_writes_an_error_manifest(tmp_path, monkeypatch, command, target,
                                                     args):
-    # a NumericalError with diagnostics: exit 3, the message and diagnostics
-    # (a complex value as [re, im]) in the manifest's error, and no artifact
-    from fracdamp import cli
+    # a NumericalError with diagnostics, raised in place of a layer of the
+    # cli or by a LAPACK routine that returns info=1: exit 3, the message and
+    # diagnostics (a complex value as [re, im]) in the manifest's error, and
+    # no artifact.  A failed dsterf or zheev escaped as numpy's LinAlgError
+    # (exit 1, no manifest)
+    from fracdamp import _kernels, cli
     from fracdamp.errors import NumericalError
 
-    def boom(*args, **kwargs):
-        raise NumericalError("synthetic failure", {"lambda": 0.1, "shift": 2j, "steps": 7})
+    if hasattr(cli, target):
+        def boom(*args, **kwargs):
+            raise NumericalError("synthetic failure", {"lambda": 0.1, "shift": 2j, "steps": 7})
 
-    monkeypatch.setattr(cli, target, boom)
+        monkeypatch.setattr(cli, target, boom)
+        error = {"message": "synthetic failure", "lambda": 0.1, "shift": [0.0, 2.0], "steps": 7}
+    else:
+        routine = getattr(_kernels._lapack, target)
+        monkeypatch.setattr(_kernels._lapack, target,
+                            lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1))
+        error = {"message": f"LAPACK {target} failed with info=1", "routine": target, "info": 1}
     out = tmp_path / "fail"
     assert run_cli(command, *args, "--out", out) == 3
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["error"] == {"message": "synthetic failure", "lambda": 0.1,
-                                 "shift": [0.0, 2.0], "steps": 7}
+    assert manifest["error"] == error
     assert manifest["outputs"] == []
 
 
@@ -486,11 +503,23 @@ class TestOracleCompare:
         assert set(stage_s) == {"assembly", "discrete_solve", "oracle"}
         assert all(v >= 0.0 for v in stage_s.values())
 
-    def test_bad_nx_list_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5,
-                    "--lambda", 1e-3, "--nx-list", "fifty", "--out", tmp_path / "x")
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("nx_list", ["fifty", "32,8"])
+    def test_bad_nx_list_usage_error(self, tmp_path, monkeypatch, nx_list):
+        # an nx below the grid's 16 nodes ran the solves of the rungs before it
+        from fracdamp import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_resolvent reached")
+
+        monkeypatch.setattr(cli, "solve_resolvent", unreachable)
+        out = tmp_path / "x"
+        try:
+            code = run_cli("oracle-compare", "--alpha", 0.5, "--beta", 0.5,
+                           "--lambda", 1e-3, "--nx-list", nx_list, "--out", out)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1e-3", "1e3"])
     def test_bad_lambda_is_refused_before_any_work(self, tmp_path, monkeypatch, lam):
@@ -557,8 +586,6 @@ def _csv_writer_bytes(header, rows):
     return buf.getvalue().encode()
 
 
-_PROBLEM = ("--problem", "P", "--alpha", 0.5, "--beta", 0.5)
-
 
 @pytest.mark.parametrize("args", [
     ("simulate", "--alpha", 0.5, "--beta", 0.5, "--t-final", 1.0),
@@ -579,10 +606,16 @@ _PROBLEM = ("--problem", "P", "--alpha", 0.5, "--beta", 0.5)
     ("simulate", "--problem", "Pprime", "--beta", 0.5, "--kappa", "missing.json",
      "--t-final", 1.0),
     ("scan", "--problem", "Pprime", "--beta", 0.5, "--kappa", "no-values.json"),
+    ("scan", "--problem", "Pprime", "--alpha", 2.5, "--beta", 0.5),
+    ("scan", "--problem", "Pprime", "--beta", 0.5, "--kappa", "two-samples.json"),
+    ("scan", "--problem", "Pprime", "--beta", 0.5, "--kappa", "unordered.json"),
+    ("scan", "--problem", "Pprime", "--beta", 0.5, "--kappa", "beyond-one.json"),
+    ("scan", "--config", "alpha-and-kappa.json"),
 ], ids=["no-problem", "simulate-gamma", "scan-gamma", "simulate-gamma-flag",
         "scan-gamma-flag", "scan-nx", "simulate-t-final", "kernel-nxi", "oracle-nx-list",
         "oracle-nx", "config-variant", "config-beta", "config-malformed", "config-list",
-        "config-missing", "kappa-missing", "kappa-no-values"])
+        "config-missing", "kappa-missing", "kappa-no-values", "alpha-above-two",
+        "kappa-two-samples", "kappa-unordered", "kappa-beyond-one", "config-alpha-and-kappa"])
 def test_usage_error_leaves_no_directory(tmp_path, monkeypatch, args):
     # each command made --out before it checked its arguments, problem and
     # grids, and left it empty on exit 2; --gamma is no longer a flag.  A
@@ -590,11 +623,16 @@ def test_usage_error_leaves_no_directory(tmp_path, monkeypatch, args):
     # value is a usage error too, not a traceback
     monkeypatch.chdir(tmp_path)
     spec = {"variant": "P", "alpha": 0.5, "beta": 0.5, "rho": 1.0}
+    samples = {"x": [0.25, 0.5, 1.0], "values": [0.5, 0.7, 1.0]}
     for name, doc in (("tempered.json", {**spec, "gamma": 0.5}),
                       ("variant-q.json", {**spec, "variant": "Q"}),
                       ("beta-x.json", {**spec, "beta": "x"}),
                       ("list.json", [spec]),
-                      ("no-values.json", {"x": [0.25, 0.5, 1.0]})):
+                      ("no-values.json", {"x": [0.25, 0.5, 1.0]}),
+                      ("two-samples.json", {"x": [0.5, 1.0], "values": [0.7, 1.0]}),
+                      ("unordered.json", {**samples, "x": [0.5, 0.25, 1.0]}),
+                      ("beyond-one.json", {**samples, "x": [0.25, 0.5, 1.5]}),
+                      ("alpha-and-kappa.json", {**spec, "kappa_samples": samples})):
         Path(name).write_text(json.dumps(doc))
     Path("malformed.json").write_text('{"variant": "P", "alpha": 0.5,')
     out = tmp_path / "run"
@@ -661,6 +699,20 @@ class TestCsvArtifacts:
         assert (tmp_path / "rows.csv").read_bytes() == want
 
 
+def _named(tree) -> set:
+    """Every name a module's syntax tree uses: Name ids, Attribute names and
+    the names an ImportFrom imports."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    return named
+
+
 class TestPackageSurface:
     def test_all_is_what_the_cli_imports(self):
         # every name cli.py imports from a subpackage (the lazy import inside
@@ -688,15 +740,18 @@ class TestPackageSurface:
             if path.parent == package:
                 defined |= {f"{path.stem}.{node.name}" for node in tree.body
                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    named.update(alias.name for alias in node.names)
+            named |= _named(tree)
         assert defined
         assert sorted(d for d in defined if d.split(".")[1] not in named) == []
+
+    def test_lapack_is_called_through_kernels_alone(self):
+        # every LAPACK call goes through _kernels.lapack, the one check of a
+        # routine's info, which raises NumericalError: no other module names
+        # the extension module, and none names numpy's LinAlgError
+        for path in Path(fracdamp.__file__).parent.glob("*.py"):
+            named = _named(ast.parse(path.read_text()))
+            assert "LinAlgError" not in named, path.name
+            assert "_lapack" not in named or path.stem == "_kernels", path.name
 
     def test_every_src_default_is_passed_outside_the_tests(self):
         # each parameter with a default, of a function or method of the

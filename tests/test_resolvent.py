@@ -18,6 +18,7 @@ from fracdamp.resolvent import (
     forcing_integral,
     resolvent_norm,
     scan_resolvent,
+    smallest_singular_value,
     solve_resolvent,
     theoretical_exponents,
 )
@@ -315,6 +316,18 @@ class TestShiftedSystem:
         np.testing.assert_array_equal(z1, z2)
         assert not np.shares_memory(z1, f)
         assert not np.shares_memory(z1, z2)
+
+    def test_failed_factorization_is_a_spectral_collision(self, monkeypatch):
+        # zgttrf's info > 0 is an exactly zero pivot: the shift is on an
+        # eigenvalue, and sigma_min at that shift reads 0
+        from fracdamp import _kernels
+
+        zgttrf = _kernels._lapack.zgttrf
+        monkeypatch.setattr(_kernels._lapack, "zgttrf", lambda *args: (*zgttrf(*args)[:-1], 1))
+        op = make_operator(nx=40, nxi=24)
+        with pytest.raises(SpectralCollisionError, match="LAPACK zgttrf failed with info=1"):
+            _ShiftedSystem(op, 0.1)
+        assert smallest_singular_value(op) == 0.0
 
 
 # (variant, alpha, grading): P with its zero Neumann frequency, P' with the
