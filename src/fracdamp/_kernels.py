@@ -35,19 +35,21 @@ def _load_scipy_extension(subpackage, module):
     Importing a scipy subpackage runs all of it: ``scipy.linalg`` (with
     scipy's array-API layer, numpy.testing and numpy.f2py) takes about
     0.25 s on a 2-vCPU Xeon VM, and ``scipy.special`` 0.25 s and 23 MB of
-    resident memory.  The one extension needed, found in the subpackage's
-    folder next to ``import scipy``, loads in a few ms.  It is registered
-    under its dotted name, so a later import of the subpackage reuses it and
-    hands out the same objects.  A missing file raises ImportError naming
-    the folder searched, and nothing is registered.
+    resident memory; even ``import scipy`` runs package code.  The one
+    extension needed, found in the subpackage's folder of scipy's import
+    spec, loads in a few ms.  It is registered under its dotted name, so a
+    later import of the subpackage reuses it and hands out the same objects.
+    A missing scipy, or a missing file, raises ImportError naming what was
+    searched, and nothing is registered.
     """
     name = f"scipy.{subpackage}.{module}"
     loaded = sys.modules.get(name)
     if loaded is not None:
         return loaded
-    import scipy
-
-    directory = os.path.join(os.path.dirname(scipy.__file__), subpackage)
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], subpackage)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(directory, module + suffix)
         if os.path.isfile(path):

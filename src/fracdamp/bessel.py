@@ -1,8 +1,8 @@
 """Closed-form resolvent solution of variant P for the power-law coefficient
 kappa = x^alpha, the oracle of ``oracle-compare``.
 
-The resolvent ODE -lambda*y + (x^alpha y_x)_x = i f1 transforms to Bessel
-form; its fundamental pair is
+The unforced resolvent ODE -lambda*y + (x^alpha y_x)_x = 0 transforms to
+Bessel form; its fundamental pair is
 
     theta_pm(x) = x^((1-alpha)/2) * J_{+-nu}( (2/(2-alpha)) mu x^((2-alpha)/2) )
 
@@ -124,8 +124,8 @@ def theta_prime(x, mu: complex, alpha: float):
 @dataclass(frozen=True)
 class AnalyticResolvent:
     """Closed-form resolvent solution sampled on a spatial grid: y, and the
-    coefficients y = A theta_+ + B theta_- (plus the particular part) with
-    the connection determinant D at mu = i sqrt(lambda)."""
+    coefficients y = A theta_+ + B theta_- with the connection determinant D
+    at mu = i sqrt(lambda)."""
 
     mu: complex
     A: complex
@@ -133,25 +133,6 @@ class AnalyticResolvent:
     D: complex
     alpha: float
     y: np.ndarray
-
-
-def _vp_prefactor(alpha: float) -> float:
-    nu = _nu_alpha(alpha)
-    return (math.pi / (2.0 * math.sin(nu * math.pi))) * (2.0 / (2.0 - alpha))
-
-
-def _cumtrapz(f, x):
-    out = np.zeros_like(f, dtype=np.complex128)
-    out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))
-    return out
-
-
-def _variation_terms(x, f1, mu, alpha):
-    """Cumulative integrals I_pm(x) = int_0^x i f1 theta_pm dX (trapezoid on x)."""
-    tp, tm = theta_pm(x, mu, alpha)
-    i_plus = _cumtrapz(1j * f1 * tp, x)
-    i_minus = _cumtrapz(1j * f1 * tm, x)
-    return tp, tm, i_plus, i_minus
 
 
 def _check_determinant(d, scale):
@@ -165,7 +146,6 @@ def _check_determinant(d, scale):
 def analytic_resolvent_P(
     lam: float,
     x,
-    f1,
     C: complex,
     alpha: float,
     beta: float,
@@ -175,15 +155,12 @@ def analytic_resolvent_P(
 
     Boundary data: weighted flux at 0 equals -i rho (i lam)^(beta-1) y(0) + C
     and y'(1) = 0.  C is the mode-forcing integral, computed externally by
-    the relaxation-mode quadrature.  f1 is sampled on x; the inhomogeneous
-    term uses trapezoid quadrature on that grid.
+    the relaxation-mode quadrature.
     """
     nu = _nu_alpha(alpha)
     if not 0.0 < lam < math.inf:  # written so that nan fails it
         raise ParameterError(f"lambda must be finite and positive, got lambda={lam}")
     mu = 1j * math.sqrt(lam)
-    x = np.asarray(x, dtype=float)
-    f1 = np.zeros_like(x, dtype=np.complex128) if f1 is None else np.asarray(f1, dtype=np.complex128)
     il_pow = np.exp((beta - 1.0) * np.log(1j * lam))  # principal branch
     c_plus, c_minus = leading_coefficients(nu)
     scale = (2.0 / (2.0 - alpha)) * mu
@@ -191,19 +168,15 @@ def analytic_resolvent_P(
     d_minus = c_minus * scale ** (-nu)
     dtp1, dtm1 = map(complex, theta_prime(1.0, mu, alpha))  # theta_+'(1), theta_-'(1)
 
-    pref = _vp_prefactor(alpha)
-    tp, tm, i_plus, i_minus = _variation_terms(x, f1, mu, alpha)
-    c_tilde = pref * (i_plus[-1] * dtm1 - dtp1 * i_minus[-1])
-
     term_a = (1.0 - alpha) * d_plus * dtm1
     term_b = 1j * rho * dtp1 * il_pow * d_minus
     d_det = term_a - term_b
     _check_determinant(d_det, max(abs(term_a), abs(term_b)))
 
-    a_coef = (dtm1 * C - 1j * rho * il_pow * d_minus * c_tilde) / d_det
-    b_coef = (-dtp1 * C + (1.0 - alpha) * d_plus * c_tilde) / d_det
+    a_coef = dtm1 * C / d_det
+    b_coef = -dtp1 * C / d_det
 
-    y = a_coef * tp + b_coef * tm - pref * (i_plus * tm - tp * i_minus)
+    tp, tm = theta_pm(x, mu, alpha)
+    y = a_coef * tp + b_coef * tm
     return AnalyticResolvent(mu=complex(mu), A=complex(a_coef), B=complex(b_coef),
                              D=complex(d_det), alpha=float(alpha), y=y)
-

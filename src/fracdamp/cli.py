@@ -232,7 +232,12 @@ def _cmd_simulate(args, parser) -> int:
     # the midpoint rule is contractive, so the largest sampled energy change
     # relative to E[0] (prepared states have unit energy) should be roundoff
     # or below; initial_state is what the preparation measured, march the
-    # field modes stepped and the share of E[0] in the modes left out
+    # field modes stepped and the share of E[0] in the modes left out.  The
+    # midpoint factor of relaxation mode xi, (1 - xi^2 dt/2)/(1 + xi^2 dt/2),
+    # is about -1 + 4/(xi^2 dt) when xi^2 dt >> 1, so the stiffest mode
+    # flips sign every step and lives about stiff_lifetime = xi_max^2 dt^2/4
+    # rather than 1/xi_max^2: a fit window that starts before it reads a
+    # time-step artifact
     diagnostics = {
         "march_steps": n_steps,
         "max_energy_rise": float(np.max(np.diff(trace.E))) / trace.E[0],
@@ -240,6 +245,7 @@ def _cmd_simulate(args, parser) -> int:
                   "uncoupled_energy_share": trace.uncoupled_energy / float(trace.E[0])},
         "stage_s": stages.seconds,
         "initial_state": initial_state,
+        "stiff_lifetime": xig.xi_max**2 * dt**2 / 4.0,
     }
     _write_manifest(out, "simulate", config, [out / "trace.csv", out / "fit.json"],
                     diagnostics=diagnostics)
@@ -369,7 +375,7 @@ def _cmd_oracle_compare(args, parser) -> int:
             c_const = forcing_integral(op, args.lam, f_psi)
             zd = solve_resolvent(op, args.lam, np.zeros(nx), f_psi)
             stages.lap("discrete_solve")
-            oracle = analytic_resolvent_P(args.lam, xg.x, None, c_const,
+            oracle = analytic_resolvent_P(args.lam, xg.x, c_const,
                                           args.alpha, args.beta, args.rho)
             diff = zd.y - oracle.y
             l2 = math.sqrt(float(np.dot(xg.h, np.abs(diff) ** 2)))

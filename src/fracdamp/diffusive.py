@@ -114,10 +114,15 @@ class KernelCheck:
 
 def kernel_check(grid: XiGrid, rho: float, taus) -> KernelCheck:
     """The kernel at every tau, and its largest relative error over the taus
-    in the grid's resolved window; no tau in that window raises
+    in the grid's resolved window; an empty window, or no tau in it, raises
     ParameterError before any quadrature is evaluated."""
     taus = np.asarray(taus, dtype=float)
     lo, hi = grid.resolved_tau_window
+    if lo >= hi:
+        raise ParameterError(
+            f"the xi range xi_min={grid.xi_min:g}, xi_max={grid.xi_max:g} resolves no tau "
+            f"({_TAU_LO_FACTOR:g}/xi_max^2 >= {_TAU_HI_FACTOR:g}/xi_min^2)"
+        )
     mask = (taus >= lo) & (taus <= hi)
     if not mask.any():
         raise ParameterError(

@@ -18,8 +18,6 @@ from fracdamp.bessel import (
     AnalyticResolvent,
     _check_determinant,
     _nu_alpha,
-    _variation_terms,
-    _vp_prefactor,
     _Z_MAX,
     bessel_j,
     leading_coefficients,
@@ -142,7 +140,7 @@ def theta_norm_sq_small_r(r: complex, alpha: float) -> complex:
 
 
 def eval_homogeneous(res: AnalyticResolvent, xq):
-    """A*theta_+ + B*theta_- at arbitrary points (exact when f1 == 0)."""
+    """A*theta_+ + B*theta_- at arbitrary points."""
     tp, tm = theta_pm(xq, res.mu, res.alpha)
     return res.A * tp + res.B * tm
 
@@ -150,7 +148,6 @@ def eval_homogeneous(res: AnalyticResolvent, xq):
 def analytic_case_Pprime_poweralpha(
     lam: float,
     x,
-    f1,
     C: complex,
     alpha: float,
     beta: float,
@@ -166,23 +163,16 @@ def analytic_case_Pprime_poweralpha(
     if not 0.0 < lam < math.inf:  # written so that nan fails it
         raise ParameterError(f"lambda must be finite and positive, got lambda={lam}")
     mu = 1j * math.sqrt(lam)
-    x = np.asarray(x, dtype=float)
-    f1 = np.zeros_like(x, dtype=np.complex128) if f1 is None else np.asarray(f1, dtype=np.complex128)
     il_pow = np.exp((beta - 1.0) * np.log(1j * lam))
-    tp1_prime, tm1_prime = theta_prime(1.0, mu, alpha)
-    tp1, tm1 = (complex(v) for v in theta_pm(1.0, mu, alpha))
-
-    pref = _vp_prefactor(alpha)
-    tp, tm, i_plus, i_minus = _variation_terms(x, f1, mu, alpha)
-    c_tilde = pref * (i_plus[-1] * tm1_prime - tp1_prime * i_minus[-1])
-    c_tilde_val = pref * (i_plus[-1] * tm1 - tp1 * i_minus[-1])
+    tp1_prime = theta_prime(1.0, mu, alpha)[0]
+    tp1 = complex(theta_pm(1.0, mu, alpha)[0])
 
     bracket = tp1_prime - 1j * rho * il_pow * tp1
     _check_determinant(bracket, max(abs(tp1_prime), abs(1j * rho * il_pow * tp1)))
 
-    a_coef = (c_tilde - 1j * rho * il_pow * c_tilde_val - C) / bracket
+    a_coef = -C / bracket
 
-    y = a_coef * tp - pref * (i_plus * tm - tp * i_minus)
+    y = a_coef * theta_pm(x, mu, alpha)[0]
     return AnalyticResolvent(mu=complex(mu), A=complex(a_coef), B=0.0 + 0.0j,
                              D=complex(bracket), alpha=float(alpha), y=y)
 

@@ -155,7 +155,7 @@ def test_08_oracle_cross_validation():
         op = assemble_operator(spec, xg, xig)
         c = forcing_integral(op, lam, f_psi)
         zd = solve_resolvent(op, lam, np.zeros(nx), f_psi)
-        oracle = analytic_resolvent_P(lam, xg.x, None, c, alpha, beta, rho)
+        oracle = analytic_resolvent_P(lam, xg.x, c, alpha, beta, rho)
         errs.append(float(np.sqrt(np.dot(xg.h, np.abs(zd.y - oracle.y) ** 2))))
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     order = -np.polyfit(np.log2(nxs), np.log2(errs), 1)[0]

@@ -174,15 +174,15 @@ class TestThetaNorm:
 class TestAnalyticResolventP:
     def test_zero_data_zero_solution(self):
         x = build_x_grid(64).x
-        res = analytic_resolvent_P(1e-3, x, None, 0.0, 0.5, 0.5, 1.0)
+        res = analytic_resolvent_P(1e-3, x, 0.0, 0.5, 0.5, 1.0)
         assert np.all(res.y == 0)
         assert res.A == 0 and res.B == 0
 
     def test_boundary_conditions(self):
-        # f1 == 0 keeps the homogeneous evaluator exact at arbitrary points
+        # the homogeneous evaluator gives y exactly at arbitrary points
         lam, alpha, beta, rho, c = 1e-3, 0.5, 0.5, 1.0, 1.0
         x = build_x_grid(128).x
-        res = analytic_resolvent_P(lam, x, None, c, alpha, beta, rho)
+        res = analytic_resolvent_P(lam, x, c, alpha, beta, rho)
         h = 1e-6
         dy1 = (eval_homogeneous(res, 1.0 + h) - eval_homogeneous(res, 1.0 - h)) / (2 * h)
         assert abs(dy1) < 1e-8 * np.abs(res.y).max()
@@ -198,7 +198,7 @@ class TestAnalyticResolventP:
     def test_origin_value_from_constants(self):
         lam, alpha, beta, rho = 1e-3, 0.5, 0.5, 1.0
         x = build_x_grid(64).x
-        res = analytic_resolvent_P(lam, x, None, 1.0, alpha, beta, rho)
+        res = analytic_resolvent_P(lam, x, 1.0, alpha, beta, rho)
         nu = (1 - alpha) / (2 - alpha)
         _, c_minus = leading_coefficients(nu)
         d_minus = c_minus * ((2.0 / (2.0 - alpha)) * res.mu) ** (-nu)
@@ -209,7 +209,7 @@ class TestAnalyticResolventP:
     def test_ode_residual_second_order(self):
         lam, alpha, beta, rho = 1e-2, 0.5, 0.5, 1.0
         x = build_x_grid(64).x
-        res = analytic_resolvent_P(lam, x, None, 1.0, alpha, beta, rho)
+        res = analytic_resolvent_P(lam, x, 1.0, alpha, beta, rho)
 
         def residual(h):
             xs = np.linspace(0.3, 0.9, 31)
@@ -221,22 +221,6 @@ class TestAnalyticResolventP:
 
         r1, r2 = residual(2e-3), residual(1e-3)
         assert r1 / r2 == pytest.approx(4.0, rel=0.3)
-
-    def test_inhomogeneous_interior_residual(self):
-        # nonzero f1 exercises the variation-of-parameters path; the sampled
-        # solution must satisfy the resolvent ODE in the interior
-        lam, alpha, beta, rho = 1e-2, 0.5, 0.5, 1.0
-        grid = build_x_grid(2000, 1.0)
-        x = grid.x
-        f1 = np.exp(-40 * (x - 0.5) ** 2)
-        res = analytic_resolvent_P(lam, x, f1, 0.3 + 0.1j, alpha, beta, rho)
-        mid = 0.5 * (x[:-1] + x[1:])
-        a = mid**alpha
-        flux = a * np.diff(res.y) / np.diff(x)
-        div = np.diff(flux) / (0.5 * (x[2:] - x[:-2]))
-        resid = -lam * res.y[1:-1] + div - 1j * f1[1:-1]
-        keep = (x[1:-1] > 0.2) & (x[1:-1] < 0.9)
-        assert np.max(np.abs(resid[keep])) < 5e-3 * np.abs(res.y).max()
 
     def test_near_singular_determinant_guard(self):
         from fracdamp.bessel import _check_determinant
@@ -250,23 +234,23 @@ class TestAnalyticResolventP:
     def test_lambda_not_finite_and_positive_is_a_parameter_error(self, lam):
         # nan passed a lam <= 0 guard and failed later as NearSingularError
         with pytest.raises(ParameterError):
-            analytic_resolvent_P(lam, build_x_grid(32).x, None, 1.0, 0.5, 0.5, 1.0)
+            analytic_resolvent_P(lam, build_x_grid(32).x, 1.0, 0.5, 0.5, 1.0)
 
 
 class TestAnalyticPprimePower:
     def test_zero_data(self):
         x = build_x_grid(32).x
-        res = analytic_case_Pprime_poweralpha(1e-3, x, None, 0.0, 0.5, 0.5, 1.0)
+        res = analytic_case_Pprime_poweralpha(1e-3, x, 0.0, 0.5, 0.5, 1.0)
         assert np.all(res.y == 0)
 
     @pytest.mark.parametrize("lam", [0.0, -1e-3, math.nan, math.inf])
     def test_lambda_not_finite_and_positive_is_a_parameter_error(self, lam):
         with pytest.raises(ParameterError):
-            analytic_case_Pprime_poweralpha(lam, build_x_grid(32).x, None, 1.0, 0.5, 0.5, 1.0)
+            analytic_case_Pprime_poweralpha(lam, build_x_grid(32).x, 1.0, 0.5, 0.5, 1.0)
 
     def test_dirichlet_at_origin_by_construction(self):
         x = build_x_grid(64).x
-        res = analytic_case_Pprime_poweralpha(1e-3, x, None, 1.0, 0.5, 0.5, 1.0)
+        res = analytic_case_Pprime_poweralpha(1e-3, x, 1.0, 0.5, 0.5, 1.0)
         assert res.B == 0
         # theta_+ ~ x^(1-alpha), so the trace at the origin vanishes
         assert abs(eval_homogeneous(res, 1e-30)) < 1e-12 * np.abs(res.y).max()
@@ -292,7 +276,7 @@ class TestAnalyticPprimePower:
             op = assemble_operator(spec, xg, xig)
             zd = solve_resolvent(op, lam, np.zeros(nx), f_psi)
             oracle = analytic_case_Pprime_poweralpha(
-                lam, xg.x, None, forcing_integral(op, lam, f_psi), alpha, beta, rho)
+                lam, xg.x, forcing_integral(op, lam, f_psi), alpha, beta, rho)
             errors.append(math.sqrt(np.dot(xg.h, np.abs(zd.y - oracle.y) ** 2)
                                     / np.dot(xg.h, np.abs(oracle.y) ** 2)))
         assert errors == pytest.approx([2.29e-3, 1.15e-3, 5.76e-4, 2.88e-4], rel=0.02)
@@ -307,7 +291,7 @@ class TestAnalyticPprimePower:
         x = build_x_grid(32).x
         vals = []
         for lam in lam_grid:
-            res = analytic_case_Pprime_poweralpha(lam, x, None, 1.0, alpha, beta, rho)
+            res = analytic_case_Pprime_poweralpha(lam, x, 1.0, alpha, beta, rho)
             vals.append(abs(res.D))
         slope = np.polyfit(np.log(np.sqrt(lam_grid)), np.log(vals), 1)[0]
         assert slope == pytest.approx(2 * beta + nu - 2.0, abs=0.05)

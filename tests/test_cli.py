@@ -77,6 +77,28 @@ class TestVerifyKernel:
         assert "resolved window [2e-07, 5e+04]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_xi_range_that_resolves_no_tau_is_a_usage_error(self, tmp_path, capsys):
+        # reported the inverted window [5, 0.0005] as "resolved"
+        out = tmp_path / "kernel"
+        code = run_cli("verify-kernel", "--beta", 0.5, "--xi-min", 1, "--xi-max", 2,
+                       "--out", out)
+        assert code == 2
+        assert "xi_min=1, xi_max=2 resolves no tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numerical_failure_outside_a_command_handler_exits_3(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # verify-kernel catches no NumericalError itself: main does
+        from fracdamp import cli
+        from fracdamp.errors import NumericalError
+
+        def boom(*args, **kwargs):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr(cli, "kernel_check", boom)
+        assert run_cli("verify-kernel", "--beta", 0.5, "--out", tmp_path / "kernel") == 3
+        assert "numerical failure: synthetic failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", [-1, 0])
     def test_fewer_than_one_point_is_refused_before_any_work(self, tmp_path, points):
         # -1 reached np.geomspace (raw ValueError, exit 1) and 0 ran on an
@@ -116,6 +138,21 @@ class TestSimulate:
         stage_s = json.loads((out / "manifest.json").read_text())["diagnostics"]["stage_s"]
         assert set(stage_s) == {"assembly", "preparation", "march", "fit"}
         assert all(v >= 0.0 for v in stage_s.values())
+
+    def test_no_coefficient_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--problem", "P", "--beta", 0.5, "--t-final", 1.0, "--out", out)
+        assert exc.value.code == 2
+        assert "give either --alpha or --kappa FILE" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_stiff_lifetime(self, tmp_path):
+        # xi_max^2 dt^2 / 4: 625 at the default xi_max = 1e4 and dt = 0.005
+        out = tmp_path / "sim"
+        assert run_cli("simulate", *_SIMULATE, "--dt", 0.005, "--out", out) == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["stiff_lifetime"] == pytest.approx(625.0, rel=1e-12)
 
     @pytest.mark.parametrize("problem, alpha", [("P", 0.5), ("Pprime", 0.5)])
     def test_manifest_march(self, tmp_path, problem, alpha):
@@ -575,6 +612,12 @@ class TestOracleCompare:
         assert manifest["diagnostics"] == want
         assert manifest["error"] == {"message": "m", **want}
 
+    def test_manifest_refuses_what_json_cannot_hold(self):
+        from fracdamp.cli import _json_default
+
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            _json_default(object())
+
 
 def _csv_writer_bytes(header, rows):
     """csv.writer's rendering in its default dialect, every value as ".17g"."""
@@ -818,7 +861,7 @@ scan = ["scan", "--problem", "Pprime", "--alpha", "0.5", "--beta", "0.5", "--nx"
 for name, args in (("decay", decay), ("scan", scan)):
     assert fracdamp.cli.main([*args, "--out", sys.argv[1] + "/" + name]) == 0
     seen[name] = loaded()
-fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], None, 0.0, 0.5, 0.5, 1.0)
+fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], 0.0, 0.5, 0.5, 1.0)
 seen["oracle"] = loaded()
 print(json.dumps(seen))
 """

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -269,20 +270,21 @@ class TestFieldEigenbasis:
 class TestLapackLoader:
     def test_import_footprint_in_a_fresh_interpreter(self):
         # what CI's import-footprint step asserts, where neither extension is
-        # loaded yet: the CLI loads scipy's LAPACK extension by file path and
-        # a later import of scipy.linalg hands out the same routines; the
-        # oracle loads scipy's Gamma extension the same way, without the
-        # scipy.special package, and a later import of it hands out that ufunc
+        # loaded yet: the CLI loads scipy's LAPACK extension by file path,
+        # running no scipy package code, and a later import of scipy.linalg
+        # hands out the same routines; the oracle loads scipy's Gamma
+        # extension the same way, without the scipy.special package, and a
+        # later import of it hands out that ufunc
         code = """
 import sys
 import fracdamp.cli
 from fracdamp import _kernels
-loaded = [name for name in ("scipy.linalg", "scipy.special") if name in sys.modules]
+loaded = [name for name in ("scipy", "scipy.linalg", "scipy.special") if name in sys.modules]
 assert not loaded, loaded
 import scipy.linalg.lapack as lapack
 for name in ("dsterf", "zgttrf", "zgttrs", "zheev", "dgtsv"):
     assert getattr(_kernels._lapack, name) is getattr(lapack, name), name
-fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], None, 0.0, 0.5, 0.5, 1.0)
+fracdamp.analytic_resolvent_P(1e-3, [0.25, 0.5, 1.0], 0.0, 0.5, 0.5, 1.0)
 assert "scipy.special" not in sys.modules
 ufuncs = sys.modules["scipy.special._special_ufuncs"]
 import scipy.special
@@ -297,12 +299,20 @@ assert scipy.special.gamma is ufuncs.gamma
     def test_missing_extension_names_the_directory_searched(
         self, tmp_path, monkeypatch, subpackage, module
     ):
-        import scipy
-
         name = f"scipy.{subpackage}.{module}"
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        spec = importlib.util.spec_from_file_location(
+            "scipy", tmp_path / "__init__.py", submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda *args, **kwargs: spec)
         monkeypatch.delitem(sys.modules, name, raising=False)
         with pytest.raises(ImportError) as info:
             _kernels._load_scipy_extension(subpackage, module)
         assert str(tmp_path / subpackage) in str(info.value)
+        assert name not in sys.modules
+
+    def test_missing_scipy_is_an_import_error(self, monkeypatch):
+        name = "scipy.special._special_ufuncs"
+        monkeypatch.setattr(importlib.util, "find_spec", lambda *args, **kwargs: None)
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        with pytest.raises(ImportError, match="scipy"):
+            _kernels._load_scipy_extension("special", "_special_ufuncs")
         assert name not in sys.modules
