@@ -1,10 +1,11 @@
 """Hot numerical kernels, one numpy/LAPACK implementation each.
 
 The field spectrum (``field_spectrum``: frequencies, boundary weights and
-coupled modes from a few passes of one pivot recurrence, ``_sweep``, in
-O(n) memory) serves the time march, the resolvent and the eigenvalue
-census.  The implicit-midpoint march (``midpoint_march``) steps the field
-modes that reach the damped cell in their eigen-coordinates
+coupled modes of the symmetric field tridiagonal T that the operator
+stores, from a few passes of one pivot recurrence, ``_sweep``, in O(n)
+memory) serves the time march, the resolvent and the eigenvalue census.
+The implicit-midpoint march (``midpoint_march``) steps the field modes
+that reach the damped cell in their eigen-coordinates
 (``field_modes``) by blocks of matrix products, with no n x n array.
 The singular-kernel convolution (``frac_conv``) is one real FFT product,
 for the closed-form kernel and the forced relaxation modes of
@@ -67,11 +68,6 @@ def _load_scipy_extension(subpackage, module):
 #: called through ``lapack``
 _lapack = _load_scipy_extension("linalg", "_flapack")
 
-#: Largest relative defect |h_i l_sup_i - h_{i+1} l_sub_i| / max|h_i l_sup_i|
-#: of a field tridiagonal accepted as self-adjoint in the h inner product
-#: (flux-form assembly leaves about 3e-16).
-_SELF_ADJOINT_TOL = 1e-12
-
 #: Most midpoint steps advanced by one pair of block products; the cached
 #: block matrices of a march hold 4 * _MARCH_BLOCK * (K + m) complex entries
 #: per distinct block length, K being the field modes marched.
@@ -115,29 +111,10 @@ def frac_conv(w_avg: np.ndarray, lag_weights: np.ndarray) -> np.ndarray:
     out = np.zeros(n + 1)
     if n:
         nfft = 1 << (2 * n - 2).bit_length()
-        spec = np.fft.rfft(w_avg, nfft) * np.fft.rfft(lag_weights[:n], nfft)
+        spec = np.fft.rfft(w_avg, nfft)
+        spec *= np.fft.rfft(lag_weights[:n], nfft)
         out[1:] = np.fft.irfft(spec, nfft)[:n]
     return out
-
-
-def symmetrized_offdiagonal(l_sub, l_sup, h):
-    """Off-diagonal of D^{1/2} L D^{-1/2} (D = diag h) for the field tridiagonal L.
-
-    L is self-adjoint in <u, v>_h = sum h u conj(v) exactly when
-    h_i l_sup_i = h_{i+1} l_sub_i, as for every flux-form assembly; then the
-    symmetrized matrix has off-diagonal sqrt(l_sub l_sup) and diagonal
-    l_diag.  A tridiagonal that is not h-self-adjoint to _SELF_ADJOINT_TOL
-    raises NumericalError.
-    """
-    flux = h[:-1] * l_sup
-    scale = np.abs(flux).max(initial=0.0)
-    defect = np.abs(flux - h[1:] * l_sub).max(initial=0.0)
-    if not defect <= _SELF_ADJOINT_TOL * scale:
-        raise NumericalError(
-            "field block is not self-adjoint in the h inner product",
-            {"self_adjoint_defect": float(defect / scale) if scale else float(defect)},
-        )
-    return np.copysign(np.sqrt(l_sub * l_sup), l_sup)
 
 
 class _Elimination(NamedTuple):
@@ -233,7 +210,7 @@ def _sweep(el, mu, derivative=False, ratio=False, z=None):
 class FieldSpectrum(NamedTuple):
     """The field modes as the march, the resolvent and the census read them.
 
-    ``ell`` are the eigenvalues of the symmetrized field tridiagonal T with
+    ``ell`` are the eigenvalues of the symmetric field tridiagonal T with
     off-diagonal ``off``, ``weight`` the boundary weights q_k[b]^2 of its
     orthonormal eigenvectors q_k at the damped row b, and ``coupled`` marks
     the weights >= eps (they sum to 1).  A mode is read at b or, where

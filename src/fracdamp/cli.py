@@ -142,8 +142,6 @@ def _problem_from_args(args, parser) -> ProblemSpec:
     doc.setdefault("rho", 1.0)
     if "variant" not in doc or "beta" not in doc:
         parser.error("a problem needs at least --problem and --beta (or --config)")
-    if "alpha" not in doc and "kappa_samples" not in doc:
-        parser.error("give either --alpha or --kappa FILE (or a config with one of them)")
     return ProblemSpec.from_json(doc)
 
 

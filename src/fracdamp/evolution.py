@@ -82,9 +82,9 @@ def simulate(op: SystemOperator, y0: StateVector, t_final: float, dt: float) -> 
     n x n array (``_kernels.field_modes`` and ``midpoint_march``): the
     coupled modes of ``op.field_spectrum`` and any decoupled one (weight
     below eps) whose boundary term is above rounding.  The energy of the
-    modes left out is the trace's ``uncoupled_energy``.  A field block that
-    is not self-adjoint in the h inner product raises NumericalError.  The
-    trace contains E, the discrete dissipation rate D (exact energy
+    modes left out is the trace's ``uncoupled_energy``.  The march reads
+    the symmetric field tridiagonal T the operator stores.  The trace
+    contains E, the discrete dissipation rate D (exact energy
     derivative at the sample), and the boundary damping flux read from the
     coupling row.  Samples are taken at the stride that keeps about 2000
     samples and at the last step.  A t_final or dt that is not positive and

@@ -1,9 +1,10 @@
 """Finite-volume assembly of the coupled generator.
 
 The field block is the flux-form second difference i*(kappa y_x)_x on a
-graded mesh with no node at x=0; the relaxation block is diagonal; the two
-couple through one boundary cell.  The coupling signs are chosen so that the
-discrete dissipation identity
+graded mesh with no node at x=0, stored once as the symmetric tridiagonal T
+that the field spectrum, the march and the resolvent read; the relaxation
+block is diagonal; the two couple through one boundary cell.  The coupling
+signs are chosen so that the discrete dissipation identity
 
     Re<A Y, Y>_H = -zeta * sum_k w_k xi_k^2 |psi_k|^2
 
@@ -61,12 +62,16 @@ def default_grading(spec: ProblemSpec) -> float:
 
 
 def _fv_tridiag(kappa: Callable, xgrid: XGrid, dirichlet_left: bool):
-    """Real tridiagonal L with (L y)_i = ((kappa y_x)_x)_i in flux form.
+    """Diagonal and off-diagonal of T = D^{1/2} L D^{-1/2} (D = diag h), for
+    the real tridiagonal L with (L y)_i = ((kappa y_x)_x)_i in flux form.
 
-    Interface conductances are kappa(midpoint)/(node spacing).  The outer
-    fluxes at x=0 and x=1 are zero here; 'dirichlet_left' adds the ghost-cell
-    flux kappa(x_1/2) * y_1 / x_1 instead.  Boundary coupling fluxes are
-    applied separately by the operator.
+    Interface conductances a are kappa(midpoint)/(node spacing), so L has
+    sub-diagonal a/h[1:] and super-diagonal a/h[:-1]; L is self-adjoint in
+    the h inner product and T is symmetric, with off-diagonal
+    sqrt(sub * sup).  The outer fluxes at x=0 and x=1 are zero here;
+    'dirichlet_left' adds the ghost-cell flux kappa(x_1/2) * y_1 / x_1
+    instead.  Boundary coupling fluxes are applied separately by the
+    operator.
     """
     x, h = xgrid.x, xgrid.h
     n = x.size
@@ -79,28 +84,28 @@ def _fv_tridiag(kappa: Callable, xgrid: XGrid, dirichlet_left: bool):
     diag[-1] = -a[-1] / h[-1]
     sub = a / h[1:]
     sup = a / h[:-1]
-    return sub, diag, sup
+    return diag, np.copysign(np.sqrt(sub * sup), sup)
 
 
 @dataclass(frozen=True)
 class SystemOperator:
     """Assembled discrete generator with its weighted inner product.
 
-    Attributes l_sub/l_diag/l_sup hold the real tridiagonal L (the field
-    block is i*L); `boundary_index` is the damped cell: 0 (x=0) for variant
-    P, the last cell (x=1) for the primed variant.
+    l_diag/l_off hold the symmetric tridiagonal T = D^{1/2} L D^{-1/2}
+    (D = diag h) of the real field tridiagonal L, the field block being
+    i*L = i D^{-1/2} T D^{1/2}; `boundary_index` is the damped cell: 0
+    (x=0) for variant P, the last cell (x=1) for the primed variant.
     """
 
     xgrid: XGrid
     xigrid: XiGrid
     zeta: float
     boundary_index: int
-    l_sub: np.ndarray
     l_diag: np.ndarray
-    l_sup: np.ndarray
+    l_off: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, ("l_sub", "l_diag", "l_sup"))
+        _freeze(self, ("l_diag", "l_off"))
 
     @property
     def dimension(self) -> int:
@@ -114,11 +119,13 @@ class SystemOperator:
     def apply(self, state: StateVector) -> StateVector:
         _check_compatible(state, self)
         y, psi = state.y, state.psi
-        ly = self.l_diag * y
+        sqrt_h = np.sqrt(self.xgrid.h)
+        v = sqrt_h * y  # L y = D^{-1/2} T D^{1/2} y
+        ty = self.l_diag * v
         if y.size > 1:
-            ly[:-1] += self.l_sup * y[1:]
-            ly[1:] += self.l_sub * y[:-1]
-        out_y = 1j * ly
+            ty[:-1] += self.l_off * v[1:]
+            ty[1:] += self.l_off * v[:-1]
+        out_y = 1j * ty / sqrt_h
         s = np.dot(self.xigrid.w * self.xigrid.eta, psi)
         out_y[self.boundary_index] -= (self.zeta / self.xgrid.h[self.boundary_index]) * s
         out_psi = -self.xigrid.xi**2 * psi + self.xigrid.eta * y[self.boundary_index]
@@ -133,8 +140,7 @@ class SystemOperator:
     def field_spectrum(self) -> _kernels.FieldSpectrum:
         """The field modes, their boundary weights and which are coupled, once
         per operator (``_kernels.field_spectrum``: O(n) memory, no n x n basis)."""
-        off = _kernels.symmetrized_offdiagonal(self.l_sub, self.l_sup, self.xgrid.h)
-        return _kernels.field_spectrum(self.l_diag, off, self.boundary_index)
+        return _kernels.field_spectrum(self.l_diag, self.l_off, self.boundary_index)
 
 
 def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> SystemOperator:
@@ -148,13 +154,12 @@ def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> System
         raise ConfigurationError(
             f"xi-grid was built for beta={xigrid.beta}, problem has beta={spec.beta}"
         )
-    sub, diag, sup = _fv_tridiag(spec.kappa, xgrid, spec.dirichlet_at_zero)
+    diag, off = _fv_tridiag(spec.kappa, xgrid, spec.dirichlet_at_zero)
     return SystemOperator(
         xgrid=xgrid,
         xigrid=xigrid,
         zeta=spec.zeta,
         boundary_index=0 if spec.variant is Variant.P else xgrid.x.size - 1,
-        l_sub=sub,
         l_diag=diag,
-        l_sup=sup,
+        l_off=off,
     )

@@ -89,8 +89,13 @@ class _ShiftedSystem:
 
     The relaxation rows are eliminated exactly; what remains is the field
     tridiagonal with the boundary impedance zeta/h_b * sum w eta^2/(i lam + xi^2)
-    added at the damped cell.  `lam` may be complex: lam = -i z gives
-    z - A, as inverse iteration at an eigenvalue z needs.  A solve leaves
+    added at the damped cell.  That impedance is diagonal, so with
+    L = D^{-1/2} T D^{1/2} (D = diag h) the field matrix is
+    D^{-1/2} M D^{1/2} for the complex symmetric tridiagonal
+    M = i lam - i T + impedance: the right-hand side is scaled by sqrt(h)
+    before the solve with M and the solution divided by sqrt(h) after.
+    `lam` may be complex: lam = -i z gives z - A, as inverse iteration at an
+    eigenvalue z needs.  A solve leaves
     its input unchanged and returns a fresh array; the field part is solved
     in place in its leading n entries.
     """
@@ -106,16 +111,18 @@ class _ShiftedSystem:
         if np.any(np.abs(denom) == 0.0):
             raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(denom))]))
         # per-shift constants of the elimination, so a solve is one zgttrs,
-        # one dot product and three in-place vector operations
+        # one dot product and four vector operations
         self._inv_denom = 1.0 / denom
         self._eta = op.xigrid.eta
+        self._sqrt_h = np.sqrt(op.xgrid.h)
         g = np.dot(op.relaxation_weights, self._inv_denom)
-        self._couple = (op.zeta / op.xgrid.h[self.b]) * op.xigrid.w * self._eta * self._inv_denom
+        self._couple = ((op.zeta * self._sqrt_h[self.b] / op.xgrid.h[self.b])
+                        * op.xigrid.w * self._eta * self._inv_denom)
 
         d = (1j * lam - 1j * op.l_diag).astype(np.complex128)
         d[self.b] += g
         try:
-            self._lu = lapack("zgttrf", -1j * op.l_sub, d, -1j * op.l_sup)
+            self._lu = lapack("zgttrf", -1j * op.l_off, d, -1j * op.l_off)
         except NumericalError as exc:
             raise SpectralCollisionError(lam, 1j * lam, str(exc)) from exc
 
@@ -129,9 +136,10 @@ class _ShiftedSystem:
         fp = f[n:]
         z = np.empty(f.shape, dtype=np.complex128)
         zy, zp = z[:n], z[n:]
-        zy[...] = f[:n]
+        np.multiply(f[:n], self._sqrt_h, out=zy)
         zy[b] -= np.dot(self._couple, fp)
         lapack("zgttrs", *self._lu, zy, overwrite_b=1)
+        zy /= self._sqrt_h
         np.multiply(self._eta, zy[b], out=zp)
         zp += fp
         zp *= self._inv_denom
@@ -480,7 +488,7 @@ class _Secular:
 
 
 def _tridiagonal_solve(l_diag, off, shift, rhs):
-    """(T - shift)^{-1} rhs for the symmetrized field tridiagonal T (LAPACK dgtsv).
+    """(T - shift)^{-1} rhs for the symmetric field tridiagonal T (LAPACK dgtsv).
 
     Used at shifts on or next to an eigenvalue of T, whose eigenvector the
     caller replaces or wants: if T - shift is singular to working precision,
@@ -511,7 +519,7 @@ def _field_eigenvector(l_diag, off, ell_k, b):
 def _field_vector(spectrum, l_diag, b, lam, sigma, t, u_field, bordered):
     """S u_field for the field part of a singular vector, without S.
 
-    Summed over the eigenpairs (ell_k, q_k) of the symmetrized tridiagonal
+    Summed over the eigenpairs (ell_k, q_k) of the symmetric tridiagonal
     T, the far field modes give
     ((t0 + i t2)/2) (T - (lam - sigma))^{-1} e_b - ((t0 - i t2)/2) (T - (lam + sigma))^{-1} e_b,
     two real tridiagonal solves.  A bordered field mode's component along

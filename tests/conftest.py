@@ -33,10 +33,10 @@ def dense(op) -> np.ndarray:
     n = op.xgrid.x.size
     m = op.xigrid.xi.size
     a = np.zeros((n + m, n + m), dtype=np.complex128)
-    idx = np.arange(n)
-    a[idx, idx] = 1j * op.l_diag
-    a[idx[:-1], idx[:-1] + 1] = 1j * op.l_sup
-    a[idx[1:], idx[1:] - 1] = 1j * op.l_sub
+    # the field block i L = i D^{-1/2} T D^{1/2} (D = diag h)
+    sh = np.sqrt(op.xgrid.h)
+    t = np.diag(op.l_diag) + np.diag(op.l_off, -1) + np.diag(op.l_off, 1)
+    a[:n, :n] = 1j * t * (sh[None, :] / sh[:, None])
     b = op.boundary_index
     a[b, n:] += -(op.zeta / op.xgrid.h[b]) * op.xigrid.w * op.xigrid.eta
     a[n:, b] += op.xigrid.eta
@@ -68,22 +68,20 @@ def eigvals_dense(op) -> np.ndarray:
     return np.linalg.eigvals(weighted_dense(op))
 
 
-def field_eigenbasis(l_sub, l_diag, l_sup, h):
-    """Dense MRRR oracle (LAPACK dstemr): the eigenpairs (ell, S) of the field
-    tridiagonal L in the h inner product, L = D^{-1/2} S diag(ell) S^T D^{1/2}
-    with D = diag(h) and S a dense orthogonal n x n array."""
-    off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
-    return eigh_tridiagonal(l_diag, off, lapack_driver="stemr")
+def field_eigenbasis(l_diag, l_off):
+    """Dense MRRR oracle (LAPACK dstemr): the eigenpairs (ell, S) of the
+    symmetric field tridiagonal T = S diag(ell) S^T, S a dense orthogonal
+    n x n array."""
+    return eigh_tridiagonal(l_diag, l_off, lapack_driver="stemr")
 
 
-def march_args(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2, y0, psi0, dt, steps):
+def march_args(l_diag, l_off, h, b, zeta, w, eta, xi2, y0, psi0, dt, steps):
     """The arguments of ``_kernels.midpoint_march`` for a nodal initial state,
     prepared as ``evolution.simulate`` prepares them: the coupled modes of the
     field spectrum, the initial field's coordinates along them and the energy
     of the rest."""
     l_diag = np.asarray(l_diag)
-    off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
-    spectrum = _kernels.field_spectrum(l_diag, off, b)
+    spectrum = _kernels.field_spectrum(l_diag, l_off, b)
     ell, s, alpha0, remainder = _kernels.field_modes(l_diag, spectrum, b, np.sqrt(h) * y0)
     return (ell, s, h[b], zeta, w, eta, xi2, alpha0, psi0, 0.5 * remainder, dt, steps)
 

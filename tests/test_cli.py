@@ -140,11 +140,12 @@ class TestSimulate:
         assert all(v >= 0.0 for v in stage_s.values())
 
     def test_no_coefficient_is_a_usage_error(self, tmp_path, capsys):
+        # the model's refusal: the CLI does not repeat it
         out = tmp_path / "sim"
-        with pytest.raises(SystemExit) as exc:
-            run_cli("simulate", "--problem", "P", "--beta", 0.5, "--t-final", 1.0, "--out", out)
-        assert exc.value.code == 2
-        assert "give either --alpha or --kappa FILE" in capsys.readouterr().err
+        assert run_cli("simulate", "--problem", "P", "--beta", 0.5, "--t-final", 1.0,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "'alpha'" in err and "'kappa_samples'" in err
         assert not out.exists()
 
     def test_manifest_stiff_lifetime(self, tmp_path):

@@ -22,7 +22,7 @@ def _one_step(op, state, dt):
     """The weighted norm sqrt(2E) after one midpoint step of the march kernel,
     having checked the one before it."""
     e, _, _ = _kernels.midpoint_march(*march_args(
-        op.l_sub, op.l_diag, op.l_sup, op.xgrid.h, op.boundary_index,
+        op.l_diag, op.l_off, op.xgrid.h, op.boundary_index,
         op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
         state.y, state.psi, dt, np.array([0, 1], dtype=np.int64),
     ))
@@ -97,11 +97,6 @@ class TestSimulate:
                                               r"operator grids \(64, 64\)"):
             simulate(small_op, state, 0.1, 0.01)
 
-    def test_field_block_not_h_self_adjoint_is_refused(self, small_op, rng):
-        op = replace(small_op, l_sub=1.1 * small_op.l_sub)
-        with pytest.raises(NumericalError, match="self-adjoint"):
-            simulate(op, random_state(op, rng), 0.1, 0.01)
-
     @pytest.mark.parametrize("variant", [Variant.P, Variant.PPRIME])
     def test_march_needs_no_dense_field_eigenbasis(self, variant, monkeypatch, rng):
         import scipy.linalg
@@ -130,7 +125,7 @@ class TestSimulate:
         op = make_operator(Variant.P, nx=100, nxi=64)
         state = random_state(op, rng)
         trace = simulate(op, state, 0.5, 0.01)
-        _, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+        _, basis = field_eigenbasis(op.l_diag, op.l_off)
         energies = 0.5 * np.abs(basis.T @ (np.sqrt(op.xgrid.h) * state.y)) ** 2
         b = op.boundary_index
         decoupled = energies[~op.field_spectrum.coupled].sum()

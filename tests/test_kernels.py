@@ -14,13 +14,12 @@ from fracdamp.model import Variant
 
 def _march_args(n=24, m=16, seed=3):
     """Random march inputs whose field block is in flux form, as assembled:
-    l_sub = a/h[1:] and l_sup = a/h[:-1], so h_i l_sup_i = h_{i+1} l_sub_i."""
+    conductances a give T the off-diagonal a / sqrt(h_i h_{i+1})."""
     rng = np.random.default_rng(seed)
     a = rng.random(n - 1) + 0.5
     h = rng.random(n) + 0.5
     h /= h.sum()
-    l_sub = a / h[1:]
-    l_sup = a / h[:-1]
+    l_off = a / np.sqrt(h[:-1] * h[1:])
     l_diag = -(rng.random(n) + 1.0)
     xi2 = np.geomspace(1e-2, 1e2, m) ** 2
     w = rng.random(m) + 0.5
@@ -29,15 +28,17 @@ def _march_args(n=24, m=16, seed=3):
     psi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     steps = np.array([0, 1, 7, 10], dtype=np.int64)
     # the damped cell is an end row, as in both variants
-    return (l_sub, l_diag, l_sup, h, n - 1, 0.3, w, eta, xi2, y0, psi0, 1e-3, steps)
+    return (l_diag, l_off, h, n - 1, 0.3, w, eta, xi2, y0, psi0, 1e-3, steps)
 
 
-def _dense_midpoint_oracle(l_sub, l_diag, l_sup, h, b, zeta, w, eta, xi2,
+def _dense_midpoint_oracle(l_diag, l_off, h, b, zeta, w, eta, xi2,
                            y0, psi0, dt, sample_steps):
     """The midpoint map solve(I - cA, (I + cA) u) with A assembled densely."""
     n, m = y0.size, xi2.size
     a = np.zeros((n + m, n + m), dtype=np.complex128)
-    a[:n, :n] = 1j * (np.diag(l_diag) + np.diag(l_sub, -1) + np.diag(l_sup, 1))
+    sh = np.sqrt(h)
+    t = np.diag(l_diag) + np.diag(l_off, -1) + np.diag(l_off, 1)
+    a[:n, :n] = 1j * t * (sh[None, :] / sh[:, None])  # i D^{-1/2} T D^{1/2}
     a[b, n:] = -(zeta / h[b]) * w * eta
     a[n:, b] = eta
     a[n:, n:] = -np.diag(xi2)
@@ -66,7 +67,7 @@ def _operator_march_args(variant, dt=0.01, nx=24, nxi=16):
     psi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     steps = np.array([0, 1, 33, 100, 150], dtype=np.int64)
     assert np.diff(steps).max() > _kernels._MARCH_BLOCK
-    return (op.l_sub, op.l_diag, op.l_sup, op.xgrid.h, op.boundary_index, op.zeta,
+    return (op.l_diag, op.l_off, op.xgrid.h, op.boundary_index, op.zeta,
             op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2, y0, psi0, dt, steps)
 
 
@@ -104,9 +105,8 @@ class TestNumpyKernels:
         # damped cell: the march leaves them out and keeps their energy as a
         # constant, which the dense map has to agree with
         args = _operator_march_args(Variant.P, nx=100, nxi=64)
-        l_sub, l_diag, l_sup, h, b = args[:5]
-        off = _kernels.symmetrized_offdiagonal(l_sub, l_sup, h)
-        spectrum = _kernels.field_spectrum(np.asarray(l_diag), off, b)
+        l_diag, l_off, _, b = args[:4]
+        spectrum = _kernels.field_spectrum(np.asarray(l_diag), l_off, b)
         assert np.count_nonzero(~spectrum.coupled) > 0
         _assert_matches_dense_oracle(args)
 
@@ -118,17 +118,6 @@ class TestNumpyKernels:
         second = _kernels.midpoint_march(*args)
         for name, x, y in zip(("E", "D", "S"), first, second):
             assert np.array_equal(x, y), name
-
-    def test_midpoint_march_rejects_a_field_block_not_h_self_adjoint(self):
-        # independent l_sub and l_sup: no flux-form assembly looks like this;
-        # the march's field spectrum cannot be formed from them
-        rng = np.random.default_rng(3)
-        args = list(_march_args())
-        args[0] = rng.random(args[0].size)
-        args[2] = rng.random(args[2].size)
-        with pytest.raises(NumericalError, match="self-adjoint") as info:
-            _kernels.midpoint_march(*march_args(*args))
-        assert info.value.diagnostics["self_adjoint_defect"] > 1e-3
 
     def test_frac_conv_matches_direct_sum(self):
         rng = np.random.default_rng(0)
@@ -158,19 +147,17 @@ class TestFieldEigenbasis:
         op = make_operator(variant=variant, alpha=alpha, nx=48, g=g)
         # a Dirichlet end adds the ghost flux kappa(x_1/2)/x_1 to the first row
         x, h = op.xgrid.x, op.xgrid.h
-        ghost = -(op.l_diag[0] + op.l_sup[0]) * h[0]
+        # (the interface conductance a_0 is l_off[0] sqrt(h_0 h_1))
+        a0 = op.l_off[0] * np.sqrt(h[0] * h[1])
+        ghost = -(op.l_diag[0] * h[0] + a0)
         assert ghost == (pytest.approx((0.5 * x[0]) ** alpha / x[0], rel=1e-12) if dirichlet
-                         else 0.0)
-        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
+                         else pytest.approx(0.0, abs=1e-14 * a0))
+        ell, basis = field_eigenbasis(op.l_diag, op.l_off)
         n = op.xgrid.x.size
         np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-13)
-        # D^{1/2} L D^{-1/2} with D = diag(h), from the assembled (non-symmetric) L
-        lmat = np.diag(op.l_diag) + np.diag(op.l_sub, -1) + np.diag(op.l_sup, 1)
-        sh = np.sqrt(op.xgrid.h)
-        lsym = lmat * (sh[:, None] / sh[None, :])
-        scale = np.abs(lsym).max()
-        np.testing.assert_allclose(lsym, lsym.T, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_allclose(basis @ np.diag(ell) @ basis.T, lsym, rtol=0, atol=1e-12 * scale)
+        tmat = np.diag(op.l_diag) + np.diag(op.l_off, -1) + np.diag(op.l_off, 1)
+        scale = np.abs(tmat).max()
+        np.testing.assert_allclose(basis @ np.diag(ell) @ basis.T, tmat, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize(
         "variant, alpha, g",
@@ -179,9 +166,8 @@ class TestFieldEigenbasis:
     def test_boundary_weights_are_the_squared_boundary_row(self, variant, alpha, g):
         op = make_operator(variant=variant, alpha=alpha, nx=200, g=g)
         b = op.boundary_index
-        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
-        off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
-        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), off, b)
+        ell, basis = field_eigenbasis(op.l_diag, op.l_off)
+        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), op.l_off, b)
         got_ell, weight = spectrum.ell, spectrum.weight
         scale = np.abs(ell).max()
         np.testing.assert_allclose(got_ell, ell, rtol=0, atol=1e-13 * scale)
@@ -202,11 +188,8 @@ class TestFieldEigenbasis:
         # is the oracle's wherever the oracle weight is not within a factor 2
         # of eps
         op = make_operator(variant=variant, alpha=alpha, nx=nx, g=g)
-        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
-        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag),
-                                           _kernels.symmetrized_offdiagonal(
-                                               op.l_sub, op.l_sup, op.xgrid.h),
-                                           op.boundary_index)
+        ell, basis = field_eigenbasis(op.l_diag, op.l_off)
+        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), op.l_off, op.boundary_index)
         np.testing.assert_allclose(spectrum.ell, ell, rtol=0, atol=1e-13 * np.abs(ell).max())
         want = basis[op.boundary_index] ** 2
         eps = np.finfo(float).eps
@@ -225,9 +208,8 @@ class TestFieldEigenbasis:
     def test_field_modes_are_the_basis_modes(self, variant, alpha, g, nx):
         op = make_operator(variant=variant, alpha=alpha, nx=nx, g=g)
         b = op.boundary_index
-        ell, basis = field_eigenbasis(op.l_sub, op.l_diag, op.l_sup, op.xgrid.h)
-        off = _kernels.symmetrized_offdiagonal(op.l_sub, op.l_sup, op.xgrid.h)
-        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), off, b)
+        ell, basis = field_eigenbasis(op.l_diag, op.l_off)
+        spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), op.l_off, b)
         rng = np.random.default_rng(7)
         z = rng.standard_normal(ell.size) + 1j * rng.standard_normal(ell.size)
         freq, s, c, remainder = _kernels.field_modes(np.asarray(op.l_diag), spectrum, b, z)
@@ -254,6 +236,12 @@ class TestFieldEigenbasis:
                                           abs=1e-12 * norm**2)
         # a mode left out reaches the damped cell only below rounding
         assert np.all(np.abs(basis[b, left] * (basis.T @ z)[left]) <= 1e-15 * norm)
+
+    @pytest.mark.parametrize("row", [1, 22])
+    def test_elimination_refuses_a_row_that_is_not_an_end_row(self, row):
+        d = -np.arange(1.0, 25.0)
+        with pytest.raises(ValueError, match=f"row {row} is not an end row"):
+            _kernels._elimination(d, np.ones(23), row)
 
     def test_field_modes_refuse_more_than_the_norm(self):
         # quadrupled weights double every coordinate: the remainder

@@ -227,7 +227,7 @@ def test_frozen_fields_are_copies(small_op, kind):
         "XGrid": (small_op.xgrid, ("x", "h")),
         "XiGrid": (small_op.xigrid, ("xi", "w", "eta")),
         "TabulatedKappa": (TabulatedKappa(x=x, values=x), ("x", "values")),
-        "SystemOperator": (small_op, ("l_sub", "l_diag", "l_sup")),
+        "SystemOperator": (small_op, ("l_diag", "l_off")),
     }[kind]
     given = {name: np.array(getattr(obj, name)) for name in names}
     built = dataclasses.replace(obj, **given)

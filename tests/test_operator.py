@@ -74,7 +74,11 @@ class TestAssembly:
         xg = build_x_grid(32)
         xig = build_xi_quadrature(0.5, 32)
         op = assemble_operator(spec, xg, xig)
-        assert op.l_diag[0] == -op.l_sup[0]  # no Dirichlet ghost flux: m_kappa >= 1
+        # no Dirichlet ghost flux (m_kappa >= 1): h_0 l_diag[0] is minus the
+        # conductance l_off[0] sqrt(h_0 h_1) of the first interface
+        h = xg.h
+        assert op.l_diag[0] * h[0] == pytest.approx(-op.l_off[0] * np.sqrt(h[0] * h[1]),
+                                                    rel=1e-14)
         with pytest.raises(ConfigurationError):
             ProblemSpec(variant=Variant.P, kappa=PowerLawKappa(1.5), beta=0.5, rho=1.0)
 
@@ -87,22 +91,16 @@ class TestAssembly:
         # kappa == 1, Dirichlet at 0, Neumann at 1: eigenvalues of the field
         # block are i times -((k+1/2) pi)^2; dense eigensolve oracle at n=400
         grid = build_x_grid(400, 1.0)
-        sub, diag, sup = _fv_tridiag(lambda x: np.ones_like(np.asarray(x, float)), grid, True)
-        d = -diag
-        e = -sub * np.sqrt(grid.h[1:] / grid.h[:-1])  # h-weighted symmetrization
-        vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 3))[0]
+        diag, off = _fv_tridiag(lambda x: np.ones_like(np.asarray(x, float)), grid, True)
+        vals = eigh_tridiagonal(-diag, -off, select="i", select_range=(0, 3))[0]
         target = ((np.arange(4) + 0.5) * np.pi) ** 2
         np.testing.assert_allclose(vals, target, rtol=1e-2)
 
     def test_pde_block_weighted_symmetric_nonpositive(self, small_op):
-        n = small_op.xgrid.x.size
-        l_dense = np.zeros((n, n))
-        l_dense[np.arange(n), np.arange(n)] = small_op.l_diag
-        l_dense[np.arange(n - 1), np.arange(1, n)] = small_op.l_sup
-        l_dense[np.arange(1, n), np.arange(n - 1)] = small_op.l_sub
-        hl = small_op.xgrid.h[:, None] * l_dense
-        np.testing.assert_allclose(hl, hl.T, atol=1e-14 * np.abs(hl).max())
-        eigs = np.linalg.eigvalsh(0.5 * (hl + hl.T))
+        # h L = D^{1/2} T D^{1/2} (D = diag h) is symmetric by construction
+        # and congruent to T, so it is nonpositive when T is
+        t = np.diag(small_op.l_diag) + np.diag(small_op.l_off, -1) + np.diag(small_op.l_off, 1)
+        eigs = np.linalg.eigvalsh(t)
         assert eigs.max() <= 1e-12 * abs(eigs.min())
 
     @pytest.mark.parametrize("nx", [32, 64])

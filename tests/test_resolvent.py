@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import eigvals_dense, make_operator, resolvent_norm_dense
-from fracdamp.errors import FitDataError, ParameterError, SpectralCollisionError
+from fracdamp.errors import (
+    ConfigurationError,
+    FitDataError,
+    NumericalError,
+    ParameterError,
+    SpectralCollisionError,
+)
 from fracdamp.model import PowerLawKappa, ProblemSpec, StateVector, Variant
 from fracdamp import resolvent as resolvent_module
 from fracdamp.resolvent import (
@@ -277,10 +283,20 @@ class TestAssembledNorms:
 
     def test_undamped_operator_rejected(self):
         op = replace(make_operator(), zeta=0.0)
-        from fracdamp.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
             resolvent_norm(op, 0.1)
+
+    def test_certificate_off_the_secular_value_is_a_numerical_error(self, monkeypatch):
+        # a tolerance below zero: no certificate can agree with 1/sigma
+        monkeypatch.setattr(resolvent_module, "_CERTIFICATE_RTOL", -1.0)
+        with pytest.raises(NumericalError, match="certificate disagrees") as info:
+            resolvent_norm(make_operator(nx=32, nxi=24), 0.1)
+        diag = info.value.diagnostics
+        assert set(diag) == {"lambda", "sigma", "certificate", "gap", "local_condition",
+                             "evaluations"}
+        assert diag["lambda"] == 0.1
+        assert diag["certificate"] * diag["sigma"] == pytest.approx(1.0, abs=1e-7)
 
 
 class TestShiftedSystem:
@@ -329,6 +345,10 @@ class TestShiftedSystem:
             _ShiftedSystem(op, 0.1)
         assert smallest_singular_value(op) == 0.0
 
+    def test_an_object_that_is_not_an_operator_is_refused(self):
+        with pytest.raises(ConfigurationError, match="cannot build a resolvent system for object"):
+            resolvent_module._shifted_system(object(), 1.0)
+
 
 # (variant, alpha, grading): P with its zero Neumann frequency, P' with the
 # Dirichlet-type and the weighted-Neumann end
@@ -357,6 +377,10 @@ class TestDampedEigenvalues:
         assert census.expected == coupled + op.xigrid.xi.size
         assert census.values.size == op.dimension
         assert self._match(eigvals_dense(op), census.values) <= 1e-9
+
+    def test_undamped_operator_is_refused(self):
+        with pytest.raises(ConfigurationError, match="requires a damped operator"):
+            damped_eigenvalues(replace(make_operator(nx=32, nxi=16), zeta=0.0))
 
     def test_census_appends_a_recovered_root(self):
         # a coarse P grid with a narrow relaxation band: one root is reached
@@ -517,6 +541,15 @@ class TestScans:
         monkeypatch.setattr(resolvent_module, "resolvent_norm",
                             lambda op, lam, *, report=None: calls.append(lam))
         with pytest.raises(ParameterError, match="strictly monotone"):
+            scan_resolvent(make_operator(nx=32, nxi=24), lams)
+        assert calls == []
+
+    def test_scan_refuses_a_two_dimensional_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(resolvent_module, "resolvent_norm",
+                            lambda op, lam, *, report=None: calls.append(lam))
+        lams = np.geomspace(1e-3, 1e-1, 2 * MIN_SCAN_POINTS).reshape(2, MIN_SCAN_POINTS)
+        with pytest.raises(ParameterError, match="1-d array"):
             scan_resolvent(make_operator(nx=32, nxi=24), lams)
         assert calls == []
 
