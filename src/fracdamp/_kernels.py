@@ -210,8 +210,8 @@ def _sweep(el, mu, derivative=False, ratio=False, z=None):
 class FieldSpectrum(NamedTuple):
     """The field modes as the march, the resolvent and the census read them.
 
-    ``ell`` are the eigenvalues of the symmetric field tridiagonal T with
-    off-diagonal ``off``, ``weight`` the boundary weights q_k[b]^2 of its
+    ``ell`` are the eigenvalues of the symmetric field tridiagonal T,
+    ``weight`` the boundary weights q_k[b]^2 of its
     orthonormal eigenvectors q_k at the damped row b, and ``coupled`` marks
     the weights >= eps (they sum to 1).  A mode is read at b or, where
     ``far``, at the other end row; ``entry`` is q_k there, with q_k[b] >= 0.
@@ -222,7 +222,6 @@ class FieldSpectrum(NamedTuple):
     coupled: np.ndarray
     far: np.ndarray
     entry: np.ndarray
-    off: np.ndarray
 
 
 def field_spectrum(d, off, b):
@@ -275,13 +274,13 @@ def field_spectrum(d, off, b):
         weight[idx] = w_a * rho * rho
         entry[idx] = np.copysign(np.sqrt(w_a), rho)
         far[idx] = True
-    return FieldSpectrum(ell, weight, weight >= np.finfo(float).eps, far, entry, off)
+    return FieldSpectrum(ell, weight, weight >= np.finfo(float).eps, far, entry)
 
 
-def field_modes(d, spectrum, b, z):
+def field_modes(d, off, spectrum, b, z):
     """The field modes a march carries: frequencies, boundary entries
     s_k = q_k[b] > 0 and coordinates c_k = q_k . z of the vector z, for the
-    ``FieldSpectrum`` of the field tridiagonal with diagonal d and damped
+    ``FieldSpectrum`` of the field tridiagonal T = (d, off) with damped
     end row b, with the remainder ||z||^2 - sum |c_k|^2 that the modes left
     out hold; O(n) memory and one pass of ``_sweep`` per end row.
 
@@ -301,7 +300,7 @@ def field_modes(d, spectrum, b, z):
     for far, last in ((False, b), (True, n - 1 - b)):
         idx = np.flatnonzero((spectrum.far == far) & (s > eps))
         if idx.size:
-            _, x = _sweep(_elimination(d, spectrum.off, last), spectrum.ell[idx], z=z)
+            _, x = _sweep(_elimination(d, off, last), spectrum.ell[idx], z=z)
             c[idx] = spectrum.entry[idx] * (x[1] + 1j * x[2])
     carried = spectrum.coupled | (s * np.abs(c) > eps * math.sqrt(norm2))
     c = c[carried]

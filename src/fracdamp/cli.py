@@ -291,9 +291,11 @@ def _cmd_scan(args, parser) -> int:
     _write_json(out / "fit.json", fit_doc)
     # per shift: the field share of the top singular vector of the
     # resolvent, |lambda|*||R|| - 1 (about 0 on the relaxation floor), the
-    # singular-value counts spent and the certificate gap; for the fit (null
-    # without one): its window's indices, R^2 and the largest
+    # singular-value counts spent and the certificate gap; the shifts with
+    # |lambda| at or below the slowest relaxation rate xi_min^2; for the fit
+    # (null without one): its window's indices, R^2 and the largest
     # |log norm - line| inside it
+    xi_min_squared = float(xig.xi_min) ** 2
     diagnostics = {
         "shifts": [
             {"lambda": r.lam, "field_share": r.field_share,
@@ -301,6 +303,10 @@ def _cmd_scan(args, parser) -> int:
              "count_evaluations": r.evaluations, "certificate_gap": r.certificate_gap}
             for r in scan.shifts
         ],
+        "relaxation_floor": {
+            "xi_min_squared": xi_min_squared,
+            "shifts_below": int(np.count_nonzero(np.abs(scan.lam) <= xi_min_squared)),
+        },
         "fit": None if fit is None else {"window_index": list(fit.window),
                                          "r_squared": fit.r_squared,
                                          "max_abs_residual": fit.max_residual},

@@ -98,7 +98,7 @@ def simulate(op: SystemOperator, y0: StateVector, t_final: float, dt: float) -> 
     b = op.boundary_index
     h = op.xgrid.h
     ell, s, alpha0, remainder = _kernels.field_modes(
-        op.l_diag, op.field_spectrum, b, np.sqrt(h) * y0.y)
+        op.l_diag, op.l_off, op.field_spectrum, b, np.sqrt(h) * y0.y)
     e_out, d_out, s_out = _kernels.midpoint_march(
         ell, s, h[b], op.zeta, op.xigrid.w, op.xigrid.eta, op.xigrid.xi**2,
         alpha0, y0.psi, 0.5 * remainder, float(dt), steps,

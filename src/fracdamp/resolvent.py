@@ -6,15 +6,18 @@ field block (frequencies ell_k, boundary row s of the basis; see
 ``SystemOperator.field_spectrum``) and the weighted relaxation coordinates,
 i*lam - A is the diagonal Delta = diag(i(lam - ell), i lam + xi^2) plus the
 rank-two coupling e_s e_a^T - e_a e_s^T through the damped cell.  Its
-singular values below any sigma are counted exactly by a 4 x 4 Hermitian
-secular matrix (Golub 1973; Haynsworth inertia additivity), and sigma_min
-is found by bisection on that count, finished by a safeguarded secant
-(``_Secular``).  The singular vector is mapped to nodal coordinates with two
-real tridiagonal solves, and one solve with the assembled i*lam - A, through
-the Schur complement onto the field block (the relaxation block is
-diagonal, so its elimination adds a single complex impedance entry at the
-damped cell -- the discrete counterpart of the rho*(i*lam)^(beta-1)
-boundary impedance), measures the returned norm and certifies sigma_min.
+singular values below any sigma are counted exactly by the inertia of a
+4 x 4 Hermitian secular matrix (Golub 1973; Haynsworth inertia
+additivity), which has a closed form, and sigma_min is found by a search on
+that count, finished by safeguarded rational interpolation (``_Secular``);
+the lambda-independent arrays it reads are built once per operator
+(``SystemOperator.modal_constants``).  The singular vector is mapped to
+nodal coordinates with two real tridiagonal solves, and one solve with the
+assembled i*lam - A, through the Schur complement onto the field block (the
+relaxation block is diagonal, so its elimination adds a single complex
+impedance entry at the damped cell -- the discrete counterpart of the
+rho*(i*lam)^(beta-1) boundary impedance), measures the returned norm and
+certifies sigma_min.
 The same coordinates give the eigenvalues of A as the roots of one scalar
 secular function, without a dense matrix (``damped_eigenvalues``).
 """
@@ -106,23 +109,22 @@ class _ShiftedSystem:
         self.op = op
         self.n = op.xgrid.x.size
         self.b = op.boundary_index
-        xi2 = op.xigrid.xi**2
-        denom = 1j * lam + xi2
-        if np.any(np.abs(denom) == 0.0):
-            raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(denom))]))
+        const = op.shift_constants
+        denom = 1j * lam + const.xi2
+        if not denom.all():
+            raise SpectralCollisionError(lam, complex(-const.xi2[np.argmin(np.abs(denom))]))
         # per-shift constants of the elimination, so a solve is one zgttrs,
         # one dot product and four vector operations
         self._inv_denom = 1.0 / denom
         self._eta = op.xigrid.eta
-        self._sqrt_h = np.sqrt(op.xgrid.h)
+        self._sqrt_h = const.sqrt_weights[: self.n]
         g = np.dot(op.relaxation_weights, self._inv_denom)
-        self._couple = ((op.zeta * self._sqrt_h[self.b] / op.xgrid.h[self.b])
-                        * op.xigrid.w * self._eta * self._inv_denom)
+        self._couple = const.coupling * self._inv_denom
 
-        d = (1j * lam - 1j * op.l_diag).astype(np.complex128)
+        d = 1j * lam - const.i_diag
         d[self.b] += g
         try:
-            self._lu = lapack("zgttrf", -1j * op.l_off, d, -1j * op.l_off)
+            self._lu = lapack("zgttrf", const.neg_i_off, d, const.neg_i_off)
         except NumericalError as exc:
             raise SpectralCollisionError(lam, 1j * lam, str(exc)) from exc
 
@@ -163,7 +165,7 @@ def _shifted_system(op, lam: float):
 #: Poles r_k within this share of sigma are kept as bordered rows of the
 #: secular matrix instead of being divided out.
 _BORDER = 1e-12
-#: The safeguarded secant stops at this relative bracket width.
+#: The search for sigma_min stops at this relative bracket width.
 _SIGMA_RTOL = 4.0 * np.finfo(float).eps
 #: A certificate ||R u||/||u|| that differs from 1/sigma by more than this
 #: share, plus 64 eps times the local condition (the diagonal entry of the
@@ -178,8 +180,9 @@ class ShiftReport:
     """What one resolvent norm measured, for scan diagnostics.
 
     ``field_share`` is the share of the top singular vector of the resolvent
-    in the field block, ``evaluations`` the number of singular-value counts
-    and ``certificate_gap`` = sigma_min*||R u||/||u|| - 1.
+    in the field block, ``evaluations`` the number of times the secular
+    sums were formed (each count, and a bordered null vector) and
+    ``certificate_gap`` = sigma_min*||R u||/||u|| - 1.
     """
 
     lam: float
@@ -203,11 +206,48 @@ class _Root(NamedTuple):
     free: int = -1
 
 
+def _schur(pf, qf, pr, qr):
+    """(f0, f1, s, q): the eigenvalues f0, f1 of A_f and S = [[s, q], [conj q, s]],
+    the Schur complement of A_f in G, or None if A_f is singular.
+
+    On the coordinates (field top, field bottom, relaxation top, relaxation
+    bottom) the secular matrix is G = [[A_f, J], [J^T, A_r]] with
+    A_f = [[pf, qf], [conj qf, pf]], A_r likewise and J = [[0, -1], [1, 0]].
+    A_f has the eigenvalues pf -+ |qf|, S = A_r - J^T A_f^{-1} J has
+    s = pr - pf/D_f, q = qr - conj(qf)/D_f (D_f = det A_f) and the
+    eigenvalues s -+ |q|, and neg G = neg A_f + neg S (Haynsworth).
+    ``_schur(pr, qr, pf, qf)`` eliminates A_r instead.
+    """
+    af = abs(qf)
+    f0, f1 = pf - af, pf + af
+    dk = f0 * f1
+    if dk == 0.0:
+        return None
+    return f0, f1, pr - pf / dk, qr - qf.conjugate() / dk
+
+
+def _inertia(pf, qf, pr, qr):
+    """neg G from ``_schur``, eliminating the diagonal block of G farther
+    from singular relative to its size, or None if both are singular."""
+    # the eigenvalues of A_f have the least and largest moduli
+    # ||pf| - |qf|| and |pf| + |qf|, likewise for A_r
+    apf, af, apr, ar = abs(pf), abs(qf), abs(pr), abs(qr)
+    if abs(apf - af) * (apr + ar) < abs(apr - ar) * (apf + af):
+        e = _schur(pr, qr, pf, qf)
+    else:
+        e = _schur(pf, qf, pr, qr)
+    if e is None:
+        return None
+    aq = abs(e[3])
+    return (e[0] < 0.0) + (e[1] < 0.0) + (e[2] - aq < 0.0) + (e[2] + aq < 0.0)
+
+
 class _Secular:
     """Singular values of M = diag(delta) + e_s e_a^T - e_a e_s^T.
 
-    This is i lam - A in the weighted field eigenbasis: delta holds
-    i(lam - ell_k) for the n field modes and i lam + xi_k^2 for the
+    This is i lam - A in the weighted field eigenbasis
+    (``SystemOperator.modal_constants``): delta = i lam - p holds
+    i(lam - ell_k) for the field modes and i lam + xi_k^2 for the
     relaxation modes, and x2 = (s^2; a^2) the squared coupling weights
     (e_s = (s; 0), e_a = (0; a); only squares enter, so s >= 0 is taken,
     which orients each field eigenvector by its boundary entry).  With
@@ -219,42 +259,35 @@ class _Secular:
     x_k^2 sigma d_k to both diagonal entries of its coordinate pair (0, 2)
     or (1, 3) and x_k^2 delta_k d_k to the pair's upper off-diagonal, and
     -K links field top to relaxation bottom (-1) and relaxation top to
-    field bottom (+1).  Poles within _BORDER*sigma are
-    bordered instead of divided out: the pair's term for the eigenvalue
-    +r_k of [[0, delta_k], [conj delta_k, 0]] becomes a row
-    (x_k/sqrt 2)(e_p + (delta_k/r_k) e_p+2) with diagonal -(sigma - r_k),
-    and neg of the bordered matrix replaces their share of the count.
-    Modes of weight 0 (decoupled) are exact singular values r_k and enter
-    the count only.
+    field bottom (+1); its inertia has a closed form (``_schur``).  Poles
+    within _BORDER*sigma are bordered instead of divided out: the pair's
+    term for the eigenvalue +r_k of [[0, delta_k], [conj delta_k, 0]]
+    becomes a row (x_k/sqrt 2)(e_p + (delta_k/r_k) e_p+2) with diagonal
+    -(sigma - r_k), and neg of the bordered matrix (in closed form for one
+    bordered pole, else from ``zheev``) replaces their share of the count.
+    Free modes (weight 0) are exact singular values r_k and enter the count
+    only.
     """
 
-    def __init__(self, delta, x2, n_field):
-        self.delta = delta
-        r = np.abs(delta)
-        coupled = x2 > 0.0
-        self.free = np.flatnonzero(~coupled)
-        self.free_r = np.sort(r[self.free])
-        idx = np.flatnonzero(coupled)
-        self.idx = idx
-        self.r = r[idx]
-        self.x2 = x2[idx]
-        self.dl = delta[idx]
-        self.field = idx < n_field
-        self.order = np.argsort(self.r)
+    _none = np.zeros(0, dtype=int)
+
+    def __init__(self, modal, lam):
+        self.modal = modal
+        self.k = modal.n_coupled_field
+        self.delta = 1j * lam - modal.poles
+        self.r = np.abs(self.delta)
+        self.order = np.argsort(self.r, kind="stable")
         self.r_sorted = self.r[self.order]
-        # the four far sums as one real product: sigma-weights of the field
-        # and relaxation diagonals, then Re and Im of the off-diagonals
-        xd = self.x2 * self.dl
-        fw = self.field.astype(float)
-        rw = 1.0 - fw
-        sums = np.empty((idx.size, 6))
-        sums[:, 0] = self.x2 * fw
-        sums[:, 1] = self.x2 * rw
-        sums[:, 2] = xd.real * fw
-        sums[:, 3] = xd.imag * fw
-        sums[:, 4] = xd.real * rw
-        sums[:, 5] = xd.imag * rw
-        self._sums = sums
+        self.free_r = np.abs(1j * lam - modal.free_poles)
+        self.free_min = float(self.free_r.min(initial=np.inf))
+        k = self.k
+        rows = modal.sum_rows.copy()
+        np.multiply(modal.x2[:k], self.delta.imag[:k], out=rows[2, :k])
+        np.multiply(modal.x2[k:], self.delta.imag[k:], out=rows[5, k:])
+        self._rows = rows
+        self._window = np.empty(2)
+        self._d = np.empty(self.r.size)
+        self._plus = np.empty(self.r.size)
         self.evaluations = 0
         self._seen = {}
 
@@ -263,91 +296,155 @@ class _Secular:
     def near(self, lo, hi):
         """Positions (in the coupled arrays) of the poles in [lo, hi), and
         the number of poles below lo."""
-        i0, i1 = self.r_sorted.searchsorted((lo, hi))
-        return self.order[i0:i1], int(i0)
+        window = self._window
+        window[0], window[1] = lo, hi
+        i0, i1 = self.r_sorted.searchsorted(window).tolist()
+        return self.order[i0:i1], i0
 
-    def matrix(self, sigma, border):
+    def _reciprocals(self, sigma, border):
+        """d_k = 1/((sigma - r_k)(sigma + r_k)), 0 for the poles `border`
+        (their terms are the bordered rows), in a buffer of the instance."""
+        d = self._d
+        np.subtract(sigma, self.r, out=d)
+        np.add(sigma, self.r, out=self._plus)
+        np.multiply(d, self._plus, out=d)
+        if border.size:
+            d[border] = np.inf
+        return np.reciprocal(d, out=d)
+
+    def _sums(self, sigma, border):
+        """pf, qf, pr, qr: the entries of G at sigma, the poles `border` left out."""
+        f0, f1, f2, g0, g1, g2 = np.dot(self._rows, self._reciprocals(sigma, border)).tolist()
+        sigma = float(sigma)
+        return sigma * f0, complex(f1, f2), sigma * g0, complex(g1, g2)
+
+    def matrix(self, sigma, border, sums=None):
         """The secular matrix at sigma with the poles `border` bordered.
 
         Only the lower triangle is filled (the LAPACK eigensolvers read
         that one), and the matrix is symmetrically equilibrated: the
         congruence keeps its inertia and its zero crossings, while the
         eigensolver sees entries of modulus <= 1.  Returns the matrix and
-        the scaling.
+        the scaling.  `sums` are ``_sums`` at sigma when already formed.
         """
-        self.evaluations += 1
-        r = self.r
-        den = (sigma - r) * (sigma + r)
+        if sums is None:
+            self.evaluations += 1
+            sums = self._sums(sigma, border)
+        pf, qf, pr, qr = sums
         nb = border.size
-        if nb:
-            den[border] = np.inf  # their terms are the bordered rows
-        d = 1.0 / den
-        pf, pr, qf_re, qf_im, qr_re, qr_im = d @ self._sums
-        pf *= sigma
-        pr *= sigma
         if not nb:
             # 4 x 4: each row's largest entry is known in closed form
-            sf = 1.0 / math.sqrt(max(abs(pf), math.hypot(qf_re, qf_im), 1.0))
-            sr = 1.0 / math.sqrt(max(abs(pr), math.hypot(qr_re, qr_im), 1.0))
+            sf = 1.0 / math.sqrt(max(abs(pf), abs(qf), 1.0))
+            sr = 1.0 / math.sqrt(max(abs(pr), abs(qr), 1.0))
             ff, rr, fr = sf * sf, sr * sr, sf * sr
             g = np.zeros((4, 4), dtype=np.complex128)
             g[0, 0] = g[2, 2] = pf * ff
             g[1, 1] = g[3, 3] = pr * rr
-            g[2, 0] = complex(qf_re * ff, -qf_im * ff)
-            g[3, 1] = complex(qr_re * rr, -qr_im * rr)
+            g[2, 0] = qf.conjugate() * ff
+            g[3, 1] = qr.conjugate() * rr
             g[3, 0] = -fr
             g[2, 1] = fr
             return g, np.array((sf, sr, sf, sr))
         g = np.zeros((4 + nb, 4 + nb), dtype=np.complex128)
-        g[0, 0] = g[2, 2] = pf
-        g[1, 1] = g[3, 3] = pr
-        g[2, 0] = complex(qf_re, -qf_im)
-        g[3, 1] = complex(qr_re, -qr_im)
+        # each bordered pole adds its half term to its coordinate pair and
+        # a row; on the diagonal of the pair, its lower off-diagonal
+        diag, low = [pf, pr, pf, pr], [qf.conjugate(), qr.conjugate()]
+        x2b = self.modal.x2[border].tolist()
+        for i, (k, rb, delta) in enumerate(zip(border.tolist(), self.r[border].tolist(),
+                                                self.delta[border].tolist())):
+            p = 0 if k < self.k else 1
+            phase = delta / rb
+            gterm = 0.5 * x2b[i] / (sigma + rb)
+            diag[p] += gterm
+            diag[p + 2] += gterm
+            low[p] -= gterm * phase.conjugate()
+            xb = math.sqrt(0.5 * x2b[i])
+            g[4 + i, p] = xb
+            g[4 + i, p + 2] = xb * phase
+            g[4 + i, 4 + i] = -(sigma - rb)
+        g[0, 0], g[1, 1], g[2, 2], g[3, 3] = diag
+        g[2, 0], g[3, 1] = low
         g[3, 0] = -1.0
         g[2, 1] = 1.0
-        rb, x2b = r[border], self.x2[border]
-        p = np.where(self.field[border], 0, 1)
-        phase = self.dl[border] / rb
-        gterm = 0.5 * x2b / (sigma + rb)
-        np.add.at(g, (p, p), gterm)
-        np.add.at(g, (p + 2, p + 2), gterm)
-        np.add.at(g, (p + 2, p), -gterm * np.conj(phase))
-        rows = 4 + np.arange(nb)
-        xb = np.sqrt(0.5 * x2b)
-        g[rows, p] = xb
-        g[rows, p + 2] = xb * phase
-        g[rows, rows] = -(sigma - rb)
         mag = np.abs(g)
         scale = 1.0 / np.sqrt(np.maximum(mag.max(axis=0), mag.max(axis=1)))
-        g *= scale[:, None] * scale[None, :]
+        g *= np.multiply.outer(scale, scale)
         return g, scale
 
-    def eigenvalues(self, sigma, border):
-        """Ascending eigenvalues of the (equilibrated) secular matrix.
-
-        Remembered per (sigma, border): a bracket end is evaluated once.
+    def inertia(self, sigma, border):
+        """(neg, x) for the secular matrix at sigma with the poles `border`
+        bordered: neg its number of negative eigenvalues, x what
+        ``_crossing`` reads.  In closed form (``_closed``) unbordered and
+        with one bordered pole, else from ``zheev``, x the ascending
+        eigenvalues of the equilibrated matrix.  Remembered per
+        (sigma, border): a bracket end is evaluated once.
         """
-        key = (sigma, border.tobytes())
-        w = self._seen.get(key)
-        if w is None:
-            w = lapack("zheev", self.matrix(sigma, border)[0], compute_v=0, lower=1)[0]
-            self._seen[key] = w
-        return w
+        sigma = float(sigma)
+        key = (sigma, border.tobytes()) if border.size else sigma
+        got = self._seen.get(key)
+        if got is None:
+            sums = self._sums(sigma, border)
+            got = self._closed(sigma, border, sums)
+            if got is None:
+                w = lapack("zheev", self.matrix(sigma, border, sums)[0], compute_v=0, lower=1)[0]
+                got = int(np.count_nonzero(w < 0.0)), (sums if not border.size else w)
+            self.evaluations += 1
+            self._seen[key] = got
+        return got
+
+    def _closed(self, sigma, border, sums):
+        """``inertia`` in closed form, or None (a singular block, or more
+        than one bordered pole).
+
+        Unbordered, x = sums and neg from ``_inertia``.  With one
+        bordered pole k in block p, the bordered matrix is
+        [[G', v], [v^H, -(sigma - r_k)]]: G' is G with the pole's half term
+        (x_k^2/(2(sigma + r_k)) on the diagonal of the pair p, that times
+        -delta_k/r_k on its off-diagonal) and v = (x_k/sqrt 2)(e_p +
+        conj(delta_k/r_k) e_p+2).  Its inertia is neg G' + [c < 0] for the
+        Schur complement c = -(sigma - r_k) - v^H G'^{-1} v, and with
+        [[s, q], [conj q, s]] the Schur complement in G' of the other
+        block, v^H G'^{-1} v = x_k^2 (s - Re(q conj(delta_k)/r_k))/(s^2 - |q|^2);
+        x = (c, neg G', the sums of G').
+        """
+        if not border.size:
+            neg = _inertia(*sums)
+            return None if neg is None else (neg, sums)
+        if border.size > 1:
+            return None
+        k = int(border[0])
+        rb, x2 = float(self.r[k]), float(self.modal.x2[k])
+        phase = complex(self.delta[k]) / rb
+        gterm = 0.5 * x2 / (sigma + rb)
+        pf, qf, pr, qr = sums
+        if k < self.k:
+            pf, qf = pf + gterm, qf - gterm * phase
+            other = _schur(pr, qr, pf, qf)
+        else:
+            pr, qr = pr + gterm, qr - gterm * phase
+            other = _schur(pf, qf, pr, qr)
+        neg = _inertia(pf, qf, pr, qr)
+        if neg is None or other is None:
+            return None
+        s, q = other[2], other[3]
+        aq = abs(q)
+        den = (s - aq) * (s + aq)
+        if den == 0.0:
+            return None
+        c = -(sigma - rb) - x2 * (s - (q * phase.conjugate()).real) / den
+        return neg + (c < 0.0), (c, neg, (pf, qf, pr, qr))
 
     def count(self, sigma):
         """Number of singular values below sigma."""
         border, below = self.near(sigma * (1.0 - _BORDER), sigma * (1.0 + _BORDER))
-        neg = int(np.count_nonzero(self.eigenvalues(sigma, border) < 0.0))
-        return int(self.free_r.searchsorted(sigma)) + below + neg - 2
+        free = 0 if sigma <= self.free_min else int(np.count_nonzero(self.free_r < sigma))
+        return free + below + self.inertia(sigma, border)[0] - 2
 
     # -- the smallest singular value ----------------------------------------
 
     def upper_bound(self):
         """||M e_k|| over the unit modal vectors, the least of which bounds sigma_min."""
-        s2 = float(np.sum(self.x2[self.field]))
-        a2 = float(np.sum(self.x2[~self.field]))
-        other = np.where(self.field, a2, s2)
-        return float(np.sqrt(self.r**2 + self.x2 * other).min(initial=np.inf))
+        return float(np.sqrt(self.r * self.r + self.modal.cross).min(initial=np.inf))
 
     def smallest(self):
         """sigma_min as a _Root, from which ``singular_vector`` builds its vector.
@@ -357,20 +454,28 @@ class _Secular:
         galloping then binary search, the first cluster with a singular
         value below it; sigma_min then lies in the pole-free gap before
         that cluster or inside the previous cluster, whose poles are
-        bordered.  A safeguarded secant finishes on that bracket.
+        bordered.  ``_refine`` finishes on that bracket.  Most often
+        sigma_min lies below the first cluster, which the count just below
+        its first pole settles before the clusters are formed.
         """
-        # the least exact singular value of a decoupled mode caps the search
-        cap = self.free_r[0] * (1.0 - _SIGMA_RTOL) if self.free_r.size else np.inf
+        # the least exact singular value of a free mode caps the search
+        cap = self.free_min * (1.0 - _SIGMA_RTOL)
+        bound = self.upper_bound()
+        top = min(bound, cap)
         # poles at 0 lie below every sigma > 0 and are never bordered
-        first = int(self.r_sorted.searchsorted(0.0, side="right"))
-        rs = self.r_sorted[first : int(self.r_sorted.searchsorted(cap))]
+        r_sorted = self.r_sorted
+        first = int(r_sorted.searchsorted(0.0, side="right"))
+        if first < r_sorted.size:
+            head = float(r_sorted[first]) * (1.0 - 2.0 * _BORDER)
+            if head < top and self.count(head) >= 1:
+                return self._below(head)
+        # the poles below the cap
+        rs = r_sorted[first : int(r_sorted.searchsorted(cap))]
         cut = np.flatnonzero(rs[1:] * (1.0 - _BORDER) > rs[:-1] * (1.0 + _BORDER)) + 1
         starts = np.concatenate(([0], cut)) if rs.size else np.zeros(0, dtype=int)
         ends = np.concatenate((cut, [rs.size])) - 1 if rs.size else np.zeros(0, dtype=int)
         # just below each cluster, outside the bordering window of count
         below = rs[starts] * (1.0 - 2.0 * _BORDER)
-        bound = self.upper_bound()
-        top = min(bound, cap)
         points = np.append(below[below < top], top)
 
         def has_root_below(c):
@@ -392,9 +497,8 @@ class _Secular:
             if has_root_below(c):
                 break
             if c == points.size - 1:
-                # none below the cap: a decoupled mode is the smallest
-                k = self.free[int(np.argmin(np.abs(self.delta[self.free])))]
-                return _Root(float(np.abs(self.delta[k])), free=int(k))
+                # none below the cap: a free mode is the smallest
+                return _Root(self.free_min, free=int(self.modal.free[np.argmin(self.free_r)]))
             lo_c, step = c, 2 * step
         hi_c = c
         while hi_c - lo_c > 1:
@@ -404,59 +508,156 @@ class _Secular:
             else:
                 lo_c = mid
         hi = float(points[hi_c])
-        no_border = np.zeros(0, dtype=int)
         if hi_c == 0:
-            lo = 0.5 * hi
-            floor = hi * np.finfo(float).eps ** 2
-            while self.count(lo) >= 1:
-                hi, lo = lo, 0.25 * lo
-                if lo < floor:
-                    return _Root(0.0)
-            return self._secant(lo, hi, no_border)
+            return self._below(hi)
         c = hi_c - 1  # sigma_min is in cluster c or in the gap after it
         lo = float(points[c])
         above = float(rs[ends[c]] * (1.0 + 2.0 * _BORDER))
         if above < hi and self.count(above) == 0:
-            return self._secant(above, hi, no_border)
+            return self._refine(above, hi, self._none)
         cluster = self.order[first + starts[c] : first + ends[c] + 1]
-        return self._secant(lo, min(above, hi), cluster)
+        return self._refine(lo, min(above, hi), cluster)
 
-    def _secant(self, lo, hi, border):
-        """Illinois regula falsi on the eigenvalue of G that crosses zero.
+    def _below(self, hi):
+        """sigma_min below hi, with no coupled pole below hi: the bracket
+        [hi/2, hi] is moved down by factors of 4 until the count at its
+        lower end is 0, or that end falls below eps^2 hi (sigma_min 0)."""
+        lo = 0.5 * hi
+        floor = hi * np.finfo(float).eps ** 2
+        while self.count(lo) >= 1:
+            hi, lo = lo, 0.25 * lo
+            if lo < floor:
+                return _Root(0.0)
+        return self._refine(lo, hi, self._none)
+
+    def _logit(self, lo, hi):
+        """t(sigma) = log((sigma - a)/(b - sigma)) and its inverse, for the
+        coupled poles a < lo and b > hi next to [lo, hi] (a = 0 without a
+        pole below; log(sigma - a) without one above).  Next to a and b the
+        secular sums vary like powers of sigma - a and b - sigma (a band of
+        relaxation poles gives fractional ones), nearly linearly in t.
+        """
+        rs = self.r_sorted
+        i = int(rs.searchsorted(lo))
+        a = float(rs[i - 1]) if i else 0.0
+        i = int(rs.searchsorted(hi, side="right"))
+        if i == rs.size:
+            return (lambda x: math.log(x - a)), (lambda t: a + math.exp(t))
+        b = float(rs[i])
+
+        def sigma_of(t):
+            # (a + b e^t)/(1 + e^t), without overflow
+            if t > 0.0:
+                e = math.exp(-t)
+                return (a * e + b) / (e + 1.0)
+            e = math.exp(t)
+            return (a + b * e) / (1.0 + e)
+
+        return (lambda x: math.log((x - a) / (b - x))), sigma_of
+
+    def _crossing(self, border, j, x_lo, x_hi):
+        """The value ``_refine`` iterates on, from ``inertia``'s x: a
+        continuous function over the bracket whose sign changes where the
+        count passes j, and which falls monotonically there.
+
+        Unbordered, the eigenvalue of the Schur complement S in G
+        (``_schur``) that crosses zero, eliminating a diagonal block of G
+        whose inertia is the same at both ends: then it is the same on the
+        whole bracket, since G falls monotonically between its poles
+        (Loewner order), and so does S.  With one bordered pole, likewise
+        its Schur complement c (``_closed``) if the inertia of G' is the
+        same at both ends, else the crossing of G'.  With more, the
+        eigenvalue of the bordered matrix that crosses zero, index j.
+        Without such a function, nan (``_refine`` bisects).
+        """
+        if border.size > 1:
+            return lambda x: x[j]
+        if border.size:
+            if not (isinstance(x_lo, tuple) and isinstance(x_hi, tuple)):
+                return lambda x: math.nan
+            if x_lo[1] == x_hi[1]:
+                return lambda x: x[0] if isinstance(x, tuple) and x[1] == x_lo[1] else math.nan
+            # G' changes its inertia: it holds the crossing
+            crossing = self._crossing(self._none, j, x_lo[2], x_hi[2])
+            return lambda x: crossing(x[2]) if isinstance(x, tuple) else math.nan
+        for swap in (False, True):
+            ends = [_schur(*(x[2:] + x[:2] if swap else x)) for x in (x_lo, x_hi)]
+            if None in ends or (ends[0][0] < 0.0) + (ends[0][1] < 0.0) != (
+                    ends[1][0] < 0.0) + (ends[1][1] < 0.0):
+                continue
+            aq = abs(ends[0][3])
+            i = (ends[0][2] - aq < 0.0) + (ends[0][2] + aq < 0.0)
+            if i < 2:
+                sign = 2 * i - 1  # s - |q| crosses when i = 0, s + |q| when i = 1
+
+                def crossing(x):
+                    e = _schur(*(x[2:] + x[:2] if swap else x))
+                    return math.nan if e is None else e[2] + sign * abs(e[3])
+
+                return crossing
+        return lambda x: math.nan
+
+    def _refine(self, lo, hi, border):
+        """sigma_min in [lo, hi] by safeguarded rational interpolation.
 
         The bordered poles are fixed over [lo, hi] and no other pole lies
-        in it, so that eigenvalue (index j, the number of negative
-        eigenvalues at lo) is continuous there; its sign decides each side.
+        in it; the count past j, its value at lo, decides each side.  Each
+        step fits value = (t - t0)/(c0 + c1 t) to ``_crossing`` in
+        t = ``_logit``, exact for a constant plus one pole, through the
+        bracket ends and the end last replaced, else takes the secant.
+        When one end is replaced twice in a row, the other end's value is
+        scaled down (Anderson-Bjorck), so that the steps reach across
+        sigma_min.  It bisects in t while the bracket spans more than 2 in
+        t (at most twice), and after four steps that did not halve the
+        bracket.  A step closer than half the tolerance to an end, or at
+        it, is moved to that distance, so the bracket closes once the
+        iterates reach sigma_min.  The null vector of the secular matrix at
+        the end with the smaller value comes from ``zheev``.
         """
-        ev = self.eigenvalues(lo, border)
-        j = int(np.count_nonzero(ev < 0.0))
-        f_lo = ev[j]
-        f_hi = self.eigenvalues(hi, border)[j]
-        side = 0
+        t_of, sigma_of = self._logit(lo, hi)
+        j, x_lo = self.inertia(lo, border)
+        x_hi = self.inertia(hi, border)[1]
+        value = self._crossing(border, j, x_lo, x_hi)
+        # next to sigma_min the value's sign is rounding; the count's is not
+        f_lo, f_hi = abs(value(x_lo)), -abs(value(x_hi))
+        t_lo, t_hi = t_of(lo), t_of(hi)
+        old, side, stale, wide = None, 0, 0, 0
         for _ in range(200):
-            if hi - lo <= _SIGMA_RTOL * hi:
+            tol = _SIGMA_RTOL * hi
+            if hi - lo <= tol:
                 break
-            sigma = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else 0.5 * (lo + hi)
-            if not lo < sigma < hi:
-                sigma = 0.5 * (lo + hi)
-            ev = self.eigenvalues(sigma, border)
-            f = ev[j]
-            if np.count_nonzero(ev < 0.0) > j:
-                hi, f_hi = sigma, f
+            t = _rational_root(t_lo, f_lo, t_hi, f_hi, old)
+            if not t_lo <= t <= t_hi:
+                t = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+            if stale >= 4 or (wide < 2 and t_hi - t_lo > 2.0) or not t_lo <= t <= t_hi:
+                t, stale = 0.5 * (t_lo + t_hi), 0
+                wide += 1
+            sigma = sigma_of(t)
+            if not lo + 0.5 * tol <= sigma <= hi - 0.5 * tol:
+                sigma = min(max(sigma, lo + 0.5 * tol), hi - 0.5 * tol)
+                t = t_of(sigma)
+            neg, x = self.inertia(sigma, border)
+            f = abs(value(x))
+            width = hi - lo
+            if neg > j:
+                f = -f
                 if side == 1:
-                    f_lo *= 0.5
-                side = 1
+                    m = 1.0 - f / f_hi
+                    f_lo *= m if m > 0.0 else 0.5
+                old, hi, f_hi, t_hi, side = (t_hi, f_hi), sigma, f, t, 1
             else:
-                lo, f_lo = sigma, f
                 if side == -1:
-                    f_hi *= 0.5
-                side = -1
+                    m = 1.0 - f / f_lo
+                    f_hi *= m if m > 0.0 else 0.5
+                old, lo, f_lo, t_lo, side = (t_lo, f_lo), sigma, f, t, -1
+            stale = stale + 1 if hi - lo > 0.5 * width else 0
             if f == 0.0:
                 break
         sigma = lo if abs(f_lo) < abs(f_hi) else hi
-        g, scale = self.matrix(sigma, border)
-        vecs = lapack("zheev", g, compute_v=1, lower=1)[1]
-        return _Root(sigma, border=border, null=scale * vecs[:, j])
+        # unbordered, the sums at an end are remembered as its x
+        g, scale = self.matrix(sigma, border, None if border.size else self._seen[sigma][1])
+        w, vecs = lapack("zheev", g, compute_v=1, lower=1)[:2]
+        return _Root(sigma, border=border, null=scale * vecs[:, int(np.argmin(np.abs(w)))])
 
     def singular_vector(self, root):
         """Left singular vector u (modal coordinates) for sigma_min.
@@ -466,25 +667,41 @@ class _Secular:
         a bordered one u_k = tau_k/sqrt 2 + x_k (t_p - delta_k/r_k t_p+2) / (2(sigma + r_k)),
         p = 0 for field and 1 for relaxation modes.
         """
-        u = np.zeros(self.delta.size, dtype=np.complex128)
+        modal = self.modal
+        u = np.zeros(modal.coupled.size + modal.free.size, dtype=np.complex128)
         if root.free >= 0:
             u[root.free] = 1.0
             return u
-        sigma, border = root.sigma, root.border
-        t, tau = root.null[:4], root.null[4:]
-        r = self.r
-        tp = np.where(self.field, t[0], t[1])
-        tq = np.where(self.field, t[2], t[3])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uc = np.sqrt(self.x2) * (sigma * tp + self.dl * tq) / ((sigma - r) * (sigma + r))
+        sigma, border, k = root.sigma, root.border, self.k
+        t, tau = root.null[:4].tolist(), root.null[4:]
+        uc = np.multiply(self.delta, t[2], dtype=np.complex128)
+        np.multiply(self.delta[k:], t[3], out=uc[k:])
+        uc[:k] += sigma * t[0]
+        uc[k:] += sigma * t[1]
+        uc *= np.sqrt(modal.x2) * self._reciprocals(sigma, border)
         if border.size:
-            rb, db = r[border], self.dl[border]
-            xb = np.sqrt(self.x2[border])
-            uc[border] = tau / math.sqrt(2.0) + xb * (tp[border] - db / rb * tq[border]) / (
-                2.0 * (sigma + rb)
-            )
-        u[self.idx] = uc
+            rb, db = self.r[border], self.delta[border]
+            tp = np.where(border < k, t[0], t[1])
+            tq = np.where(border < k, t[2], t[3])
+            xb = np.sqrt(modal.x2[border])
+            uc[border] = tau / math.sqrt(2.0) + xb * (tp - db / rb * tq) / (2.0 * (sigma + rb))
+        u[modal.coupled] = uc
         return u
+
+
+def _rational_root(t1, f1, t2, f2, old):
+    """The root t0 of f = (t - t0)/(c0 + c1 t) through (t1, f1), (t2, f2)
+    and old = (t3, f3), or nan without a third point or a unique fit."""
+    if old is None:
+        return math.nan
+    # t measured from t1: t - t0 = f c0 + f t c1 at each point, less the first
+    x2, x3, f3 = t2 - t1, old[0] - t1, old[1]
+    a11, a12 = f2 - f1, f2 * x2
+    a21, a22 = f3 - f1, f3 * x3
+    det = a11 * a22 - a12 * a21
+    if det == 0.0 or not math.isfinite(det):
+        return math.nan
+    return t1 - f1 * (x2 * a22 - a12 * x3) / det
 
 
 def _tridiagonal_solve(l_diag, off, shift, rhs):
@@ -495,13 +712,16 @@ def _tridiagonal_solve(l_diag, off, shift, rhs):
     the shift moves by a few ulps of the largest diagonal entry, and the
     NumericalError of the last move is raised.
     """
+    try:
+        return lapack("dgtsv", off, l_diag - shift, off, rhs, overwrite_d=1)[-1]
+    except NumericalError:
+        pass
     ulp = np.spacing(np.abs(l_diag).max())
-    for nudge in (0.0, 4.0 * ulp):
-        try:
-            return lapack("dgtsv", off, l_diag - (shift + nudge), off, rhs)[-1]
-        except NumericalError:
-            pass
-    return lapack("dgtsv", off, l_diag - (shift + 64.0 * ulp), off, rhs)[-1]
+    try:
+        return lapack("dgtsv", off, l_diag - (shift + 4.0 * ulp), off, rhs, overwrite_d=1)[-1]
+    except NumericalError:
+        pass
+    return lapack("dgtsv", off, l_diag - (shift + 64.0 * ulp), off, rhs, overwrite_d=1)[-1]
 
 
 def _field_eigenvector(l_diag, off, ell_k, b):
@@ -516,7 +736,7 @@ def _field_eigenvector(l_diag, off, ell_k, b):
     return x if x[b] >= 0.0 else -x
 
 
-def _field_vector(spectrum, l_diag, b, lam, sigma, t, u_field, bordered):
+def _field_vector(op, lam, sigma, t, u_field, bordered):
     """S u_field for the field part of a singular vector, without S.
 
     Summed over the eigenpairs (ell_k, q_k) of the symmetric tridiagonal
@@ -525,30 +745,23 @@ def _field_vector(spectrum, l_diag, b, lam, sigma, t, u_field, bordered):
     two real tridiagonal solves.  A bordered field mode's component along
     its eigenvector q_k is replaced by its own coordinate u_k.
     """
-    rhs = np.zeros(l_diag.size)
+    d, off, b = op.l_diag, op.l_off, op.boundary_index
+    rhs = np.zeros(d.size)
     rhs[b] = 1.0
-    z = 0.5 * (t[0] + 1j * t[2]) * _tridiagonal_solve(l_diag, spectrum.off, lam - sigma, rhs)
-    z -= 0.5 * (t[0] - 1j * t[2]) * _tridiagonal_solve(l_diag, spectrum.off, lam + sigma, rhs)
+    z = 0.5 * (t[0] + 1j * t[2]) * _tridiagonal_solve(d, off, lam - sigma, rhs)
+    z -= 0.5 * (t[0] - 1j * t[2]) * _tridiagonal_solve(d, off, lam + sigma, rhs)
     for k in bordered:
-        q = _field_eigenvector(l_diag, spectrum.off, spectrum.ell[k], b)
+        q = _field_eigenvector(d, off, op.field_spectrum.ell[k], b)
         z += (u_field[k] - np.dot(q, z)) * q
     return z
-
-
-def _secular(op, lam: float) -> _Secular:
-    """i lam - A as ``_Secular`` takes it, the decoupled field modes with weight 0."""
-    spectrum = op.field_spectrum
-    delta = np.concatenate((1j * (lam - spectrum.ell), op.xigrid.xi**2 + 1j * lam))
-    x2 = np.concatenate((np.where(spectrum.coupled, spectrum.weight, 0.0), op.relaxation_weights))
-    return _Secular(delta, x2, spectrum.ell.size)
 
 
 def resolvent_norm(op, lam: float, *, report: Optional[list] = None) -> float:
     """||(i lam - A)^{-1}|| in the weighted operator norm.
 
     sigma_min of i lam - A comes from an exact singular-value count in the
-    field eigenbasis (``_Secular``): bisection on the count, then a
-    safeguarded secant.  Its singular vector u is mapped to nodal
+    field eigenbasis (``_Secular``): a search on the count, then safeguarded
+    rational interpolation.  Its singular vector u is mapped to nodal
     coordinates and one shifted solve measures ||R u||_W / ||u||_W, which is
     returned: a lower bound for the norm, within _CERTIFICATE_RTOL (plus a
     rounding term that grows with the local condition) of 1/sigma, or
@@ -557,43 +770,41 @@ def resolvent_norm(op, lam: float, *, report: Optional[list] = None) -> float:
     ShiftReport is appended to it.
     """
     sys_ = _shifted_system(op, lam)
-    spectrum = op.field_spectrum
-    n = spectrum.ell.size
-    b = op.boundary_index
-    xi2 = op.xigrid.xi**2
-    sec = _secular(op, lam)
+    modal = op.modal_constants
+    n = modal.n_field
+    sec = _Secular(modal, lam)
     root = sec.smallest()
     sigma = root.sigma
     if not sigma > 0.0:
         raise SpectralCollisionError(lam, 1j * lam, "singular shift: sigma_min is 0")
     u = sec.singular_vector(root)
-    scale = 1.0 / np.linalg.norm(u)
+    scale = 1.0 / math.sqrt(np.vdot(u, u).real)
     u *= scale
     # the local condition: the size of the diagonal entry of the mode that
     # carries the vector over sigma_min; past 1/(8 eps) the shift is
     # singular to working precision
     k = int(np.argmax(np.abs(u)))
-    cond = (abs(lam) + (abs(spectrum.ell[k]) if k < n else xi2[k - n])) / sigma
+    diagonal = abs(op.field_spectrum.ell[k]) if k < n else op.xigrid.xi[k - n] ** 2
+    cond = (abs(lam) + diagonal) / sigma
     if cond >= 1.0 / (8.0 * np.finfo(float).eps):
         raise SpectralCollisionError(
             lam, 1j * lam, f"shift i*{lam:g} is numerically an eigenvalue (sigma_min {sigma:.3g})"
         )
     uf = u[:n]
     field_share = float(np.vdot(uf, uf).real)
-    # every relaxation weight a_k^2 is positive (zeta > 0), so a decoupled
-    # mode is a field mode
+    # every relaxation weight a_k^2 is positive (zeta > 0), so a free mode
+    # is a field mode
     if root.free >= 0:
-        zf = _field_eigenvector(op.l_diag, spectrum.off, spectrum.ell[root.free], b)
+        zf = _field_eigenvector(op.l_diag, op.l_off, op.field_spectrum.ell[root.free],
+                                op.boundary_index)
     else:
-        bordered = sec.idx[root.border]
-        zf = _field_vector(spectrum, op.l_diag, b, lam, sigma, scale * root.null[:4], uf,
-                           bordered[bordered < n])
-    weights = sys_.weights
-    sw = np.sqrt(weights)
-    y = np.concatenate((zf, u[n:])) / sw
+        bordered = modal.coupled[root.border]
+        zf = _field_vector(op, lam, sigma, scale * root.null[:4], uf, bordered[bordered < n])
+    sw = op.shift_constants.sqrt_weights
+    wy = np.concatenate((zf, u[n:]))
     with np.errstate(invalid="ignore", over="ignore"):
-        z = sys_.solve(y)
-        cert = float(np.linalg.norm(sw * z) / np.linalg.norm(sw * y))
+        wz = sw * sys_.solve(wy / sw)
+        cert = math.sqrt(np.vdot(wz, wz).real / np.vdot(wy, wy).real)
     if not np.isfinite(cert) or cert <= 0.0:
         raise SpectralCollisionError(lam, 1j * lam, "non-finite resolvent certificate")
     gap = cert * sigma - 1.0
@@ -689,12 +900,12 @@ class _Characteristic:
     """
 
     def __init__(self, op):
-        spectrum = op.field_spectrum
-        self.ell = spectrum.ell[spectrum.coupled]
-        self.s2 = spectrum.weight[spectrum.coupled]
-        self.field_poles = 1j * self.ell
-        self.relax_poles = (-op.xigrid.xi**2).astype(np.complex128)
-        self.a2 = op.relaxation_weights
+        modal = op.modal_constants
+        k = modal.n_coupled_field
+        # fresh arrays: the census' sums run faster on them than on views
+        self.field_poles, self.relax_poles = modal.poles[:k].copy(), modal.poles[k:].copy()
+        self.s2, self.a2 = modal.x2[:k].copy(), modal.x2[k:].copy()
+        self.ell = self.field_poles.imag.copy()
 
     def terms(self, z):
         """F, F', G, G' at each z."""
@@ -865,7 +1076,7 @@ def damped_eigenvalues(op) -> DampedEigenvalues:
             {"found": int(roots.size), "expected": expected, "unconverged": unconverged,
              "recovered": recovered, "max_newton_iterations": int(iterations.max(initial=0))},
         )
-    decoupled = 1j * op.field_spectrum.ell[~op.field_spectrum.coupled]
+    decoupled = op.modal_constants.free_poles
     return DampedEigenvalues(
         values=np.concatenate((decoupled, roots)),
         iterations=np.concatenate((np.zeros(decoupled.size, dtype=np.int64), iters)),
@@ -979,7 +1190,7 @@ def scan_resolvent(op, lambdas) -> ResolventScan:
     if lambdas.size < MIN_SCAN_POINTS:
         raise ParameterError(f"a scan needs >= {MIN_SCAN_POINTS} lambdas, got {lambdas.size}")
     clock = time.perf_counter()
-    op.field_spectrum  # the field eigensolve, once per operator
+    op.modal_constants  # the field eigensolve and what the shifts share, once per operator
     stage_s = {"eigensolve": time.perf_counter() - clock}
     clock = time.perf_counter()
     reports = []

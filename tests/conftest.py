@@ -82,7 +82,7 @@ def march_args(l_diag, l_off, h, b, zeta, w, eta, xi2, y0, psi0, dt, steps):
     of the rest."""
     l_diag = np.asarray(l_diag)
     spectrum = _kernels.field_spectrum(l_diag, l_off, b)
-    ell, s, alpha0, remainder = _kernels.field_modes(l_diag, spectrum, b, np.sqrt(h) * y0)
+    ell, s, alpha0, remainder = _kernels.field_modes(l_diag, l_off, spectrum, b, np.sqrt(h) * y0)
     return (ell, s, h[b], zeta, w, eta, xi2, alpha0, psi0, 0.5 * remainder, dt, steps)
 
 

@@ -339,7 +339,10 @@ class TestScan:
         )
         assert code == 0
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert set(diag) == {"shifts", "fit", "stage_s"}
+        assert set(diag) == {"shifts", "fit", "stage_s", "relaxation_floor"}
+        # the default xi_min = 1e-4: every lambda of [1e-4, 1e-1] lies above 1e-8
+        assert diag["relaxation_floor"] == {"xi_min_squared": pytest.approx(1e-8, rel=1e-15),
+                                            "shifts_below": 0}
         fit = json.loads((out / "fit.json").read_text())
         i0, i1 = diag["fit"]["window_index"]
         assert 0 <= i0 < i1 < 9
@@ -366,6 +369,19 @@ class TestScan:
             assert shift["count_evaluations"] >= 1
             assert abs(shift["certificate_gap"]) < 1e-7
             assert shift["lambda_norm_minus_one"] >= -1e-6  # the relaxation floor
+
+    def test_relaxation_floor_counts_the_shifts_below_xi_min_squared(self, tmp_path):
+        # xi_min = 0.1: the five lambdas of the grid from 1e-3 to 1e-2 lie at
+        # or below xi_min^2 = 1e-2, the slowest relaxation rate
+        out = tmp_path / "floor"
+        code = run_cli(
+            "scan", "--problem", "P", "--alpha", 0.5, "--beta", 0.5, "--nx", 32,
+            "--nxi", 24, "--xi-min", 0.1, "--lambda-min", 1e-3, "--lambda-max", 1e-1,
+            "--points", 9, "--out", out,
+        )
+        assert code == 0
+        floor = json.loads((out / "manifest.json").read_text())["diagnostics"]["relaxation_floor"]
+        assert floor == {"xi_min_squared": pytest.approx(1e-2, rel=1e-15), "shifts_below": 5}
 
     def test_general_coefficient_prediction(self, tmp_path):
         out = tmp_path / "scang"

@@ -146,11 +146,10 @@ class TestSimulate:
             assert 0 < np.count_nonzero(coupled) < coupled.size
         census = resolvent_module.damped_eigenvalues(op)
         assert census.expected == np.count_nonzero(coupled) + op.xigrid.xi.size
-        secular = resolvent_module._secular(op, 0.3)
-        assert np.array_equal(secular.free, np.flatnonzero(~coupled))
+        assert np.array_equal(op.modal_constants.free, np.flatnonzero(~coupled))
         state = random_state(op, rng)
         trace = simulate(op, state, 0.1, 0.01)
-        freq, *_ = _kernels.field_modes(op.l_diag, spectrum, op.boundary_index,
+        freq, *_ = _kernels.field_modes(op.l_diag, op.l_off, spectrum, op.boundary_index,
                                         np.sqrt(op.xgrid.h) * state.y)
         assert trace.coupled_modes == freq.size
         assert np.all(np.isin(spectrum.ell[coupled], freq))

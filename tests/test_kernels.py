@@ -212,7 +212,7 @@ class TestFieldEigenbasis:
         spectrum = _kernels.field_spectrum(np.asarray(op.l_diag), op.l_off, b)
         rng = np.random.default_rng(7)
         z = rng.standard_normal(ell.size) + 1j * rng.standard_normal(ell.size)
-        freq, s, c, remainder = _kernels.field_modes(np.asarray(op.l_diag), spectrum, b, z)
+        freq, s, c, remainder = _kernels.field_modes(np.asarray(op.l_diag), op.l_off, spectrum, b, z)
         # every coupled mode is carried, and each carried mode is one
         # eigenpair of the dense basis
         assert np.count_nonzero(spectrum.coupled) <= freq.size <= ell.size
@@ -251,7 +251,7 @@ class TestFieldEigenbasis:
         spectrum = spectrum._replace(weight=4.0 * spectrum.weight, entry=2.0 * spectrum.entry)
         z = np.sqrt(op.xgrid.h) * (1.0 + op.xgrid.x)
         with pytest.raises(NumericalError, match="norm") as info:
-            _kernels.field_modes(np.asarray(op.l_diag), spectrum, op.boundary_index, z)
+            _kernels.field_modes(np.asarray(op.l_diag), op.l_off, spectrum, op.boundary_index, z)
         assert info.value.diagnostics["remainder"] < 0.0
 
 

@@ -13,6 +13,7 @@ from fracdamp.errors import (
     SpectralCollisionError,
 )
 from fracdamp.model import PowerLawKappa, ProblemSpec, StateVector, Variant
+from fracdamp.operator import build_modal_constants
 from fracdamp import resolvent as resolvent_module
 from fracdamp.resolvent import (
     MIN_SCAN_POINTS,
@@ -31,8 +32,13 @@ from fracdamp.resolvent import (
 from oracles import bracket_scaling_pprime, determinant_scaling_p, tabulate_kappa
 
 
+def _secular(delta, x2, n_field):
+    # the modes of i lam - A at lam = 0, with poles -delta
+    return _Secular(build_modal_constants(-np.asarray(delta, complex), x2, n_field), 0.0)
+
+
 def _secular_sigma(delta, x2, n_field):
-    return _Secular(np.asarray(delta, complex), np.asarray(x2, float), n_field).smallest().sigma
+    return _secular(delta, x2, n_field).smallest().sigma
 
 
 def _modal_matrix(delta, x2, n_field):
@@ -105,16 +111,56 @@ class TestSecular:
     @pytest.mark.parametrize("variant,alpha,g", [(Variant.P, 0.5, 1.0),
                                                  (Variant.PPRIME, 1.5, 2.0)])
     def test_counts_match_dense_svd_counts(self, variant, alpha, g):
+        # the closed-form count near zero and at high frequency, on both
+        # signs of lam
         rng = np.random.default_rng(3)
         op = make_operator(variant, alpha=alpha, nx=48, nxi=32, g=g)
-        for lam in (0.0, 1e-2, -3.0, 40.0):
+        for lam in (0.0, 1e-3, -1e-2, 1e-2, -3.0, 40.0, -300.0, 2e3):
             delta, x2, n = _modal_problem(op, lam)
             sv = np.linalg.svd(_modal_matrix(delta, x2, n), compute_uv=False)
-            sec = _Secular(delta, x2, n)
+            sec = _Secular(op.modal_constants, lam)
             # between neighbouring singular values, well away from both
             mids = np.sqrt(sv[1:] * sv[:-1])[np.abs(np.log(sv[1:] / sv[:-1])) > 1e-6]
             for sigma in rng.choice(mids, size=12, replace=False):
                 assert sec.count(sigma) == np.count_nonzero(sv < sigma)
+
+    @pytest.mark.parametrize("variant,alpha,g", [(Variant.P, 0.5, 1.0),
+                                                 (Variant.PPRIME, 1.5, 2.0)])
+    def test_count_where_the_field_block_is_singular(self, variant, alpha, g):
+        # between two field poles the eigenvalue pf - |qf| of the field
+        # block A_f of G falls through zero; where it is 0 to rounding, the
+        # count eliminates the relaxation block A_r and still matches
+        op = make_operator(variant, alpha=alpha, nx=48, nxi=32, g=g)
+        checked = 0
+        for lam in (1e-2, 40.0, -300.0):
+            delta, x2, n = _modal_problem(op, lam)
+            sv = np.linalg.svd(_modal_matrix(delta, x2, n), compute_uv=False)
+            sec = _Secular(op.modal_constants, lam)
+
+            def f0(sigma):
+                pf, qf, _, _ = sec._sums(sigma, sec._none)
+                return pf - abs(qf)
+
+            poles = np.sort(sec.r[: sec.k])
+            for lo, hi in zip(poles[:-1] * (1.0 + 1e-9), poles[1:] * (1.0 - 1e-9)):
+                if not (lo < hi and f0(lo) > 0.0 > f0(hi)):
+                    continue
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):
+                        break
+                    lo, hi = (mid, hi) if f0(mid) > 0.0 else (lo, mid)
+                # next to adjacent floats the eigenvalue is a millionth of
+                # the block's size, or less
+                pf, qf, pr, qr = sec._sums(lo, sec._none)
+                assert abs(pf - abs(qf)) <= 1e-6 * (abs(pf) + abs(qf))
+                e = resolvent_module._schur(pr, qr, pf, qf)  # A_r eliminated
+                neg = sum(v < 0.0 for v in (e[0], e[1], e[2] - abs(e[3]), e[2] + abs(e[3])))
+                assert resolvent_module._inertia(pf, qf, pr, qr) == neg
+                if np.abs(np.log(sv / lo)).min() > 1e-8:
+                    assert sec.count(lo) == np.count_nonzero(sv < lo)
+                    checked += 1
+        assert checked >= 3
 
     def test_decoupled_closed_form(self):
         # a = 0 on the assembled operator's field modes: 1/min |delta|
@@ -154,6 +200,85 @@ class TestSecular:
         (shift,) = report
         assert shift.norm == first
         assert abs(shift.certificate_gap) < 1e-10  # sigma_min * norm - 1
+
+
+class TestSearchBranches:
+    """Each way the search for sigma_min can end other than on the closed form."""
+
+    def test_escalation_past_the_modal_upper_bound_is_a_numerical_error(self, monkeypatch):
+        # no free mode caps the search, and no count ever reaches 1: the
+        # last gap point doubles 64 times and the search gives up
+        monkeypatch.setattr(_Secular, "count", lambda self, sigma: 0)
+        rng = np.random.default_rng(4)
+        sec = _secular(1j * rng.standard_normal(8) + rng.random(8), rng.random(8) + 0.1, 5)
+        with pytest.raises(NumericalError, match="modal upper bound") as info:
+            sec.smallest()
+        assert info.value.diagnostics["upper_bound"] == sec.upper_bound()
+
+    def test_escalation_up_to_a_free_mode_returns_it(self, monkeypatch):
+        # a free mode caps the escalation: its pole is sigma_min
+        monkeypatch.setattr(_Secular, "count", lambda self, sigma: 0)
+        x2 = np.full(8, 0.5)
+        x2[2] = 0.0
+        delta = 1j * np.arange(1.0, 9.0)
+        root = _secular(delta, x2, 5).smallest()
+        assert (root.free, root.sigma) == (2, 3.0)
+
+    def test_a_count_that_never_falls_reaches_the_zero_floor(self, monkeypatch):
+        # the bracket below the first pole moves down by factors of 4 to
+        # eps^2 of its start: sigma_min is 0, a singular shift
+        monkeypatch.setattr(_Secular, "count", lambda self, sigma: 1)
+        op = make_operator(nx=32, nxi=16)
+        assert _Secular(op.modal_constants, 0.1).smallest().sigma == 0.0
+        with pytest.raises(SpectralCollisionError, match="sigma_min is 0"):
+            resolvent_norm(op, 0.1)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0042, 300.0])
+    def test_without_the_closed_form_zheev_counts_the_same(self, lam, monkeypatch):
+        # a closed form that meets a singular block hands the count to
+        # zheev; with every count there the search ends on the same norm
+        op = make_operator(Variant.P, nx=200, nxi=200, xi_min=1e-4, xi_max=1e4)
+        reports = []
+        want = resolvent_norm(op, lam, report=reports)
+        monkeypatch.setattr(resolvent_module, "_inertia", lambda *sums: None)
+        again = []
+        assert resolvent_norm(op, lam, report=again) == pytest.approx(want, rel=1e-12)
+        assert abs(again[0].certificate_gap) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0042, 300.0])
+    def test_without_a_crossing_value_bisection_ends_on_the_same_norm(self, lam, monkeypatch):
+        # no diagonal block keeping its inertia over the bracket: the value
+        # is nan and the search bisects in t, to the same 4-eps bracket
+        op = make_operator(Variant.P, nx=200, nxi=200, xi_min=1e-4, xi_max=1e4)
+        reports = []
+        want = resolvent_norm(op, lam, report=reports)
+        monkeypatch.setattr(_Secular, "_crossing", lambda self, *args: lambda x: math.nan)
+        again = []
+        assert resolvent_norm(op, lam, report=again) == pytest.approx(want, rel=1e-12)
+        assert again[0].evaluations > reports[0].evaluations
+
+
+class TestEvaluationCounts:
+    """The counts the search spends, pinned at nx=200 (nxi=200, xi in
+    [1e-4, 1e4]): 25 lambdas near zero and 25 at high frequency, the
+    benchmark scans' ranges.  A slower search fails here on an exact
+    count."""
+
+    @pytest.mark.parametrize("variant,low,high", [
+        (Variant.P, (11, 16), (12, 14)),
+        (Variant.PPRIME, (10, 13), (12, 14)),
+    ], ids=["P", "Pprime"])
+    def test_median_and_maximum(self, variant, low, high):
+        from fracdamp.diffusive import build_xi_quadrature
+        from fracdamp.operator import assemble_operator, build_x_grid, default_grading
+
+        spec = ProblemSpec(variant=variant, kappa=PowerLawKappa(0.5), beta=0.5, rho=1.0)
+        op = assemble_operator(spec, build_x_grid(200, default_grading(spec)),
+                               build_xi_quadrature(0.5, 200))
+        for pins, lams in ((low, np.geomspace(1e-4, 1e-1, 25)),
+                           (high, np.geomspace(1e1, 1e4, 25))):
+            counts = [r.evaluations for r in scan_resolvent(op, lams).shifts]
+            assert (np.median(counts), max(counts)) == pins
 
 
 class TestAssembledNorms:
@@ -208,7 +333,7 @@ class TestAssembledNorms:
             gap = np.abs(np.delete(spectrum.ell, k) - spectrum.ell[k]).min()
             for step in (1e-3, 1e-6):
                 lam = float(spectrum.ell[k] + step * gap)
-                assert resolvent_module._secular(op, lam).smallest().free == k
+                assert _Secular(op.modal_constants, lam).smallest().free == k
                 reports = []
                 norm = resolvent_norm(op, lam, report=reports)
                 assert norm == pytest.approx(resolvent_norm_dense(op, lam), rel=1e-8)
