@@ -92,65 +92,14 @@ class ShiftConstants(NamedTuple):
 
     ``sqrt_weights`` is the square root of the weighted inner product's
     diagonal (sqrt h ; sqrt(zeta w)), ``i_diag`` and ``neg_i_off`` are
-    i*l_diag and -i*l_off, ``xi2`` the relaxation rates xi^2 and
-    ``coupling`` is zeta sqrt(h_b)/h_b * w * eta, the relaxation rows'
-    weights in the damped cell's equation.
+    i*l_diag and -i*l_off, and ``coupling`` is zeta sqrt(h_b)/h_b * w * eta,
+    the relaxation rows' weights in the damped cell's equation.
     """
 
     sqrt_weights: np.ndarray
     i_diag: np.ndarray
     neg_i_off: np.ndarray
-    xi2: np.ndarray
     coupling: np.ndarray
-
-
-class ModalConstants(NamedTuple):
-    """i*lam - A in the weighted field eigenbasis, less the shift.
-
-    There i*lam - A = diag(i*lam - p) + e_s e_a^T - e_a e_s^T, with poles
-    p = i*ell_k for the field modes and -xi_k^2 for the relaxation modes,
-    and squared coupling weights x2 = (s^2; a^2).  A mode of weight 0 is
-    free: an exact singular value |i*lam - p| and an exact eigenvalue p.
-    The others are coupled, their K field modes first: ``coupled`` holds
-    their indices among all modes, ``poles`` and ``x2`` their poles and
-    weights, ``sum_rows`` the weights of the six secular sums (x2, x2 Re
-    delta and x2 Im delta, delta = i*lam - p, over the field modes and then
-    over the relaxation modes; the shift-independent ones filled, the
-    rows of x2 Im delta zero), and ``cross`` x2 times the other block's
-    total weight (the modal upper bound of sigma_min).  ``free`` and
-    ``free_poles`` are the free modes' indices and poles.
-    """
-
-    n_field: int
-    n_coupled_field: int
-    coupled: np.ndarray
-    poles: np.ndarray
-    x2: np.ndarray
-    sum_rows: np.ndarray
-    cross: np.ndarray
-    free: np.ndarray
-    free_poles: np.ndarray
-
-
-def build_modal_constants(poles, x2, n_field: int) -> ModalConstants:
-    """``ModalConstants`` of the modes with poles ``poles`` and squared
-    weights ``x2`` (0 for a free mode), the first ``n_field`` of them field
-    modes."""
-    poles = np.asarray(poles, dtype=np.complex128)
-    x2 = np.asarray(x2, dtype=float)
-    coupled = np.flatnonzero(x2 > 0.0)
-    free = np.flatnonzero(x2 <= 0.0)
-    k = int(np.count_nonzero(coupled < n_field))
-    xc = x2[coupled]
-    pc = poles[coupled]
-    rows = np.zeros((6, xc.size))
-    for block, first in ((slice(0, k), 0), (slice(k, None), 3)):
-        rows[first, block] = xc[block]
-        np.multiply(xc[block], -pc.real[block], out=rows[first + 1, block])
-    cross = xc * np.where(np.arange(xc.size) < k, xc[k:].sum(), xc[:k].sum())
-    return ModalConstants(n_field=int(n_field), n_coupled_field=k, coupled=coupled, poles=pc,
-                          x2=xc, sum_rows=rows, cross=cross, free=free,
-                          free_poles=poles[free])
 
 
 @dataclass(frozen=True)
@@ -218,20 +167,17 @@ class SystemOperator:
             sqrt_weights=sqrt_w,
             i_diag=1j * self.l_diag,
             neg_i_off=-1j * self.l_off,
-            xi2=self.xigrid.xi**2,
             coupling=(self.zeta * sqrt_w[b] / h[b]) * self.xigrid.w * self.xigrid.eta,
         )
 
     @cached_property
-    def modal_constants(self) -> ModalConstants:
+    def modal_constants(self):
         """What every resolvent shift and the eigenvalue census share, once
-        per operator, from ``field_spectrum``: a field mode of weight below
-        eps is free (decoupled)."""
-        spectrum = self.field_spectrum
-        poles = np.concatenate((1j * spectrum.ell, (-self.xigrid.xi**2).astype(np.complex128)))
-        x2 = np.concatenate((np.where(spectrum.coupled, spectrum.weight, 0.0),
-                             self.relaxation_weights))
-        return build_modal_constants(poles, x2, spectrum.ell.size)
+        per operator (``resolvent.modal_constants``, which owns their
+        layout)."""
+        from .resolvent import modal_constants
+
+        return modal_constants(self)
 
 
 def assemble_operator(spec: ProblemSpec, xgrid: XGrid, xigrid: XiGrid) -> SystemOperator:

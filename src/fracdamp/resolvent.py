@@ -110,9 +110,10 @@ class _ShiftedSystem:
         self.n = op.xgrid.x.size
         self.b = op.boundary_index
         const = op.shift_constants
-        denom = 1j * lam + const.xi2
+        xi2 = op.xigrid.xi**2
+        denom = 1j * lam + xi2
         if not denom.all():
-            raise SpectralCollisionError(lam, complex(-const.xi2[np.argmin(np.abs(denom))]))
+            raise SpectralCollisionError(lam, complex(-xi2[np.argmin(np.abs(denom))]))
         # per-shift constants of the elimination, so a solve is one zgttrs,
         # one dot product and four vector operations
         self._inv_denom = 1.0 / denom
@@ -242,6 +243,66 @@ def _inertia(pf, qf, pr, qr):
     return (e[0] < 0.0) + (e[1] < 0.0) + (e[2] - aq < 0.0) + (e[2] + aq < 0.0)
 
 
+class ModalConstants(NamedTuple):
+    """i*lam - A in the weighted field eigenbasis, less the shift.
+
+    There i*lam - A = diag(i*lam - p) + e_s e_a^T - e_a e_s^T, with poles
+    p = i*ell_k for the field modes and -xi_k^2 for the relaxation modes,
+    and squared coupling weights x2 = (s^2; a^2).  A mode of weight 0 is
+    free: an exact singular value |i*lam - p| and an exact eigenvalue p.
+    The others are coupled, their K field modes first: ``coupled`` holds
+    their indices among all modes, ``poles`` and ``x2`` their poles and
+    weights, ``sum_rows`` the weights of ``_Secular``'s six secular sums
+    (x2, x2 Re delta and x2 Im delta, delta = i*lam - p, over the field
+    modes and then over the relaxation modes; the shift-independent ones
+    filled, the rows of x2 Im delta zero), and ``cross`` x2 times the
+    other block's total weight (the modal upper bound of sigma_min).
+    ``free`` and ``free_poles`` are the free modes' indices and poles.
+    """
+
+    n_field: int
+    n_coupled_field: int
+    coupled: np.ndarray
+    poles: np.ndarray
+    x2: np.ndarray
+    sum_rows: np.ndarray
+    cross: np.ndarray
+    free: np.ndarray
+    free_poles: np.ndarray
+
+
+def build_modal_constants(poles, x2, n_field: int) -> ModalConstants:
+    """``ModalConstants`` of the modes with poles ``poles`` and squared
+    weights ``x2`` (0 for a free mode), the first ``n_field`` of them field
+    modes."""
+    poles = np.asarray(poles, dtype=np.complex128)
+    x2 = np.asarray(x2, dtype=float)
+    coupled = np.flatnonzero(x2 > 0.0)
+    free = np.flatnonzero(x2 <= 0.0)
+    k = int(np.count_nonzero(coupled < n_field))
+    xc = x2[coupled]
+    pc = poles[coupled]
+    rows = np.zeros((6, xc.size))
+    for block, first in ((slice(0, k), 0), (slice(k, None), 3)):
+        rows[first, block] = xc[block]
+        np.multiply(xc[block], -pc.real[block], out=rows[first + 1, block])
+    cross = xc * np.where(np.arange(xc.size) < k, xc[k:].sum(), xc[:k].sum())
+    return ModalConstants(n_field=int(n_field), n_coupled_field=k, coupled=coupled, poles=pc,
+                          x2=xc, sum_rows=rows, cross=cross, free=free,
+                          free_poles=poles[free])
+
+
+def modal_constants(op) -> ModalConstants:
+    """``ModalConstants`` of an assembled operator, from its
+    ``field_spectrum``: a field mode of weight below eps is free
+    (decoupled).  Cached per operator as ``SystemOperator.modal_constants``."""
+    spectrum = op.field_spectrum
+    poles = np.concatenate((1j * spectrum.ell, (-op.xigrid.xi**2).astype(np.complex128)))
+    x2 = np.concatenate((np.where(spectrum.coupled, spectrum.weight, 0.0),
+                         op.relaxation_weights))
+    return build_modal_constants(poles, x2, spectrum.ell.size)
+
+
 class _Secular:
     """Singular values of M = diag(delta) + e_s e_a^T - e_a e_s^T.
 
@@ -263,8 +324,8 @@ class _Secular:
     within _BORDER*sigma are bordered instead of divided out: the pair's
     term for the eigenvalue +r_k of [[0, delta_k], [conj delta_k, 0]]
     becomes a row (x_k/sqrt 2)(e_p + (delta_k/r_k) e_p+2) with diagonal
-    -(sigma - r_k), and neg of the bordered matrix (in closed form for one
-    bordered pole, else from ``zheev``) replaces their share of the count.
+    -(sigma - r_k), and neg of the bordered matrix (from ``zheev``)
+    replaces their share of the count.
     Free modes (weight 0) are exact singular values r_k and enter the count
     only.
     """
@@ -374,65 +435,25 @@ class _Secular:
     def inertia(self, sigma, border):
         """(neg, x) for the secular matrix at sigma with the poles `border`
         bordered: neg its number of negative eigenvalues, x what
-        ``_crossing`` reads.  In closed form (``_closed``) unbordered and
-        with one bordered pole, else from ``zheev``, x the ascending
-        eigenvalues of the equilibrated matrix.  Remembered per
-        (sigma, border): a bracket end is evaluated once.
+        ``_crossing`` reads.  Unbordered, neg from ``_inertia`` and x the
+        sums; bordered, or with both diagonal blocks singular, from
+        ``zheev``, x then the ascending eigenvalues of the equilibrated
+        matrix (the sums unbordered).  Remembered per (sigma, border): a
+        bracket end is evaluated once.
         """
         sigma = float(sigma)
         key = (sigma, border.tobytes()) if border.size else sigma
         got = self._seen.get(key)
         if got is None:
             sums = self._sums(sigma, border)
-            got = self._closed(sigma, border, sums)
-            if got is None:
+            neg = None if border.size else _inertia(*sums)
+            if neg is None:
                 w = lapack("zheev", self.matrix(sigma, border, sums)[0], compute_v=0, lower=1)[0]
-                got = int(np.count_nonzero(w < 0.0)), (sums if not border.size else w)
+                neg = int(np.count_nonzero(w < 0.0))
+            got = neg, (w if border.size else sums)
             self.evaluations += 1
             self._seen[key] = got
         return got
-
-    def _closed(self, sigma, border, sums):
-        """``inertia`` in closed form, or None (a singular block, or more
-        than one bordered pole).
-
-        Unbordered, x = sums and neg from ``_inertia``.  With one
-        bordered pole k in block p, the bordered matrix is
-        [[G', v], [v^H, -(sigma - r_k)]]: G' is G with the pole's half term
-        (x_k^2/(2(sigma + r_k)) on the diagonal of the pair p, that times
-        -delta_k/r_k on its off-diagonal) and v = (x_k/sqrt 2)(e_p +
-        conj(delta_k/r_k) e_p+2).  Its inertia is neg G' + [c < 0] for the
-        Schur complement c = -(sigma - r_k) - v^H G'^{-1} v, and with
-        [[s, q], [conj q, s]] the Schur complement in G' of the other
-        block, v^H G'^{-1} v = x_k^2 (s - Re(q conj(delta_k)/r_k))/(s^2 - |q|^2);
-        x = (c, neg G', the sums of G').
-        """
-        if not border.size:
-            neg = _inertia(*sums)
-            return None if neg is None else (neg, sums)
-        if border.size > 1:
-            return None
-        k = int(border[0])
-        rb, x2 = float(self.r[k]), float(self.modal.x2[k])
-        phase = complex(self.delta[k]) / rb
-        gterm = 0.5 * x2 / (sigma + rb)
-        pf, qf, pr, qr = sums
-        if k < self.k:
-            pf, qf = pf + gterm, qf - gterm * phase
-            other = _schur(pr, qr, pf, qf)
-        else:
-            pr, qr = pr + gterm, qr - gterm * phase
-            other = _schur(pf, qf, pr, qr)
-        neg = _inertia(pf, qf, pr, qr)
-        if neg is None or other is None:
-            return None
-        s, q = other[2], other[3]
-        aq = abs(q)
-        den = (s - aq) * (s + aq)
-        if den == 0.0:
-            return None
-        c = -(sigma - rb) - x2 * (s - (q * phase.conjugate()).real) / den
-        return neg + (c < 0.0), (c, neg, (pf, qf, pr, qr))
 
     def count(self, sigma):
         """Number of singular values below sigma."""
@@ -564,22 +585,12 @@ class _Secular:
         (``_schur``) that crosses zero, eliminating a diagonal block of G
         whose inertia is the same at both ends: then it is the same on the
         whole bracket, since G falls monotonically between its poles
-        (Loewner order), and so does S.  With one bordered pole, likewise
-        its Schur complement c (``_closed``) if the inertia of G' is the
-        same at both ends, else the crossing of G'.  With more, the
-        eigenvalue of the bordered matrix that crosses zero, index j.
-        Without such a function, nan (``_refine`` bisects).
+        (Loewner order), and so does S.  Bordered, the eigenvalue of the
+        bordered matrix that crosses zero, index j.  Without such a
+        function, nan (``_refine`` bisects).
         """
-        if border.size > 1:
-            return lambda x: x[j]
         if border.size:
-            if not (isinstance(x_lo, tuple) and isinstance(x_hi, tuple)):
-                return lambda x: math.nan
-            if x_lo[1] == x_hi[1]:
-                return lambda x: x[0] if isinstance(x, tuple) and x[1] == x_lo[1] else math.nan
-            # G' changes its inertia: it holds the crossing
-            crossing = self._crossing(self._none, j, x_lo[2], x_hi[2])
-            return lambda x: crossing(x[2]) if isinstance(x, tuple) else math.nan
+            return lambda x: x[j]
         for swap in (False, True):
             ends = [_schur(*(x[2:] + x[:2] if swap else x)) for x in (x_lo, x_hi)]
             if None in ends or (ends[0][0] < 0.0) + (ends[0][1] < 0.0) != (
@@ -712,16 +723,15 @@ def _tridiagonal_solve(l_diag, off, shift, rhs):
     the shift moves by a few ulps of the largest diagonal entry, and the
     NumericalError of the last move is raised.
     """
-    try:
-        return lapack("dgtsv", off, l_diag - shift, off, rhs, overwrite_d=1)[-1]
-    except NumericalError:
-        pass
-    ulp = np.spacing(np.abs(l_diag).max())
-    try:
-        return lapack("dgtsv", off, l_diag - (shift + 4.0 * ulp), off, rhs, overwrite_d=1)[-1]
-    except NumericalError:
-        pass
-    return lapack("dgtsv", off, l_diag - (shift + 64.0 * ulp), off, rhs, overwrite_d=1)[-1]
+    ulp = 0.0
+    for nudge in (0.0, 4.0, 64.0):
+        try:
+            return lapack("dgtsv", off, l_diag - (shift + nudge * ulp), off, rhs,
+                          overwrite_d=1)[-1]
+        except NumericalError:
+            if nudge == 64.0:
+                raise
+            ulp = np.spacing(np.abs(l_diag).max())
 
 
 def _field_eigenvector(l_diag, off, ell_k, b):
